@@ -29,8 +29,11 @@ let check_record cluster ?(seed = 0) ?(latency_ms = 1.0) ?(timeout_ms = 100.0)
   match Storage.digest_of initiator_store glsn with
   | None -> (No_digest, 0.0)
   | Some deposited ->
-    let sim = Net.Sim.of_config (Net.Config.make ~seed ~latency_ms:(fun _ _ -> latency_ms) ()) in
-    List.iter (Net.Sim.take_down sim) down;
+    let rt =
+      Net.Runtime.create
+        (Net.Config.make ~seed ~latency_ms:(fun _ _ -> latency_ms) ())
+    in
+    List.iter (Net.Runtime.take_down rt) down;
     let verdict = ref (Timed_out None) in
     let finished = ref false in
     let finish_time = ref 0.0 in
@@ -40,13 +43,13 @@ let check_record cluster ?(seed = 0) ?(latency_ms = 1.0) ?(timeout_ms = 100.0)
        seeing a message that has completed the full ring, compares. *)
     List.iter
       (fun node ->
-        Net.Sim.on_message sim node (fun ~src:_ msg ->
+        Net.Runtime.on_message rt node (fun ~src:_ msg ->
             if not !finished then begin
               if msg.hops = n then begin
                 (* Back at the initiator with every fragment folded. *)
                 if Net.Node_id.equal node initiator then begin
                   finished := true;
-                  finish_time := Net.Sim.now sim;
+                  finish_time := Net.Runtime.now rt;
                   verdict :=
                     if Bignum.equal msg.acc deposited then Intact
                     else Mismatch
@@ -65,20 +68,20 @@ let check_record cluster ?(seed = 0) ?(latency_ms = 1.0) ?(timeout_ms = 100.0)
                     Crypto.Accumulator.accumulate_bytes params msg.acc wire
                   in
                   last_forwarder := Some node;
-                  Net.Sim.send sim ~src:node ~dst:(next_of node)
+                  Net.Runtime.send rt ~src:node ~dst:(next_of node)
                     { msg with acc; hops = msg.hops + 1 }
               end
             end))
       nodes;
     (* Kick off: the initiator starts the token toward itself (it folds
        its own fragment through its handler like everyone else). *)
-    Net.Sim.send sim ~src:initiator ~dst:initiator
+    Net.Runtime.send rt ~src:initiator ~dst:initiator
       { glsn; acc = params.Crypto.Accumulator.x0; hops = 0 };
-    Net.Sim.set_timer sim ~delay_ms:timeout_ms (fun () ->
+    Net.Runtime.set_timer rt ~delay_ms:timeout_ms (fun () ->
         if not !finished then begin
           finished := true;
-          finish_time := Net.Sim.now sim;
+          finish_time := Net.Runtime.now rt;
           verdict := Timed_out !last_forwarder
         end);
-    ignore (Net.Sim.run sim);
+    ignore (Net.Runtime.run rt);
     (!verdict, !finish_time)

@@ -1,13 +1,14 @@
 (** Asynchronous integrity circulation (§4.1) on the discrete-event
-    simulator.
+    reactor.
 
     The synchronous {!Integrity.check_record} abstracts the ring
     circulation as straight-line orchestration.  This module runs the
-    same protocol as real message passing on {!Net.Sim}: each node holds
-    a handler that folds its fragment into the received accumulator and
-    forwards it; the initiator arms a timeout so a dead or silent node
-    yields a [Timed_out] verdict instead of a hang.  Tests assert the
-    two implementations agree wherever both are defined. *)
+    same protocol as real message passing on {!Net.Runtime}: each node
+    holds a handler that folds its fragment into the received
+    accumulator and forwards it; the initiator arms a timeout so a dead
+    or silent node yields a [Timed_out] verdict instead of a hang.
+    Tests assert the two implementations agree wherever both are
+    defined. *)
 
 type verdict =
   | Intact

@@ -22,9 +22,9 @@ type summary = {
 
 (* Scheduling weight of one clause: local atoms are a single in-situ
    scan, cross atoms cost a negotiate + two blinded-column transfers +
-   a TTP round.  Cheap clauses drain first, so every query's local
-   work pipelines ahead of the TTP-bound tail; FIFO tie-breaking keeps
-   the order deterministic. *)
+   a TTP round.  Cheap clauses run first, so every query's local work
+   pipelines ahead of the TTP-bound tail; a stable sort keeps ties in
+   first-seen order, so the order is deterministic. *)
 let clause_cost (clause : Planner.planned_clause) =
   List.fold_left
     (fun acc { Planner.home; _ } ->
@@ -49,7 +49,7 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
     in
     let hits_before = Executor.cache_hits cache in
     (* Phase 1 — pipeline the batch's unique clauses.  Every distinct
-       SQ_i across all criteria is enqueued once, ordered by estimated
+       SQ_i across all criteria is taken once, stably sorted by estimated
        cost, and evaluated into the session cache.  Execution itself
        stays strictly sequential (so transcripts are byte-identical to
        the sequential engine); the reactor's {!Net.Runtime.Pipeline}
@@ -63,41 +63,35 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
     let dep_edges =
       List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 deps
     in
-    let queue = Net.Event_queue.create () in
     let seen = Hashtbl.create 16 in
+    let unique =
+      List.concat_map (fun plan -> plan.Planner.clauses) multi.Planner.plans
+      |> List.filter (fun clause ->
+             let key =
+               Planner.clause_key
+                 (List.map
+                    (fun { Planner.atom; _ } -> atom)
+                    clause.Planner.atoms)
+             in
+             if Hashtbl.mem seen key then false
+             else begin
+               Hashtbl.add seen key ();
+               true
+             end)
+    in
     List.iter
-      (fun plan ->
-        List.iter
-          (fun clause ->
-            let key =
-              Planner.clause_key
-                (List.map
-                   (fun { Planner.atom; _ } -> atom)
-                   clause.Planner.atoms)
-            in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
-              Net.Event_queue.push queue ~time:(clause_cost clause) clause
-            end)
-          plan.Planner.clauses)
-      multi.Planner.plans;
-    let rec drain () =
-      match Net.Event_queue.pop queue with
-      | None -> ()
-      | Some (_, clause) ->
+      (fun clause ->
         let vt_before = Net.Network.virtual_time_ms net in
         Executor.warm_clause cluster ~ttp ~on_failure:failure_mode ~cache
           clause;
         let vt_after = Net.Network.virtual_time_ms net in
-        ignore
-          (Net.Runtime.Pipeline.submit pipeline
-             ~resources:
-               (List.map Net.Node_id.to_string
-                  (Planner.clause_resources clause))
-             ~duration_ms:(vt_after -. vt_before));
-        drain ()
-    in
-    drain ();
+        Net.Runtime.Pipeline.submit pipeline
+          ~resources:
+            (List.map Net.Node_id.to_string (Planner.clause_resources clause))
+          ~duration_ms:(vt_after -. vt_before))
+      (List.stable_sort
+         (fun a b -> Float.compare (clause_cost a) (clause_cost b))
+         unique);
     let preport = Net.Runtime.Pipeline.report pipeline in
     Obs.Metrics.incr ~by:preport.Net.Runtime.Pipeline.jobs
       "audit.pipeline.clauses";

@@ -12,9 +12,9 @@
       across queries by canonical key (common-subexpression
       elimination); the savings are published as [audit.dedup_atoms] /
       [audit.dedup_clauses];
-    - {b pipelines the unique clauses}: each distinct SQ_i is pushed
-      into a {!Net.Event_queue} keyed by estimated cost (local clauses
-      before TTP-heavy cross clauses, FIFO among ties) and evaluated
+    - {b pipelines the unique clauses}: the distinct SQ_i are stably
+      sorted by estimated cost (local clauses before TTP-heavy cross
+      clauses, first seen first among ties) and each is evaluated
       exactly once via {!Executor.warm_clause}, so SMC rounds from
       different criteria interleave instead of serializing per query;
     - {b memoizes glsn sets}: results land in an {!Executor.cache}; the

@@ -66,21 +66,6 @@ let run cluster ?ttp ?delivery ?failure_mode ?replication ?cache ~auditor
           rounds = after.Net.Network.rounds - before.Net.Network.rounds;
         })
 
-(* Deprecated wrappers — the names predate [run]; only the [.mli]
-   carries the deprecation alert so these definitions stay clean. *)
-let audit cluster ?ttp ~auditor criteria =
-  run cluster ?ttp ~auditor (Criteria criteria)
-
-let audit_string cluster ?ttp ~auditor input =
-  run cluster ?ttp ~auditor (Text input)
-
-let secret_count cluster ?ttp ~auditor input =
-  match
-    run cluster ?ttp ~delivery:Executor.Count_only ~auditor (Text input)
-  with
-  | Error _ as e -> e
-  | Ok audit -> Ok audit.count
-
 let secret_sum cluster ?ttp ~auditor ~attr input =
   match Query.parse input with
   | Error message -> Error (Audit_error.Parse_error { input; message })

@@ -6,9 +6,7 @@
 
     {!run} is the single entry point: it takes a {!request} (parsed
     criteria or query text) and the delivery/failure knobs of the
-    executor.  The historical [audit] / [audit_string] /
-    [secret_count] names remain as thin deprecated wrappers.  Batches
-    of criteria belong in an {!Audit_session}. *)
+    executor.  Batches of criteria belong in an {!Audit_session}. *)
 
 type audit = {
   criteria : Query.t;
@@ -57,31 +55,6 @@ val run :
     glsn-set cache.  Errors are typed: {!Audit_error.Parse_error} for
     a [Text] request that does not parse,
     {!Audit_error.Unknown_attribute} from the planner. *)
-
-val audit :
-  Cluster.t ->
-  ?ttp:Net.Node_id.t ->
-  auditor:Net.Node_id.t ->
-  Query.t ->
-  (audit, Audit_error.t) result
-[@@ocaml.deprecated "use Auditor_engine.run (Criteria q)"]
-
-val audit_string :
-  Cluster.t ->
-  ?ttp:Net.Node_id.t ->
-  auditor:Net.Node_id.t ->
-  string ->
-  (audit, Audit_error.t) result
-[@@ocaml.deprecated "use Auditor_engine.run (Text s)"]
-
-val secret_count :
-  Cluster.t ->
-  ?ttp:Net.Node_id.t ->
-  auditor:Net.Node_id.t ->
-  string ->
-  (int, Audit_error.t) result
-[@@ocaml.deprecated
-  "use Auditor_engine.run ~delivery:Executor.Count_only (Text s)"]
 
 val secret_sum :
   Cluster.t ->

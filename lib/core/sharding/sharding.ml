@@ -11,7 +11,6 @@ type t = {
   layout : Planner.shard_range list;
   fabric : Net.Network.t;
   rng : Numtheory.Prng.t;
-  seed : int;
   tickets : (int * string, Ticket.t) Hashtbl.t;
 }
 
@@ -78,7 +77,6 @@ let create ?(seed = 0) ?(glsn_start = default_glsn_start)
     layout;
     fabric;
     rng = Numtheory.Prng.create ~seed:(seed + 1031);
-    seed;
     tickets = Hashtbl.create 64;
   }
 
@@ -148,50 +146,31 @@ let all_glsns t =
 (* Scatter-gather fabric                                               *)
 (* ------------------------------------------------------------------ *)
 
-let coordinator = Net.Node_id.Ttp "shard-coordinator"
-let representative shard = Net.Node_id.Ttp ("shard:" ^ shard.name)
-
-(* One scatter-gather exchange over a fresh Net.Sim event queue: the
-   coordinator fans [work shard] out to every shard representative and
-   collects the replies.  Handlers run shard-local work only; the
-   fabric carries criteria out and verdict metadata back, never record
-   data.  Deterministic: the sim is seeded from the fleet seed, every
-   shard handles exactly one message, and results are collected by
-   shard index — so merge order never depends on virtual-time ties. *)
-type fabric_msg = Scatter | Gather of int
-
+(* One scatter-gather exchange: the coordinator fans [work shard] out
+   to every shard and collects the replies, accounted as one Scatter
+   and one Gather fabric message per shard.  Shards run in layout
+   order, and every shard runs even when an earlier one fails; [collect]
+   then keeps the first error in layout order.  The fabric carries
+   criteria out and verdict metadata back, never record data. *)
 let scatter_gather t work =
-  let n = Array.length t.shards in
-  let results = Array.make n None in
-  let sim : fabric_msg Net.Sim.t =
-    Net.Sim.of_config (Net.Config.make ~seed:(t.seed + 1299709) ())
+  Obs.Trace.with_span "shard.scatter" (fun () ->
+      Obs.Metrics.incr ~by:(Array.length t.shards) "audit.cross_shard_msgs");
+  let results =
+    Array.map
+      (fun shard ->
+        Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
+        let result =
+          Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
+            (fun () -> work shard)
+        in
+        Obs.Metrics.incr "audit.cross_shard_msgs";
+        result)
+      t.shards
   in
-  Net.Sim.on_message sim coordinator (fun ~src:_ msg ->
-      match msg with
-      | Gather i ->
-        Obs.Metrics.incr (Printf.sprintf "shard.gather.%s" t.shards.(i).name)
-      | Scatter -> ());
   Array.iter
     (fun shard ->
-      Net.Sim.on_message sim (representative shard) (fun ~src:_ msg ->
-          match msg with
-          | Gather _ -> ()
-          | Scatter ->
-            Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
-            Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
-              (fun () -> results.(shard.index) <- Some (work shard));
-            Obs.Metrics.incr "audit.cross_shard_msgs";
-            Net.Sim.send sim ~src:(representative shard) ~dst:coordinator
-              (Gather shard.index)))
+      Obs.Metrics.incr (Printf.sprintf "shard.gather.%s" shard.name))
     t.shards;
-  Obs.Trace.with_span "shard.scatter" (fun () ->
-      Array.iter
-        (fun shard ->
-          Obs.Metrics.incr "audit.cross_shard_msgs";
-          Net.Sim.send sim ~src:coordinator ~dst:(representative shard)
-            Scatter)
-        t.shards);
-  ignore (Net.Sim.run sim);
   results
 
 (* Collect scatter-gather results in layout order, first error wins. *)
@@ -200,9 +179,8 @@ let collect results =
     if i >= Array.length results then Ok (List.rev acc)
     else
       match results.(i) with
-      | None -> invalid_arg "Sharding: shard produced no result"
-      | Some (Error _ as e) -> e
-      | Some (Ok r) -> go (r :: acc) (i + 1)
+      | Error _ as e -> e
+      | Ok r -> go (r :: acc) (i + 1)
   in
   go [] 0
 

@@ -10,14 +10,14 @@
     glsn has exactly one owner.
 
     Audits run {e scatter-gather}: the coordinator fans the criteria
-    out to every shard's representative over a {!Net.Sim} event queue,
-    each shard evaluates confidentially inside its own cluster (its own
-    fragmentation, keys, tickets and per-session {!Executor.cache}),
-    and the verdicts come back for a deterministic merge — matching
-    glsn lists concatenate in glsn order because the ranges are
-    disjoint, coverage merges with {!Executor.merge_coverage}.  A
-    single-shard deployment bypasses the fabric entirely and is
-    byte-identical to the unsharded path.
+    out to every shard in layout order, each shard evaluates
+    confidentially inside its own cluster (its own fragmentation, keys,
+    tickets and per-session {!Executor.cache}), and the verdicts come
+    back for a deterministic merge — matching glsn lists concatenate in
+    glsn order because the ranges are disjoint, coverage merges with
+    {!Executor.merge_coverage}, and the first error in layout order
+    wins.  A single-shard deployment bypasses the fabric entirely and
+    is byte-identical to the unsharded path.
 
     Cross-shard traffic is accounted separately from the shards'
     internal SMC traffic: [audit.cross_shard_msgs] counts fabric

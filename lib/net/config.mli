@@ -1,12 +1,10 @@
-(** One configuration surface for every network engine.
+(** One configuration surface for both network engines.
 
-    {!Network} (synchronous accounting), {!Sim} (legacy discrete-event
-    facade) and {!Runtime} (reactor) historically each grew their own
-    optional-argument constructor; a schedule that wanted the same
-    seed, latency profile and loss rate on both engines had to thread
-    them twice.  [Config.t] is the single value they all accept —
-    build one with {!make}, hand it to [Network.of_config] /
-    [Sim.of_config] / [Runtime.create].
+    {!Network} (synchronous round accounting) and {!Runtime}
+    (discrete-event reactor) accept the same value: build one with
+    {!make} and hand it to [Network.of_config] or [Runtime.create], so
+    a schedule that wants the same seed, latency profile and loss rate
+    on both engines states them once.
 
     The reactor additions: [domains] sizes the {!Numtheory.Domain_pool}
     that modexp batches are farmed to, [max_pipeline_depth] caps how
@@ -22,29 +20,27 @@ type t = {
   seed : int;
   latency_ms : Node_id.t -> Node_id.t -> float;
   loss_rate : float;  (** in [\[0, 1)] *)
-  jitter_ms : float;  (** extra uniform [\[0, jitter_ms)] per delivery *)
   domains : int;  (** compute-pool width, >= 1; 1 = fully inline *)
   max_pipeline_depth : int;  (** clause evaluations in flight, >= 1 *)
   coalesce : bool;  (** batch same-(src, dst, time) messages into frames *)
 }
 
 val default : t
-(** Seed 0, uniform 1.0 ms latency, no loss, no jitter, width-1 pool,
+(** Seed 0, uniform 1.0 ms latency, no loss, width-1 pool,
     depth 4, no coalescing — the seed-state behaviour of every engine. *)
 
 val make :
   ?seed:int ->
   ?latency_ms:(Node_id.t -> Node_id.t -> float) ->
   ?loss_rate:float ->
-  ?jitter_ms:float ->
   ?domains:int ->
   ?max_pipeline_depth:int ->
   ?coalesce:bool ->
   unit ->
   t
 (** {!default} with overrides, validated.
-    @raise Invalid_argument on a loss rate outside [\[0, 1)], negative
-    jitter, [domains < 1] or [max_pipeline_depth < 1]. *)
+    @raise Invalid_argument on a loss rate outside [\[0, 1)],
+    [domains < 1] or [max_pipeline_depth < 1]. *)
 
 val latency_profile :
   seed:int ->

@@ -1,12 +1,11 @@
 (** Why a message did not reach its handler.
 
-    Replaces the stringly drop accounting that {!Sim} and {!Network}
-    grew independently ("source down", "destination down", "loss", plus
-    {!Sim}'s silent handler-miss counting).  {!to_string} renders each
-    case identically to the historical strings, so anything that logs
-    or ledgers a reason is byte-compatible; typed consumers (the
-    reactor's {!Runtime.drops} breakdown, chaos assertions) match on
-    the variant instead of parsing. *)
+    The one drop-reason type of both engines, {!Network} and
+    {!Runtime}.  {!to_string} renders each case identically to the
+    historical strings ("source down", "destination down", "loss"), so
+    anything that logs or ledgers a reason is byte-compatible; typed
+    consumers (the reactor's {!Runtime.drops} breakdown, chaos
+    assertions) match on the variant instead of parsing. *)
 
 type t =
   | Source_down  (** the sender is crashed: nothing left its NIC *)

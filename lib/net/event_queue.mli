@@ -1,6 +1,6 @@
 (** Priority queue of timestamped events (binary min-heap).
 
-    Engine room of the {!Sim} discrete-event simulator: events pop in
+    Engine room of the {!Runtime} discrete-event reactor: events pop in
     time order, with FIFO ordering among equal timestamps (a sequence
     number breaks ties), so simulations are fully deterministic. *)
 

@@ -63,11 +63,6 @@ let of_config (config : Config.t) =
     open_frames = Hashtbl.create 16;
   }
 
-let create ?(seed = 0) ?latency_ms ?(loss_rate = 0.0) () =
-  if loss_rate < 0.0 || loss_rate >= 1.0 then
-    invalid_arg "Network.create: loss_rate must be in [0, 1)";
-  of_config (Config.make ~seed ?latency_ms ~loss_rate ())
-
 let config t = t.config
 let ledger t = t.ledger
 

@@ -46,21 +46,10 @@ val frame_header_bytes : int
     paid once per frame however many messages coalesce into it. *)
 
 val of_config : Config.t -> t
-(** The constructor: [jitter_ms], [domains] and [max_pipeline_depth]
-    are carried for the layers above (batched sessions read the
-    pipeline depth from here); the network itself uses seed, latency,
-    loss and [coalesce]. *)
-
-val create :
-  ?seed:int ->
-  ?latency_ms:(Node_id.t -> Node_id.t -> float) ->
-  ?loss_rate:float ->
-  unit ->
-  t
-[@@ocaml.deprecated
-  "use Network.of_config (Net.Config.make ...) — one configuration surface \
-   for Network, Sim and Runtime"]
-(** Default latency: 1.0 ms per hop, uniform.  Default loss rate 0. *)
+(** The constructor: [domains] and [max_pipeline_depth] are carried for
+    the layers above (batched sessions read the pipeline depth from
+    here); the network itself uses seed, latency, loss and
+    [coalesce]. *)
 
 val config : t -> Config.t
 (** The configuration this network was built from. *)

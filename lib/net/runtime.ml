@@ -66,12 +66,7 @@ let send t ~src ~dst msg =
     config.Config.loss_rate > 0.0 && Prng.float t.rng < config.Config.loss_rate
   then drop t Delivery_error.Loss
   else begin
-    let jitter =
-      if config.Config.jitter_ms > 0.0 then
-        Prng.float t.rng *. config.Config.jitter_ms
-      else 0.0
-    in
-    let time = t.clock +. config.Config.latency_ms src dst +. jitter in
+    let time = t.clock +. config.Config.latency_ms src dst in
     let key =
       {
         fk_src = Node_id.to_string src;

@@ -1,7 +1,10 @@
-(** Reactor runtime: the discrete-event engine behind {!Sim}, extended
-    with wire-frame coalescing, a compute-domain pool, and the
-    virtual-time pipeline scheduler that batched audit sessions use to
-    overlap independent SMC clause evaluations.
+(** Reactor runtime: the discrete-event engine, for the protocols whose
+    outcome depends on timing (the §4.1 asynchronous integrity
+    circulation, with its timeouts), plus wire-frame coalescing, a
+    compute-domain pool, and the virtual-time pipeline scheduler that
+    batched audit sessions use to overlap independent SMC clause
+    evaluations.  The synchronous §3 protocols need none of this:
+    {!Network} accounts them round by round.
 
     One {!Config.t} configures everything.  Determinism contract: at
     any [domains], [max_pipeline_depth] and [coalesce] setting, message
@@ -33,7 +36,7 @@ val on_message :
     {!Delivery_error.No_handler}. *)
 
 val send : 'msg t -> src:Node_id.t -> dst:Node_id.t -> 'msg -> unit
-(** Schedule a delivery after the link latency (+ jitter); may be lost.
+(** Schedule a delivery after the link latency; may be lost.
     With [coalesce] on, a send resolving to the same (src, dst,
     delivery instant) as an already-scheduled frame rides that frame
     instead of opening a new one. *)

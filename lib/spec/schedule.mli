@@ -6,7 +6,7 @@
     {!suite} of schedules:
 
     - [uniform] — the default 1 ms-per-hop network;
-    - [skewed]  — per-pair latencies from {!Net.Sim.latency_profile},
+    - [skewed]  — per-pair latencies from {!Net.Config.latency_profile},
       so rounds are paced by different bottleneck links;
     - [lossy]   — probabilistic message loss; {!run} retries the whole
       protocol on a fresh network (new seed each attempt, so the drop

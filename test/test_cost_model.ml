@@ -429,10 +429,33 @@ let fleet_with_rows ~seed ~shards =
     fleet_rows;
   fleet
 
+(* Completed fan-out spans in completion order (children first):
+   everything the scatter-gather opens, plus the session span each
+   shard's batched run nests inside its shard.audit.<name> span. *)
+let fanout_spans () =
+  List.filter_map
+    (fun (s : Obs.Trace.span) ->
+      if
+        String.starts_with ~prefix:"shard." s.Obs.Trace.name
+        || s.Obs.Trace.name = "session.audit"
+      then Some s.Obs.Trace.name
+      else None)
+    (Obs.Trace.spans ())
+
 let test_scatter_gather_closed_form () =
   (* One scatter-gather costs exactly one Scatter and one Gather fabric
      message per shard: audit.cross_shard_msgs = 2·S, and every shard's
-     scatter/gather counter ticks exactly once. *)
+     scatter/gather counter ticks exactly once — for a single audit and
+     for a batched session alike.  The spans pin the fan-out order:
+     scatter, each shard's audit in layout order, then the gather. *)
+  let check_fanout label shards =
+    check label (2 * shards) "audit.cross_shard_msgs";
+    for i = 0 to shards - 1 do
+      check label 1 (Printf.sprintf "shard.scatter.shard%d" i);
+      check label 1 (Printf.sprintf "shard.gather.shard%d" i)
+    done
+  in
+  let per_shard shards f = List.concat (List.init shards f) in
   List.iter
     (fun shards ->
       let label = Printf.sprintf "scatter-gather S=%d" shards in
@@ -450,11 +473,43 @@ let test_scatter_gather_closed_form () =
       Alcotest.(check int)
         (label ^ " result field")
         (2 * shards) audit.Dla.Sharding.cross_shard_msgs;
-      check label (2 * shards) "audit.cross_shard_msgs";
-      for i = 0 to shards - 1 do
-        check label 1 (Printf.sprintf "shard.scatter.shard%d" i);
-        check label 1 (Printf.sprintf "shard.gather.shard%d" i)
-      done)
+      check_fanout label shards;
+      Alcotest.(check (list string))
+        (label ^ " audit spans")
+        ("shard.scatter"
+         :: per_shard shards (fun i -> [ Printf.sprintf "shard.audit.shard%d" i ])
+        @ [ "shard.gather" ])
+        (fanout_spans ());
+      let label = Printf.sprintf "scatter-gather session S=%d" shards in
+      let batch =
+        List.map
+          (fun s ->
+            match Dla.Query.parse s with
+            | Ok q -> q
+            | Error e -> Alcotest.fail e)
+          [ {|C1 > 30|}; {|id = "U1"|} ]
+      in
+      Obs.Metrics.reset ();
+      Obs.Trace.reset ();
+      let session =
+        match
+          Dla.Sharding.run_session fleet ~auditor:Net.Node_id.Auditor batch
+        with
+        | Ok s -> s
+        | Error e ->
+          Alcotest.failf "run_session: %s" (Dla.Audit_error.to_string e)
+      in
+      Alcotest.(check int)
+        (label ^ " result field")
+        (2 * shards) session.Dla.Sharding.cross_shard_msgs;
+      check_fanout label shards;
+      Alcotest.(check (list string))
+        (label ^ " spans")
+        ("shard.scatter"
+         :: per_shard shards (fun i ->
+                [ "session.audit"; Printf.sprintf "shard.audit.shard%d" i ])
+        @ [ "shard.gather" ])
+        (fanout_spans ()))
     [ 2; 3; 4 ]
 
 let test_single_shard_batch_zero_extra_smc () =

@@ -263,6 +263,131 @@ let test_batch_degrade_coverage () =
           entry.Audit_session.coverage.Executor.complete)
       summary.Audit_session.entries
 
+(* ------------------------------------------------------------------ *)
+(* Phase-1 order                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Phase 1 warms every distinct clause once, cheapest first: local
+   clauses before cross ones, first seen first among equal costs.  This
+   batch ties at both cost levels, so the session must observe exactly
+   what warming its clauses by hand in that written-out order does. *)
+let phase1_batch =
+  [ {|C2 = C3 && C1 > 30|}; {|tid != id|}; {|C1 > 30|}; {|C4 < 50|} ]
+
+let phase1_order = [ {|C1 > 30|}; {|C4 < 50|}; {|C2 = C3|}; {|tid != id|} ]
+
+(* What one run leaves behind.  Phase 1 makes no protocol-transcript
+   observations of its own (only the per-query ∩ₛ does), so the order
+   shows in the other two: the blind TTP's ledger holds the cross
+   clauses' blinded columns in evaluation order, and local clauses take
+   no virtual time, so running one later shifts every span after it. *)
+type run_view = {
+  transcript : string list;
+  ledgers : string list;
+  spans : string list;
+}
+
+let run_view cluster transcript =
+  let ledger = Net.Network.ledger (Cluster.net cluster) in
+  {
+    transcript =
+      List.map
+        (fun (e : Spec.Transcript.event) ->
+          String.concat " | "
+            [ Net.Node_id.to_string e.Smc.Proto_util.node;
+              Net.Ledger.sensitivity_to_string e.Smc.Proto_util.sensitivity;
+              e.Smc.Proto_util.tag;
+              e.Smc.Proto_util.value;
+              String.concat "/" e.Smc.Proto_util.phase
+            ])
+        (Spec.Transcript.events transcript);
+    ledgers =
+      List.concat_map
+        (fun node ->
+          List.map
+            (fun (sensitivity, tag, value) ->
+              String.concat " | "
+                [ Net.Node_id.to_string node;
+                  Net.Ledger.sensitivity_to_string sensitivity;
+                  tag;
+                  value
+                ])
+            (Net.Ledger.observations ledger ~node))
+        (auditor :: Net.Node_id.Ttp "query" :: Cluster.nodes cluster);
+    spans =
+      List.map
+        (fun (span : Obs.Trace.span) ->
+          Printf.sprintf "%s %d %.6f %.6f" span.Obs.Trace.name
+            span.Obs.Trace.depth span.Obs.Trace.start_ms
+            span.Obs.Trace.duration_ms)
+        (Obs.Trace.spans ());
+  }
+
+let test_phase1_order () =
+  let ttp = Net.Node_id.Ttp "query" in
+  let criteria = List.map parse phase1_batch in
+  let session =
+    let cluster, _ = Workload.Paper_example.build () in
+    Obs.Trace.reset ();
+    let (), transcript =
+      Spec.Transcript.record (fun () ->
+          match Audit_session.run cluster ~ttp ~auditor criteria with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Audit_error.to_string e))
+    in
+    run_view cluster transcript
+  in
+  let by_hand =
+    let cluster, _ = Workload.Paper_example.build () in
+    let clauses =
+      match
+        Planner.plan_many (Cluster.fragmentation cluster)
+          (List.map Query.normalize criteria)
+      with
+      | Ok multi ->
+        List.concat_map (fun plan -> plan.Planner.clauses) multi.Planner.plans
+      | Error e -> Alcotest.fail (Audit_error.to_string e)
+    in
+    let clause_of s =
+      let key =
+        match Query.normalize (parse s) with
+        | [ clause ] -> Planner.clause_key clause
+        | _ -> Alcotest.failf "%s is not one clause" s
+      in
+      List.find
+        (fun clause ->
+          Planner.clause_key
+            (List.map (fun { Planner.atom; _ } -> atom) clause.Planner.atoms)
+          = key)
+        clauses
+    in
+    let cache = Executor.cache_create () in
+    Obs.Trace.reset ();
+    Obs.Trace.set_clock (fun () ->
+        Net.Network.virtual_time_ms (Cluster.net cluster));
+    let (), transcript =
+      Spec.Transcript.record (fun () ->
+          Obs.Trace.with_span "session.audit" (fun () ->
+              List.iter
+                (fun s ->
+                  Executor.warm_clause cluster ~ttp ~cache (clause_of s))
+                phase1_order;
+              List.iter
+                (fun q ->
+                  match Executor.run cluster ~ttp ~cache ~auditor q with
+                  | Ok _ -> ()
+                  | Error e -> Alcotest.fail (Audit_error.to_string e))
+                criteria))
+    in
+    run_view cluster transcript
+  in
+  Alcotest.(check bool) "transcript recorded" true (session.transcript <> []);
+  Alcotest.(check (list string)) "transcript" by_hand.transcript
+    session.transcript;
+  Alcotest.(check (list string)) "ledger views" by_hand.ledgers
+    session.ledgers;
+  Alcotest.(check (list string)) "span timeline" by_hand.spans session.spans
+
 let () =
   Alcotest.run "session"
     [ ( "equivalence",
@@ -282,6 +407,7 @@ let () =
           Alcotest.test_case "errors propagate" `Quick
             test_batch_error_propagates;
           Alcotest.test_case "degrade coverage honest" `Quick
-            test_batch_degrade_coverage
+            test_batch_degrade_coverage;
+          Alcotest.test_case "phase-1 clause order" `Quick test_phase1_order
         ] )
     ]

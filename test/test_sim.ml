@@ -1,5 +1,5 @@
-(* Tests for the discrete-event simulator substrate (event queue, engine)
-   and the asynchronous §4.1 integrity circulation built on it —
+(* Tests for the discrete-event substrate (event queue, Net.Runtime
+   engine) and the asynchronous §4.1 integrity circulation built on it —
    including the agreement property between the synchronous and
    asynchronous implementations. *)
 
@@ -67,64 +67,64 @@ let prop_queue_sorts =
       drain [] = List.stable_sort compare times)
 
 (* ------------------------------------------------------------------ *)
-(* Sim engine                                                          *)
+(* Runtime engine                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_sim_ping_pong () =
-  let sim = Net.Sim.of_config (Net.Config.make ()) in
+  let rt = Net.Runtime.create (Net.Config.make ()) in
   let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
   let log = ref [] in
-  Net.Sim.on_message sim a (fun ~src:_ n ->
+  Net.Runtime.on_message rt a (fun ~src:_ n ->
       log := ("a", n) :: !log;
-      if n < 3 then Net.Sim.send sim ~src:a ~dst:b (n + 1));
-  Net.Sim.on_message sim b (fun ~src:_ n ->
+      if n < 3 then Net.Runtime.send rt ~src:a ~dst:b (n + 1));
+  Net.Runtime.on_message rt b (fun ~src:_ n ->
       log := ("b", n) :: !log;
-      Net.Sim.send sim ~src:b ~dst:a (n + 1));
-  Net.Sim.send sim ~src:a ~dst:b 0;
-  let events = Net.Sim.run sim in
+      Net.Runtime.send rt ~src:b ~dst:a (n + 1));
+  Net.Runtime.send rt ~src:a ~dst:b 0;
+  let events = Net.Runtime.run rt in
   Alcotest.(check bool) "events processed" true (events >= 4);
   Alcotest.(check (list (pair string int)))
     "conversation"
     [ ("b", 0); ("a", 1); ("b", 2); ("a", 3) ]
     (List.rev !log);
   (* Latency 1ms per hop: 4 deliveries -> 4ms. *)
-  Alcotest.(check (float 1e-9)) "virtual time" 4.0 (Net.Sim.now sim)
+  Alcotest.(check (float 1e-9)) "virtual time" 4.0 (Net.Runtime.now rt)
 
 let test_sim_timers_and_down () =
-  let sim = Net.Sim.of_config (Net.Config.make ()) in
+  let rt = Net.Runtime.create (Net.Config.make ()) in
   let fired = ref [] in
-  Net.Sim.set_timer sim ~delay_ms:5.0 (fun () -> fired := 5 :: !fired);
-  Net.Sim.set_timer sim ~delay_ms:2.0 (fun () -> fired := 2 :: !fired);
-  ignore (Net.Sim.run sim);
+  Net.Runtime.set_timer rt ~delay_ms:5.0 (fun () -> fired := 5 :: !fired);
+  Net.Runtime.set_timer rt ~delay_ms:2.0 (fun () -> fired := 2 :: !fired);
+  ignore (Net.Runtime.run rt);
   Alcotest.(check (list int)) "timer order" [ 2; 5 ] (List.rev !fired);
-  let sim = Net.Sim.of_config (Net.Config.make ()) in
+  let rt = Net.Runtime.create (Net.Config.make ()) in
   let got = ref false in
   let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-  Net.Sim.on_message sim b (fun ~src:_ () -> got := true);
-  Net.Sim.take_down sim b;
-  Net.Sim.send sim ~src:a ~dst:b ();
-  ignore (Net.Sim.run sim);
+  Net.Runtime.on_message rt b (fun ~src:_ () -> got := true);
+  Net.Runtime.take_down rt b;
+  Net.Runtime.send rt ~src:a ~dst:b ();
+  ignore (Net.Runtime.run rt);
   Alcotest.(check bool) "down node got nothing" false !got;
-  Alcotest.(check int) "dropped" 1 (Net.Sim.dropped sim)
+  Alcotest.(check int) "dropped" 1 (Net.Runtime.dropped rt)
 
 let test_sim_until () =
-  let sim = Net.Sim.of_config (Net.Config.make ()) in
+  let rt = Net.Runtime.create (Net.Config.make ()) in
   let fired = ref 0 in
-  Net.Sim.set_timer sim ~delay_ms:1.0 (fun () -> incr fired);
-  Net.Sim.set_timer sim ~delay_ms:50.0 (fun () -> incr fired);
-  ignore (Net.Sim.run ~until_ms:10.0 sim);
+  Net.Runtime.set_timer rt ~delay_ms:1.0 (fun () -> incr fired);
+  Net.Runtime.set_timer rt ~delay_ms:50.0 (fun () -> incr fired);
+  ignore (Net.Runtime.run ~until_ms:10.0 rt);
   Alcotest.(check int) "only early timer" 1 !fired
 
 let test_sim_determinism () =
   let run () =
-    let sim = Net.Sim.of_config (Net.Config.make ~seed:7 ~loss_rate:0.3 ()) in
+    let rt = Net.Runtime.create (Net.Config.make ~seed:7 ~loss_rate:0.3 ()) in
     let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
     let count = ref 0 in
-    Net.Sim.on_message sim b (fun ~src:_ () -> incr count);
+    Net.Runtime.on_message rt b (fun ~src:_ () -> incr count);
     for _ = 1 to 50 do
-      Net.Sim.send sim ~src:a ~dst:b ()
+      Net.Runtime.send rt ~src:a ~dst:b ()
     done;
-    ignore (Net.Sim.run sim);
+    ignore (Net.Runtime.run rt);
     !count
   in
   Alcotest.(check int) "same seed same outcome" (run ()) (run ());
@@ -218,100 +218,6 @@ let test_async_missing_fragment_times_out () =
     Alcotest.failf "expected timeout, got %s"
       (Async_integrity.verdict_to_string other)
 
-
-(* ------------------------------------------------------------------ *)
-(* Async secure sum                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let sum_p = Numtheory.Bignum.of_string "2305843009213693951"
-
-let async_parties values =
-  List.mapi
-    (fun i v ->
-      { Smc.Async_sum.node = Net.Node_id.Dla i;
-        value = Numtheory.Bignum.of_int v })
-    values
-
-let test_async_sum_total () =
-  let outcome, time =
-    Smc.Async_sum.run ~rng:(Numtheory.Prng.create ~seed:80) ~p:sum_p ~k:3
-      ~receiver:Net.Node_id.Auditor
-      (async_parties [ 10; 20; 30; 40 ])
-  in
-  (match outcome with
-  | Smc.Async_sum.Total total ->
-    Alcotest.(check int) "sum" 100 (Numtheory.Bignum.to_int total)
-  | Smc.Async_sum.Timed_out _ -> Alcotest.fail "unexpected timeout");
-  (* Deal hop + aggregate hop at 1ms links. *)
-  Alcotest.(check (float 1e-9)) "two hops" 2.0 time
-
-let test_async_sum_matches_sync () =
-  let values = [ 7; 11; 13 ] in
-  let sync =
-    let net = Net.Network.of_config (Net.Config.make ()) in
-    Smc.Sum.run ~net ~rng:(Numtheory.Prng.create ~seed:81) ~p:sum_p ~k:2
-      ~receiver:Net.Node_id.Auditor
-      (List.mapi
-         (fun i v ->
-           { Smc.Sum.node = Net.Node_id.Dla i;
-             value = Numtheory.Bignum.of_int v })
-         values)
-  in
-  match
-    Smc.Async_sum.run ~rng:(Numtheory.Prng.create ~seed:82) ~p:sum_p ~k:2
-      ~receiver:Net.Node_id.Auditor (async_parties values)
-  with
-  | Smc.Async_sum.Total total, _ ->
-    Alcotest.(check bool) "agree" true (Numtheory.Bignum.equal sync total)
-  | Smc.Async_sum.Timed_out _, _ -> Alcotest.fail "unexpected timeout"
-
-let test_async_sum_dead_dealer_attributed () =
-  match
-    Smc.Async_sum.run ~down:[ Net.Node_id.Dla 2 ] ~timeout_ms:25.0
-      ~rng:(Numtheory.Prng.create ~seed:83) ~p:sum_p ~k:3
-      ~receiver:Net.Node_id.Auditor
-      (async_parties [ 1; 2; 3; 4 ])
-  with
-  | Smc.Async_sum.Timed_out missing, time ->
-    Alcotest.(check (list string)) "missing dealer" [ "P2" ]
-      (List.map Net.Node_id.to_string missing);
-    Alcotest.(check (float 1e-9)) "at the timeout" 25.0 time
-  | Smc.Async_sum.Total _, _ ->
-    Alcotest.fail "sum should not complete without P2's shares"
-
-
-let test_sim_jitter_reorders () =
-  let sim = Net.Sim.of_config (Net.Config.make ~seed:5 ~jitter_ms:10.0 ()) in
-  let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-  let order = ref [] in
-  Net.Sim.on_message sim b (fun ~src:_ n -> order := n :: !order);
-  for i = 1 to 20 do
-    Net.Sim.send sim ~src:a ~dst:b i
-  done;
-  ignore (Net.Sim.run sim);
-  let received = List.rev !order in
-  Alcotest.(check int) "all delivered" 20 (List.length received);
-  Alcotest.(check bool) "jitter reorders" true
-    (received <> List.init 20 (fun i -> i + 1))
-
-let test_async_sum_under_jitter () =
-  (* The share-dealing protocol is order-insensitive: jittered links must
-     not change the total.  (Jitter is exercised through a jittered Sim
-     inside Async_sum via its seed-controlled engine; here we emulate by
-     running with many seeds.) *)
-  List.iter
-    (fun seed ->
-      match
-        Smc.Async_sum.run ~seed ~rng:(Numtheory.Prng.create ~seed) ~p:sum_p
-          ~k:2 ~receiver:Net.Node_id.Auditor
-          (async_parties [ 3; 5; 8 ])
-      with
-      | Smc.Async_sum.Total total, _ ->
-        Alcotest.(check int) (string_of_int seed) 16
-          (Numtheory.Bignum.to_int total)
-      | Smc.Async_sum.Timed_out _, _ -> Alcotest.fail "timeout")
-    [ 1; 2; 3; 4; 5 ]
-
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -324,15 +230,7 @@ let () =
         [ Alcotest.test_case "ping pong" `Quick test_sim_ping_pong;
           Alcotest.test_case "timers and down nodes" `Quick test_sim_timers_and_down;
           Alcotest.test_case "until" `Quick test_sim_until;
-          Alcotest.test_case "determinism" `Quick test_sim_determinism;
-          Alcotest.test_case "jitter reorders" `Quick test_sim_jitter_reorders
-        ] );
-      ( "async-sum",
-        [ Alcotest.test_case "total" `Quick test_async_sum_total;
-          Alcotest.test_case "matches sync" `Quick test_async_sum_matches_sync;
-          Alcotest.test_case "dead dealer attributed" `Quick
-            test_async_sum_dead_dealer_attributed;
-          Alcotest.test_case "order-insensitive" `Quick test_async_sum_under_jitter
+          Alcotest.test_case "determinism" `Quick test_sim_determinism
         ] );
       ( "async-integrity",
         [ Alcotest.test_case "intact" `Quick test_async_intact;

@@ -564,6 +564,25 @@ let test_sum_ttp_matches_shamir () =
     ((Net.Network.stats net1).Net.Network.messages
     < (Net.Network.stats net2).Net.Network.messages)
 
+(* A dealer that is down fails Σₛ at the first share addressed to it,
+   naming the unreachable party; the receiver learns nothing. *)
+let test_sum_dealer_down () =
+  let net = Net.Network.of_config (Net.Config.make ()) in
+  Net.Network.take_down net (Net.Node_id.Dla 2);
+  match
+    Smc.Sum.run ~net ~rng:(Prng.create ~seed:17) ~p:(Lazy.force sum_p) ~k:3
+      ~receiver:Net.Node_id.Auditor
+      (sum_parties [ 1; 2; 3; 4 ])
+  with
+  | _ -> Alcotest.fail "sum completed without P2's shares"
+  | exception Net.Network.Partitioned { dst; _ } ->
+    Alcotest.(check string) "unreachable dealer" "P2"
+      (Net.Node_id.to_string dst);
+    Alcotest.(check int) "receiver saw nothing" 0
+      (List.length
+         (Net.Ledger.observations (Net.Network.ledger net)
+            ~node:Net.Node_id.Auditor))
+
 (* ------------------------------------------------------------------ *)
 (* Equality                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -865,87 +884,6 @@ let prop_ranking_matches_sort =
       Bignum.to_int (holder_value verdict.Smc.Ranking.max_holder) = max_v
       && Bignum.to_int (holder_value verdict.Smc.Ranking.min_holder) = min_v)
 
-
-
-(* ------------------------------------------------------------------ *)
-(* Oblivious transfer (ref [11] building block)                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_ot_delivers_chosen () =
-  List.iter
-    (fun choice ->
-      let net = Net.Network.of_config (Net.Config.make ()) in
-      let m =
-        Smc.Oblivious_transfer.transfer ~net ~rng:(Prng.create ~seed:95)
-          ~bits:128
-          ~sender:(p1, bn 111, bn 222)
-          ~receiver:p2 ~choice ()
-      in
-      Alcotest.(check int)
-        (if choice then "chose m1" else "chose m0")
-        (if choice then 222 else 111)
-        (Bignum.to_int m))
-    [ false; true ]
-
-let test_ot_strings () =
-  let net = Net.Network.of_config (Net.Config.make ()) in
-  let s =
-    Smc.Oblivious_transfer.transfer_strings ~net ~rng:(Prng.create ~seed:96)
-      ~bits:192
-      ~sender:(p1, "grant-read", "deny")
-      ~receiver:p2 ~choice:false ()
-  in
-  Alcotest.(check string) "payload" "grant-read" s
-
-let test_ot_privacy () =
-  (* Receiver never observes the unchosen message; sender never observes
-     the choice (only a blinded value). *)
-  let net = Net.Network.of_config (Net.Config.make ()) in
-  let _ =
-    Smc.Oblivious_transfer.transfer ~net ~rng:(Prng.create ~seed:97)
-      ~bits:128
-      ~sender:(p1, bn 111, bn 222)
-      ~receiver:p2 ~choice:true ()
-  in
-  let ledger = Net.Network.ledger net in
-  Alcotest.(check bool) "receiver never saw m0 in clear" false
-    (Net.Ledger.saw ledger ~node:p2 ~sensitivity:Net.Ledger.Aggregate
-       (Bignum.to_hex (bn 111)));
-  (* The sender's view of the choice is only a Blinded observation. *)
-  List.iter
-    (fun (sensitivity, tag, _) ->
-      if String.equal tag "ot:choice" then
-        Alcotest.(check bool) "choice is blinded" true
-          (sensitivity = Net.Ledger.Blinded))
-    (Net.Ledger.observations ledger ~node:p1)
-
-let prop_ot_correct =
-  QCheck.Test.make ~name:"OT delivers exactly the chosen message" ~count:20
-    (QCheck.triple (QCheck.int_range 0 1000000) (QCheck.int_range 0 1000000)
-       QCheck.bool)
-    (fun (a, b, choice) ->
-      let net = Net.Network.of_config (Net.Config.make ()) in
-      let m =
-        Smc.Oblivious_transfer.transfer ~net ~rng:(Prng.create ~seed:(a + b))
-          ~bits:128
-          ~sender:(p1, bn a, bn b)
-          ~receiver:p2 ~choice ()
-      in
-      Bignum.to_int m = if choice then b else a)
-
-
-let test_ot_and_gate () =
-  List.iter
-    (fun (a, b) ->
-      let net = Net.Network.of_config (Net.Config.make ()) in
-      let result =
-        Smc.Oblivious_transfer.and_gate ~net
-          ~rng:(Prng.create ~seed:(Bool.to_int a + (2 * Bool.to_int b)))
-          ~left:(p1, a) ~right:(p2, b) ()
-      in
-      Alcotest.(check bool) (Printf.sprintf "%b && %b" a b) (a && b) result)
-    [ (false, false); (false, true); (true, false); (true, true) ]
-
 (* ------------------------------------------------------------------ *)
 (* Millionaire protocol (ref [10])                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1193,6 +1131,8 @@ let () =
         :: Alcotest.test_case "ttp coordinated" `Quick test_sum_ttp_coordinated
         :: Alcotest.test_case "ttp matches shamir" `Quick test_sum_ttp_matches_shamir
         :: qt [ prop_sum_matches_naive ] );
+      ( "sum-dealer-offline",
+        [ Alcotest.test_case "fails loudly" `Quick test_sum_dealer_down ] );
       ( "equality",
         [ Alcotest.test_case "via ttp" `Quick test_equality_via_ttp;
           Alcotest.test_case "ttp privacy" `Quick test_equality_ttp_privacy;
@@ -1221,12 +1161,6 @@ let () =
         :: Alcotest.test_case "ttp privacy" `Quick test_ranking_ttp_privacy
         :: Alcotest.test_case "comparisons" `Quick test_comparisons
         :: qt [ prop_ranking_matches_sort ] );
-      ( "oblivious-transfer",
-        Alcotest.test_case "delivers chosen" `Quick test_ot_delivers_chosen
-        :: Alcotest.test_case "strings" `Quick test_ot_strings
-        :: Alcotest.test_case "privacy" `Quick test_ot_privacy
-        :: Alcotest.test_case "ref [11] AND gate" `Quick test_ot_and_gate
-        :: qt [ prop_ot_correct ] );
       ( "millionaire",
         [ Alcotest.test_case "exhaustive small domain" `Slow
             test_millionaire_exhaustive_small_domain;
