@@ -2534,7 +2534,7 @@ let exp_pipeline () =
             (List.map
                (fun name -> [ name; fi (Obs.Metrics.get name) ])
                [ "pipeline.virtual.speedup_x100"; "audit.pipeline.clauses";
-                 "audit.pipeline.deps"; "audit.pipeline.depth.max";
+                 "audit.pipeline.depth.max";
                  "audit.pipeline.virtual_sequential_us";
                  "audit.pipeline.virtual_pipelined_us"; "net.msgs";
                  "net.rounds"; "net.frame.sends"; "net.frame.coalesced";

@@ -17,7 +17,6 @@ type summary = {
   bytes : int;
   rounds : int;
   pipeline : Net.Runtime.Pipeline.report;
-  pipeline_deps : int;
 }
 
 (* Scheduling weight of one clause: local atoms are a single in-situ
@@ -59,20 +58,11 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
       Net.Runtime.Pipeline.create
         ~max_depth:(Net.Network.config net).Net.Config.max_pipeline_depth ()
     in
-    let deps = Planner.dependency_graph multi in
-    let dep_edges =
-      List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 deps
-    in
     let seen = Hashtbl.create 16 in
     let unique =
       List.concat_map (fun plan -> plan.Planner.clauses) multi.Planner.plans
       |> List.filter (fun clause ->
-             let key =
-               Planner.clause_key
-                 (List.map
-                    (fun { Planner.atom; _ } -> atom)
-                    clause.Planner.atoms)
-             in
+             let key = Planner.planned_clause_key clause in
              if Hashtbl.mem seen key then false
              else begin
                Hashtbl.add seen key ();
@@ -95,7 +85,6 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
     let preport = Net.Runtime.Pipeline.report pipeline in
     Obs.Metrics.incr ~by:preport.Net.Runtime.Pipeline.jobs
       "audit.pipeline.clauses";
-    Obs.Metrics.incr ~by:dep_edges "audit.pipeline.deps";
     Obs.Metrics.set_max "audit.pipeline.depth.max"
       preport.Net.Runtime.Pipeline.peak_depth;
     (* Virtual-time totals as integer microseconds: deterministic under
@@ -148,7 +137,6 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
           bytes = after.Net.Network.bytes - before.Net.Network.bytes;
           rounds = after.Net.Network.rounds - before.Net.Network.rounds;
           pipeline = preport;
-          pipeline_deps = dep_edges;
         })
 
 let run_strings cluster ?ttp ?delivery ?failure_mode ?cache ?conjunction
@@ -170,11 +158,11 @@ let pp_summary fmt s =
   Format.fprintf fmt
     "@[<v>session: %d criteria, %d unique clauses (%d clause dups, %d atom \
      dups eliminated)@ cache: %d glsn-set hits@ cost: %d messages, %d bytes, \
-     %d rounds@ pipeline: %d clause job(s), %d dep edge(s), depth %d, %.1f ms \
-     sequential -> %.1f ms pipelined@ %a@]"
+     %d rounds@ pipeline: %d clause job(s), depth %d, %.1f ms sequential -> \
+     %.1f ms pipelined@ %a@]"
     (List.length s.entries) s.unique_clauses s.dedup_clauses s.dedup_atoms
     s.cache_hits s.messages s.bytes s.rounds s.pipeline.Net.Runtime.Pipeline.jobs
-    s.pipeline_deps s.pipeline.Net.Runtime.Pipeline.peak_depth
+    s.pipeline.Net.Runtime.Pipeline.peak_depth
     s.pipeline.Net.Runtime.Pipeline.sequential_ms
     s.pipeline.Net.Runtime.Pipeline.pipelined_ms
     (Format.pp_print_list

@@ -52,9 +52,6 @@ type summary = {
           end, [pipelined_ms] the makespan once independent clauses
           overlap under the configured
           {!Net.Config.max_pipeline_depth} *)
-  pipeline_deps : int;
-      (** resource-conflict edges in {!Planner.dependency_graph} — the
-          orderings the reactor must (and does) preserve *)
 }
 
 val run :

@@ -59,10 +59,6 @@ let available t node =
   | Executor.Degrade ->
     Net.Network.is_up (Cluster.net t.cluster) node && trusted t node
 
-let clause_key (clause : Planner.planned_clause) =
-  Planner.clause_key
-    (List.map (fun { Planner.atom; _ } -> atom) clause.Planner.atoms)
-
 let clause_has_cross_atom (clause : Planner.planned_clause) =
   List.exists
     (fun { Planner.home; _ } ->
@@ -76,22 +72,8 @@ let clause_has_cross_atom (clause : Planner.planned_clause) =
 let local_atom_satisfied t ~node ~glsn (atom : Query.atom) =
   match Storage.fragment_of (Cluster.store_of t.cluster node) glsn with
   | None -> false (* fragment parked or rolled back: the store has no row *)
-  | Some fragment -> (
-    let holds a b =
-      Value.comparable a b
-      && Query.apply_comparison atom.Query.op (Value.compare_semantic a b)
-    in
-    match atom.Query.rhs with
-    | Query.Const c -> (
-      match List.assoc_opt atom.Query.attr fragment with
-      | Some v -> holds v c
-      | None -> false)
-    | Query.Attr b -> (
-      match
-        (List.assoc_opt atom.Query.attr fragment, List.assoc_opt b fragment)
-      with
-      | Some va, Some vb -> holds va vb
-      | _ -> false))
+  | Some fragment ->
+    Query.eval_atom ~lookup:(fun a -> List.assoc_opt a fragment) atom
 
 (* A standing audit outlives transient message loss: a dropped SMC
    message aborts one attempt of the current warm or publish, not the
@@ -119,7 +101,8 @@ let with_loss_retry f =
    be expressed incrementally, and the initializer at registration. *)
 let rebuild_clause t clause =
   with_loss_retry (fun () ->
-      Executor.cache_drop_clause t.cache ~key:(clause_key clause);
+      Executor.cache_drop_clause t.cache
+        ~key:(Planner.planned_clause_key clause);
       List.iter
         (fun pa ->
           Executor.cache_drop_atom t.cache
@@ -130,7 +113,7 @@ let rebuild_clause t clause =
 
 (* Fold one committed glsn into one clause's cached entry. *)
 let apply_clause_delta t ~glsn clause =
-  let key = clause_key clause in
+  let key = Planner.planned_clause_key clause in
   match
     Executor.cache_lookup_clause t.cache ~available:(available t)
       ~trusted:(trusted t) key
@@ -195,7 +178,7 @@ let refresh_verdict t crit =
       match
         Executor.cache_lookup_clause t.cache ~available:(available t)
           ~trusted:(fun _ -> true)
-          (clause_key clause)
+          (Planner.planned_clause_key clause)
       with
       | Some entry ->
         sets := entry.Executor.glsns :: !sets;
@@ -318,7 +301,7 @@ let process t glsn =
     (fun crit ->
       List.iter
         (fun clause ->
-          let key = clause_key clause in
+          let key = Planner.planned_clause_key clause in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
             apply_clause_delta t ~glsn clause

@@ -174,24 +174,31 @@ let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
   Net.Network.round ~label:"query" net;
   satisfied
 
-(* Degraded-coverage bookkeeping shared by one run. *)
+(* Degraded-coverage bookkeeping: the nodes that could not serve and
+   the atoms skipped because of them. *)
 type degrade_ctx = {
   mutable down : Net.Node_id.Set.t;
   mutable n_skipped_atoms : int;
-  mutable n_skipped_clauses : int;
 }
+
+let empty_ctx () = { down = Net.Node_id.Set.empty; n_skipped_atoms = 0 }
 
 let mark_unreachable ctx nodes =
   List.iter (fun n -> ctx.down <- Net.Node_id.Set.add n ctx.down) nodes
+
+let skip_atom ctx nodes =
+  Obs.Metrics.incr "executor.atoms.skipped";
+  ctx.n_skipped_atoms <- ctx.n_skipped_atoms + 1;
+  mark_unreachable ctx nodes
 
 (* ------------------------------------------------------------------ *)
 (* Session glsn-set cache                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* One memoized glsn set.  [complete = false] marks an entry evaluated
-   under Degrade with nodes down: [entry_unreachable]/[entry_skipped]
-   carry the coverage debt that any reuse must surface in its own
-   report. *)
+   under Degrade with nodes down: [entry_unreachable] lists every node
+   its evaluation skipped and [entry_skipped] counts the skipped atoms —
+   the coverage debt that any reuse must surface in its own report. *)
 type cache_entry = {
   cached_set : Glsn.Set.t;
   complete : bool;
@@ -224,24 +231,26 @@ let cache_usable ~available entry =
   entry.complete
   || List.for_all (fun node -> not (available node)) entry.entry_unreachable
 
-let cache_find tbl ~available ~trusted cache key =
-  match Hashtbl.find_opt (tbl cache) key with
+(* Hits are counted by the caller: query traffic counts them, delta
+   maintenance and cache warming do not. *)
+let cache_lookup tbl ~available ~trusted key =
+  match Hashtbl.find_opt tbl key with
   | None -> None
   | Some entry ->
     if not (List.for_all trusted entry.sources) then begin
       (* tainted: a contributing node has been quarantined since this
          set was computed — drop the entry rather than serving a value
          a liar helped assemble *)
-      Hashtbl.remove (tbl cache) key;
+      Hashtbl.remove tbl key;
       Obs.Metrics.incr "audit.cache_invalidated";
       None
     end
-    else if cache_usable ~available entry then begin
-      cache.hits <- cache.hits + 1;
-      Obs.Metrics.incr "audit.cache_hit";
-      Some entry
-    end
+    else if cache_usable ~available entry then Some entry
     else None
+
+let count_hit cache =
+  cache.hits <- cache.hits + 1;
+  Obs.Metrics.incr "audit.cache_hit"
 
 let cache_purge cache ~nodes =
   let tainted entry =
@@ -279,26 +288,11 @@ let cache_view entry =
     depends_on = entry.sources;
   }
 
-(* Same taint/usability discipline as [cache_find], but without hit
-   accounting: the incremental engine consults entries every commit and
-   must not masquerade as session cache traffic. *)
-let cache_lookup tbl ~available ~trusted key =
-  match Hashtbl.find_opt tbl key with
-  | None -> None
-  | Some entry ->
-    if not (List.for_all trusted entry.sources) then begin
-      Hashtbl.remove tbl key;
-      Obs.Metrics.incr "audit.cache_invalidated";
-      None
-    end
-    else if cache_usable ~available entry then Some (cache_view entry)
-    else None
-
 let cache_lookup_atom cache ~available ~trusted key =
-  cache_lookup cache.atom_tbl ~available ~trusted key
+  Option.map cache_view (cache_lookup cache.atom_tbl ~available ~trusted key)
 
 let cache_lookup_clause cache ~available ~trusted key =
-  cache_lookup cache.clause_tbl ~available ~trusted key
+  Option.map cache_view (cache_lookup cache.clause_tbl ~available ~trusted key)
 
 let cache_insert_glsn tbl ~key glsn =
   match Hashtbl.find_opt tbl key with
@@ -346,10 +340,8 @@ let clause_sources ~home (clause : Planner.planned_clause) =
        (Net.Node_id.Set.singleton home)
        clause.Planner.atoms)
 
-(* Evaluate one clause at [home] (its planned home, or a stand-in when
-   degraded — glsn sets are Definition-1 metadata, so re-homing the
-   union never widens plaintext observation).  [available] decides which
-   nodes can serve; atoms whose nodes cannot are skipped and recorded. *)
+(* Evaluate one clause at [home].  [available] decides which nodes can
+   serve; atoms whose nodes cannot are skipped and recorded in [ctx]. *)
 let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
     ~home (clause : Planner.planned_clause) =
   let net = Cluster.net cluster in
@@ -360,9 +352,7 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
         match atom_home with
         | Planner.Local node ->
           if not (available node) then begin
-            Obs.Metrics.incr "executor.atoms.skipped";
-            ctx.n_skipped_atoms <- ctx.n_skipped_atoms + 1;
-            mark_unreachable ctx [ node ];
+            skip_atom ctx [ node ];
             None
           end
           else begin
@@ -380,9 +370,7 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
           | Query.Attr rhs_attr ->
             let down = List.filter (fun n -> not (available n)) [ left; right ] in
             if down <> [] then begin
-              Obs.Metrics.incr "executor.atoms.skipped";
-            ctx.n_skipped_atoms <- ctx.n_skipped_atoms + 1;
-              mark_unreachable ctx down;
+              skip_atom ctx down;
               None
             end
             else begin
@@ -400,9 +388,7 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
           if catch_partition then
             try eval () with
             | Net.Network.Partitioned { dst; _ } ->
-              Obs.Metrics.incr "executor.atoms.skipped";
-              ctx.n_skipped_atoms <- ctx.n_skipped_atoms + 1;
-              mark_unreachable ctx [ dst ];
+              skip_atom ctx [ dst ];
               None
           else eval ()
         in
@@ -428,14 +414,73 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
         | None -> eval_and_memo ()
         | Some c -> (
           match
-            cache_find (fun c -> c.atom_tbl) ~available ~trusted c
-              (Planner.atom_key atom)
+            cache_lookup c.atom_tbl ~available ~trusted (Planner.atom_key atom)
           with
-          | Some entry -> Some entry.cached_set
+          | Some entry ->
+            count_hit c;
+            Some entry.cached_set
           | None -> eval_and_memo ())
       in
       match set with None -> acc | Some set -> Glsn.Set.union acc set)
     Glsn.Set.empty clause.Planner.atoms
+
+(* An entirely unevaluated disjunction is unknowable: it has no set to
+   store or to intersect. *)
+let all_atoms_skipped (clause : Planner.planned_clause) entry =
+  entry.entry_skipped >= List.length clause.Planner.atoms
+
+(* Serve one clause's glsn set; shared by [run] and [warm_clause].  The
+   union is assembled at the clause's planned home, or at a stand-in when
+   degraded — glsn sets are Definition-1 metadata, so re-homing the
+   union never widens plaintext observation.  A usable cached entry is
+   served as is; otherwise the clause is evaluated and its entry stored.
+   [None] means no live node can assemble the union; otherwise the
+   result is the home, the entry, and whether it came from the cache. *)
+let clause_step cluster ~ttp ~on_failure ~cache
+    (clause : Planner.planned_clause) =
+  let trusted node = not (Cluster.is_quarantined cluster node) in
+  let available node =
+    match on_failure with
+    | Fail -> true (* unavailability surfaces as Partitioned *)
+    | Degrade ->
+      (* a quarantined node is fenced exactly like a crashed one: atoms
+         it homes are skipped and the coverage report names it *)
+      Net.Network.is_up (Cluster.net cluster) node && trusted node
+  in
+  let home =
+    let planned = clause.Planner.clause_home in
+    if available planned then Some planned
+    else List.find_opt available (Cluster.nodes cluster)
+  in
+  match home with
+  | None -> None
+  | Some home -> (
+    let key = Planner.planned_clause_key clause in
+    match
+      Option.bind cache (fun c ->
+          cache_lookup c.clause_tbl ~available ~trusted key)
+    with
+    | Some entry -> Some (home, entry, true)
+    | None ->
+      (* A context of its own, so the entry names every node this clause
+         skipped, even one an earlier clause already found down. *)
+      let ctx = empty_ctx () in
+      let set =
+        eval_clause cluster ~ttp ~catch_partition:(on_failure = Degrade)
+          ~available ~trusted ~ctx ~cache ~home clause
+      in
+      let entry =
+        {
+          cached_set = set;
+          complete = ctx.n_skipped_atoms = 0;
+          entry_unreachable = Net.Node_id.Set.elements ctx.down;
+          entry_skipped = ctx.n_skipped_atoms;
+          sources = clause_sources ~home clause;
+        }
+      in
+      if not (all_atoms_skipped clause entry) then
+        Option.iter (fun c -> Hashtbl.replace c.clause_tbl key entry) cache;
+      Some (home, entry, false))
 
 (* Default commutative scheme for the multi-home conjunction: the XOR
    pad, as always.  [?conjunction] lets a session swap in a real cipher
@@ -446,7 +491,7 @@ let default_conjunction rng =
   Crypto.Commutative.xor_pad rng (Crypto.Xor_pad.params ~width_bits:256)
 
 let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
-    ?(optimize = false) ?(on_failure = Fail) ?replication ?cache
+    ?(on_failure = Fail) ?replication ?cache
     ?(conjunction = default_conjunction) ~auditor criteria =
   let normalized = Query.normalize criteria in
   match Planner.plan (Cluster.fragmentation cluster) normalized with
@@ -457,15 +502,6 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
     Obs.Trace.with_span "executor.audit" @@ fun () ->
     let net = Cluster.net cluster in
     let ledger = Net.Network.ledger net in
-    let trusted node = not (Cluster.is_quarantined cluster node) in
-    let available node =
-      match on_failure with
-      | Fail -> true (* unavailability surfaces as Partitioned, as before *)
-      | Degrade ->
-        (* a quarantined node is fenced exactly like a crashed one:
-           atoms it homes are skipped and the coverage report names it *)
-        Net.Network.is_up net node && trusted node
-    in
     (* Failover step: a node that is back up but lost rows (crash then
        recover) is repaired from its sealed replicas before it serves
        the audit — recovery targets the owner itself, so no other node's
@@ -488,106 +524,34 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
       | _ -> []
     in
     Obs.Metrics.incr ~by:(List.length repaired) "executor.repaired";
-    let ctx =
-      { down = Net.Node_id.Set.empty; n_skipped_atoms = 0; n_skipped_clauses = 0 }
-    in
-    (* Evaluate every clause, collecting its glsn set at its home.  The
-       optimizer runs cheap local clauses first and stops at the first
-       empty set (the conjunction can no longer match anything). *)
-    let ordered_clauses =
-      if optimize then
-        let local, cross =
-          List.partition
-            (fun clause -> not clause.Planner.is_cross)
-            plan.Planner.clauses
-        in
-        local @ cross
-      else plan.Planner.clauses
-    in
-    let stand_in_home clause =
-      let home = clause.Planner.clause_home in
-      if available home then Some home
-      else List.find_opt available (Cluster.nodes cluster)
-    in
-    let clause_key_of clause =
-      Planner.clause_key
-        (List.map (fun { Planner.atom; _ } -> atom) clause.Planner.atoms)
+    (* Evaluate every clause, collecting its glsn set at its home and
+       folding its coverage debt into the run's.  A cached entry carries
+       the debt it was stored with, so degraded reuse stays truthful. *)
+    let ctx = empty_ctx () in
+    let skip_clause () =
+      Obs.Metrics.incr "executor.clauses.skipped";
+      None
     in
     let clause_sets =
-      let rec eval acc = function
-        | [] -> List.rev acc
-        | clause :: rest -> (
-          match stand_in_home clause with
+      List.filter_map
+        (fun clause ->
+          match clause_step cluster ~ttp ~on_failure ~cache clause with
           | None ->
             (* No live node can even assemble the union: the clause is
                uncovered. *)
-            Obs.Metrics.incr "executor.clauses.skipped";
-            ctx.n_skipped_clauses <- ctx.n_skipped_clauses + 1;
             mark_unreachable ctx [ clause.Planner.clause_home ];
-            eval acc rest
-          | Some home -> (
-            let cached =
-              match cache with
-              | None -> None
-              | Some c ->
-                cache_find (fun c -> c.clause_tbl) ~available ~trusted c
-                  (clause_key_of clause)
-            in
-            match cached with
-            | Some entry ->
-              (* The whole SQ_i is served from the session cache: no
-                 atom evaluation, no transfers, no TTP round.  An
-                 incomplete entry carries its coverage debt into this
-                 report, so degraded reuse stays truthful. *)
-              if not entry.complete then begin
-                ctx.n_skipped_atoms <- ctx.n_skipped_atoms + entry.entry_skipped;
-                mark_unreachable ctx entry.entry_unreachable
-              end;
-              if optimize && Glsn.Set.is_empty entry.cached_set then
-                [ (home, entry.cached_set) ]
-              else eval ((home, entry.cached_set) :: acc) rest
-            | None ->
-              let before_skipped = ctx.n_skipped_atoms in
-              let before_down = ctx.down in
-              let set =
-                eval_clause cluster ~ttp
-                  ~catch_partition:(on_failure = Degrade)
-                  ~available ~trusted ~ctx ~cache ~home clause
-              in
-              let skipped_delta = ctx.n_skipped_atoms - before_skipped in
-              let all_atoms_skipped =
-                skipped_delta >= List.length clause.Planner.atoms
-              in
-              if all_atoms_skipped then begin
-                (* An entirely unevaluated disjunction is unknowable — drop
-                   it from the conjunction rather than intersecting with a
-                   spurious empty set; the coverage report names it. *)
-                Obs.Metrics.incr "executor.clauses.skipped";
-                ctx.n_skipped_clauses <- ctx.n_skipped_clauses + 1;
-                eval acc rest
-              end
-              else begin
-                (match cache with
-                | Some c ->
-                  Hashtbl.replace c.clause_tbl (clause_key_of clause)
-                    {
-                      cached_set = set;
-                      complete = skipped_delta = 0;
-                      entry_unreachable =
-                        Net.Node_id.Set.elements
-                          (Net.Node_id.Set.diff ctx.down before_down);
-                      entry_skipped = skipped_delta;
-                      sources = clause_sources ~home clause;
-                    }
-                | None -> ());
-                if optimize && Glsn.Set.is_empty set then
-                  (* Short-circuit: one empty clause empties the
-                     conjunction. *)
-                  [ (home, set) ]
-                else eval ((home, set) :: acc) rest
-              end))
-      in
-      eval [] ordered_clauses
+            skip_clause ()
+          | Some (home, entry, from_cache) ->
+            if from_cache then Option.iter count_hit cache;
+            ctx.n_skipped_atoms <- ctx.n_skipped_atoms + entry.entry_skipped;
+            mark_unreachable ctx entry.entry_unreachable;
+            if all_atoms_skipped clause entry then
+              (* Drop the clause from the conjunction rather than
+                 intersecting with a spurious empty set; the coverage
+                 report names it. *)
+              skip_clause ()
+            else Some (home, entry.cached_set))
+        plan.Planner.clauses
     in
     (* Conjunction: first fold clauses that share a home locally, then
        secure-set-intersect across distinct homes (glsn as element). *)
@@ -657,9 +621,11 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
       | Count_only -> []
     in
     let total_clauses = List.length plan.Planner.clauses in
+    let evaluated_clauses = List.length clause_sets in
     let coverage =
       if
-        ctx.n_skipped_atoms = 0 && ctx.n_skipped_clauses = 0
+        ctx.n_skipped_atoms = 0
+        && evaluated_clauses = total_clauses
         && Net.Node_id.Set.is_empty ctx.down
       then { (full_coverage ~total_clauses) with repaired }
       else
@@ -667,8 +633,8 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
           complete = false;
           unreachable = Net.Node_id.Set.elements ctx.down;
           skipped_atoms = ctx.n_skipped_atoms;
-          skipped_clauses = ctx.n_skipped_clauses;
-          evaluated_clauses = total_clauses - ctx.n_skipped_clauses;
+          skipped_clauses = total_clauses - evaluated_clauses;
+          evaluated_clauses;
           total_clauses;
           repaired;
         }
@@ -683,54 +649,9 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
         coverage;
       }
 
-(* Evaluate one clause purely to populate the session cache — the same
-   messages, rounds and coverage accounting as the first [run] over the
-   clause, minus the per-query conjunction and delivery. *)
+(* Evaluate one clause purely to populate the session cache: the same
+   evaluation and store as the first [run] over the clause, minus the
+   per-query conjunction and delivery. *)
 let warm_clause cluster ?(ttp = Net.Node_id.Ttp "query") ?(on_failure = Fail)
-    ~cache (clause : Planner.planned_clause) =
-  let net = Cluster.net cluster in
-  let trusted node = not (Cluster.is_quarantined cluster node) in
-  let available node =
-    match on_failure with
-    | Fail -> true
-    | Degrade -> Net.Network.is_up net node && trusted node
-  in
-  let key =
-    Planner.clause_key
-      (List.map (fun { Planner.atom; _ } -> atom) clause.Planner.atoms)
-  in
-  let already_cached =
-    match Hashtbl.find_opt cache.clause_tbl key with
-    | Some entry ->
-      List.for_all trusted entry.sources && cache_usable ~available entry
-    | None -> false
-  in
-  let home =
-    if available clause.Planner.clause_home then
-      Some clause.Planner.clause_home
-    else List.find_opt available (Cluster.nodes cluster)
-  in
-  match (already_cached, home) with
-  | true, _ | _, None -> () (* nothing to warm; [run] will account for it *)
-  | false, Some home ->
-    let ctx =
-      {
-        down = Net.Node_id.Set.empty;
-        n_skipped_atoms = 0;
-        n_skipped_clauses = 0;
-      }
-    in
-    let set =
-      eval_clause cluster ~ttp
-        ~catch_partition:(on_failure = Degrade)
-        ~available ~trusted ~ctx ~cache:(Some cache) ~home clause
-    in
-    if ctx.n_skipped_atoms < List.length clause.Planner.atoms then
-      Hashtbl.replace cache.clause_tbl key
-        {
-          cached_set = set;
-          complete = ctx.n_skipped_atoms = 0;
-          entry_unreachable = Net.Node_id.Set.elements ctx.down;
-          entry_skipped = ctx.n_skipped_atoms;
-          sources = clause_sources ~home clause;
-        }
+    ~cache clause =
+  ignore (clause_step cluster ~ttp ~on_failure ~cache:(Some cache) clause)

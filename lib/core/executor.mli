@@ -75,13 +75,14 @@ val merge_coverage : coverage list -> coverage
     {!Planner.atom_key}/{!Planner.clause_key}.  A hit returns the glsn
     set without re-running the SMC machinery — no blinded columns, no
     TTP round, no local-result transfer — and bumps the
-    [audit.cache_hit] counter.  Entries evaluated under [Degrade] with
-    nodes down are stored {e incomplete} together with the unreachable
-    set; they are reused only while those nodes are still down (and
-    their skipped-atom counts flow into the new report's coverage), and
-    are re-evaluated once the nodes recover.  Glsn sets are
-    Definition-1 metadata, so caching them widens no node's
-    observations. *)
+    [audit.cache_hit] counter.  A clause evaluated under [Degrade] with
+    nodes down is stored {e incomplete}, listing every node the clause
+    skipped — including one an earlier clause of the same query had
+    already found down.  An incomplete entry is reused only while all
+    of those nodes are still unavailable (and its skipped-atom count
+    flows into the new report's coverage); once any of them recovers,
+    the clause is evaluated again.  Glsn sets are Definition-1
+    metadata, so caching them widens no node's observations. *)
 
 type cache
 
@@ -112,7 +113,7 @@ type cached_set = {
   glsns : Glsn.Set.t;
   is_complete : bool;  (** [false] iff stored under [Degrade] with gaps *)
   missing_nodes : Net.Node_id.t list;
-      (** nodes that were down when the entry was stored *)
+      (** every node the entry's evaluation skipped *)
   depends_on : Net.Node_id.t list;
       (** provenance: quarantining any of these taints the entry *)
 }
@@ -164,7 +165,6 @@ val run :
   Cluster.t ->
   ?ttp:Net.Node_id.t ->
   ?delivery:delivery ->
-  ?optimize:bool ->
   ?on_failure:failure_mode ->
   ?replication:Replication.t ->
   ?cache:cache ->
@@ -174,13 +174,6 @@ val run :
   (report, Audit_error.t) result
 (** Fails on planner errors.  Matches {!Query.eval_record} applied to
     every reassembled record (the tests assert this equivalence).
-
-    With [optimize] (default [false], so costs stay reproducible),
-    local-only clauses are evaluated before cross clauses and evaluation
-    short-circuits as soon as any clause produces an empty glsn set —
-    the conjunction is then empty without paying for the remaining
-    (possibly TTP-heavy) clauses.  Answers are identical either way
-    (property-tested).
 
     [on_failure] defaults to [Fail] (exact historical behaviour).  With
     [Degrade], the audit always returns a report; when nodes were down
@@ -210,6 +203,9 @@ val warm_clause :
   Planner.planned_clause ->
   unit
 (** Evaluate one planned clause at its home and store its glsn set (and
-    its atoms' sets) in [cache], exactly as the first {!run} over that
-    clause would — {!Audit_session} uses this to pipeline the unique
-    clauses of a batch before the per-query conjunctions run. *)
+    its atoms' sets) in [cache]: the same evaluation and store the first
+    {!run} over that clause performs.  A usable cached entry is left as
+    is, without counting a hit; a tainted one is dropped (bumping
+    [audit.cache_invalidated]) and the clause evaluated again.
+    {!Audit_session} uses this to pipeline the unique clauses of a batch
+    before the per-query conjunctions run. *)

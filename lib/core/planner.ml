@@ -122,6 +122,9 @@ let atom_key (atom : Query.atom) =
 let clause_key (clause : Query.clause) =
   String.concat "\001" (List.sort compare (List.map atom_key clause))
 
+let planned_clause_key (clause : planned_clause) =
+  clause_key (List.map (fun { atom; _ } -> atom) clause.atoms)
+
 (* ------------------------------------------------------------------ *)
 (* Clause resources                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -279,45 +282,6 @@ let plan_many fragmentation normalized_list =
         dedup_atoms = !atom_occurrences - unique_atoms;
         dedup_clauses = !clause_occurrences - unique_clauses;
       }
-
-(* Which earlier clause evaluations each distinct clause of a batch
-   must wait for: clauses in first-appearance order (the order the
-   session warms them), an edge wherever two resource sets intersect.
-   The reactor never consults this list directly — resource ready-times
-   in {!Net.Runtime.Pipeline} enforce exactly these edges — but the
-   session surfaces the edge count and tests cross-check the two
-   formulations. *)
-let dependency_graph (multi : multi) =
-  let seen = Hashtbl.create 16 in
-  let ordered = ref [] in
-  List.iter
-    (fun plan ->
-      List.iter
-        (fun clause ->
-          let key =
-            clause_key (List.map (fun { atom; _ } -> atom) clause.atoms)
-          in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            ordered := (key, clause_resources clause) :: !ordered
-          end)
-        plan.clauses)
-    multi.plans;
-  let intersects a b =
-    List.exists (fun n -> List.exists (Net.Node_id.equal n) b) a
-  in
-  let rec go earlier = function
-    | [] -> []
-    | (key, resources) :: rest ->
-      let deps =
-        List.rev
-          (List.filter_map
-             (fun (k, r) -> if intersects resources r then Some k else None)
-             earlier)
-      in
-      (key, deps) :: go ((key, resources) :: earlier) rest
-  in
-  go [] (List.rev !ordered)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded planning                                                    *)

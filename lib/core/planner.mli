@@ -51,6 +51,9 @@ val homes : t -> Net.Node_id.t list
 val atom_key : Query.atom -> string
 val clause_key : Query.clause -> string
 
+val planned_clause_key : planned_clause -> string
+(** {!clause_key} of a planned clause's atoms. *)
+
 val clause_resources : planned_clause -> Net.Node_id.t list
 (** The storage nodes one clause evaluation occupies — its assembly
     home plus every atom's fragment home(s), in canonical order.  Two
@@ -73,14 +76,6 @@ val plan_many :
   Fragmentation.t -> Query.normalized list -> (multi, Audit_error.t) result
 (** Plan a batch jointly.  Fails on the first unknown attribute, like
     {!plan} on each query in order. *)
-
-val dependency_graph : multi -> (string * string list) list
-(** Per-clause dependency graph over the batch's distinct clauses, in
-    first-appearance order (the order a session warms them): each
-    entry is [(clause_key, keys of earlier distinct clauses whose
-    {!clause_resources} intersect this one's)].  Clauses absent from
-    each other's lists may pipeline; the reactor enforces the same
-    edges through resource ready-times. *)
 
 (** {1 Sharded planning}
 

@@ -358,7 +358,6 @@ let merge_summaries (per_shard : (string * Audit_session.summary) list) =
               +. s.Audit_session.pipeline.Net.Runtime.Pipeline.pipelined_ms)
             0.0 summaries;
       };
-    pipeline_deps = sum (fun s -> s.Audit_session.pipeline_deps) summaries;
   }
 
 let run_session t ?ttp ?delivery ?failure_mode ~auditor queries =

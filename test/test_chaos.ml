@@ -411,6 +411,48 @@ let test_degraded_audit_reports_coverage () =
     Alcotest.(check int) "time clause matches everything"
       (List.length glsns) report.Executor.count
 
+(* A partial clause entry must name every node its clause skipped, even
+   one an earlier clause of the same query already marked down —
+   otherwise the shared cache keeps serving the partial set after the
+   node recovers. *)
+let test_degraded_cache_entry_expires_on_recovery () =
+  let query = parse_query {|id != "U3" && (id = "U2" || C1 > 50)|} in
+  let p1 = Net.Node_id.Dla 1 in
+  List.iter
+    (fun (mode_name, on_failure) ->
+      let cluster, _ = Workload.Paper_example.build () in
+      let net = Cluster.net cluster in
+      let cache = Executor.cache_create () in
+      Net.Network.take_down net p1;
+      (match
+         Executor.run cluster ~on_failure:Executor.Degrade ~cache
+           ~auditor:Net.Node_id.Auditor query
+       with
+      | Error e -> Alcotest.fail (Audit_error.to_string e)
+      | Ok report ->
+        Alcotest.(check bool) "partial while P1 is down" false
+          report.Executor.coverage.Executor.complete);
+      Net.Network.bring_up net p1;
+      match
+        Executor.run cluster ~on_failure ~cache ~auditor:Net.Node_id.Auditor
+          query
+      with
+      | Error e -> Alcotest.fail (Audit_error.to_string e)
+      | Ok report ->
+        let c = report.Executor.coverage in
+        Alcotest.(check int) (mode_name ^ ": count") 2 report.Executor.count;
+        Alcotest.(check (list string))
+          (mode_name ^ ": the U2 rows")
+          [ "139aef79"; "139aef7b" ]
+          (List.map Glsn.to_string report.Executor.matching);
+        Alcotest.(check bool) (mode_name ^ ": complete") true
+          c.Executor.complete;
+        Alcotest.(check (list string))
+          (mode_name ^ ": nothing unreachable")
+          []
+          (List.map Net.Node_id.to_string c.Executor.unreachable))
+    [ ("Degrade", Executor.Degrade); ("Fail", Executor.Fail) ]
+
 let test_degraded_audit_repairs_wiped_node () =
   (* A node crashed, lost its disk and came back empty: with a
      replication state supplied, the degraded executor restores the rows
@@ -804,6 +846,8 @@ let () =
       ( "degraded-audit",
         [ Alcotest.test_case "coverage reporting" `Quick
             test_degraded_audit_reports_coverage;
+          Alcotest.test_case "partial cache entry expires on recovery" `Quick
+            test_degraded_cache_entry_expires_on_recovery;
           Alcotest.test_case "repair-then-answer" `Quick
             test_degraded_audit_repairs_wiped_node
         ] );

@@ -403,39 +403,6 @@ let test_executor_count_only () =
     Alcotest.(check bool) "auditor saw the count" true
       (Net.Ledger.saw ledger ~node:auditor ~sensitivity:Net.Ledger.Aggregate "3")
 
-
-let prop_optimizer_equivalent =
-  QCheck.Test.make ~name:"optimized execution = unoptimized" ~count:40
-    arbitrary_query
-    (fun query ->
-      let cluster, _ = Workload.Paper_example.build () in
-      match
-        ( Executor.run cluster ~auditor query,
-          Executor.run cluster ~optimize:true ~auditor query )
-      with
-      | Ok a, Ok b ->
-        List.map Glsn.to_string a.Executor.matching
-        = List.map Glsn.to_string b.Executor.matching
-      | Error ea, Error eb -> ea = eb
-      | _ -> false)
-
-let test_optimizer_short_circuit_saves_messages () =
-  (* An empty local clause must spare the expensive cross clause. *)
-  let query = q {|id = "U9" && C2 = C3|} in
-  let run ~optimize =
-    let cluster, _ = Workload.Paper_example.build () in
-    Net.Network.reset_stats (Cluster.net cluster);
-    (match Executor.run cluster ~optimize ~auditor query with
-    | Ok r -> Alcotest.(check int) "no matches" 0 (List.length r.Executor.matching)
-    | Error e -> Alcotest.fail (Audit_error.to_string e));
-    (Net.Network.stats (Cluster.net cluster)).Net.Network.messages
-  in
-  let unopt = run ~optimize:false in
-  let opt = run ~optimize:true in
-  Alcotest.(check bool)
-    (Printf.sprintf "optimized %d < unoptimized %d" opt unopt)
-    true (opt < unopt)
-
 (* ------------------------------------------------------------------ *)
 (* Confidentiality metrics                                             *)
 (* ------------------------------------------------------------------ *)
@@ -541,11 +508,9 @@ let () =
         :: Alcotest.test_case "privacy" `Quick test_executor_privacy
         :: Alcotest.test_case "c_auditing" `Quick test_executor_c_auditing
         :: Alcotest.test_case "count only" `Quick test_executor_count_only
-        :: Alcotest.test_case "optimizer short circuit" `Quick
-             test_optimizer_short_circuit_saves_messages
         :: qt
              [ prop_executor_matches_oracle; prop_parse_print_roundtrip;
-               prop_executor_random_partition; prop_optimizer_equivalent ] );
+               prop_executor_random_partition ] );
       ( "confidentiality",
         [ Alcotest.test_case "paper rows (eq 10)" `Quick test_c_store_paper_rows;
           Alcotest.test_case "monotone in nodes" `Quick test_c_store_monotone_in_nodes;
