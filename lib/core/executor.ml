@@ -156,13 +156,18 @@ let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
   let left_blinded = blind_column left left_col in
   let right_blinded = blind_column right right_col in
   Net.Network.round ~label:"query" net;
+  (* The TTP joins the two columns on glsn: one pass over each. *)
+  let right_by_glsn = Hashtbl.create (List.length right_blinded) in
+  List.iter
+    (fun (glsn, kind, w) ->
+      if not (Hashtbl.mem right_by_glsn glsn) then
+        Hashtbl.add right_by_glsn glsn (kind, w))
+    right_blinded;
   let satisfied =
     List.fold_left
       (fun acc (glsn, kind_l, wl) ->
-        match
-          List.find_opt (fun (g, _, _) -> Glsn.equal g glsn) right_blinded
-        with
-        | Some (_, kind_r, wr)
+        match Hashtbl.find_opt right_by_glsn glsn with
+        | Some (kind_r, wr)
           when String.equal kind_l kind_r
                && Query.apply_comparison atom.Query.op (Bignum.compare wl wr)
           -> Glsn.Set.add glsn acc
@@ -287,9 +292,6 @@ let cache_view entry =
     missing_nodes = entry.entry_unreachable;
     depends_on = entry.sources;
   }
-
-let cache_lookup_atom cache ~available ~trusted key =
-  Option.map cache_view (cache_lookup cache.atom_tbl ~available ~trusted key)
 
 let cache_lookup_clause cache ~available ~trusted key =
   Option.map cache_view (cache_lookup cache.clause_tbl ~available ~trusted key)

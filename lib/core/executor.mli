@@ -118,27 +118,19 @@ type cached_set = {
       (** provenance: quarantining any of these taints the entry *)
 }
 
-val cache_lookup_atom :
-  cache ->
-  available:(Net.Node_id.t -> bool) ->
-  trusted:(Net.Node_id.t -> bool) ->
-  string ->
-  cached_set option
-(** Look up an atom entry by {!Planner.atom_key} under the same
-    discipline as {!run}'s internal lookup — tainted entries (any
-    source not [trusted]) are dropped on sight (bumping
-    [audit.cache_invalidated]), incomplete entries are returned only
-    while their missing nodes are still un-[available] — but without
-    counting a session cache hit: delta maintenance is not query
-    traffic. *)
-
 val cache_lookup_clause :
   cache ->
   available:(Net.Node_id.t -> bool) ->
   trusted:(Net.Node_id.t -> bool) ->
   string ->
   cached_set option
-(** Same, for a clause entry by {!Planner.clause_key}. *)
+(** Look up a clause entry by {!Planner.clause_key} under the same
+    discipline as {!run}'s internal lookup — tainted entries (any
+    source not [trusted]) are dropped on sight (bumping
+    [audit.cache_invalidated]), incomplete entries are returned only
+    while their missing nodes are still un-[available] — but without
+    counting a session cache hit: delta maintenance is not query
+    traffic. *)
 
 val cache_insert_glsn_atom : cache -> key:string -> Glsn.t -> bool
 (** Add one glsn to an existing atom entry (idempotent); [false] if no

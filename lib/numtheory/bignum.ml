@@ -183,6 +183,15 @@ let nat_num_bits a =
     ((la - 1) * limb_bits) + width 1
   end
 
+(* The [w] <= 26 bits of [a] starting at bit [off]; bits above the top
+   limb read as zero. *)
+let nat_bits a off w =
+  let i = off / limb_bits and s = off mod limb_bits in
+  let la = Array.length a in
+  let lo = if i < la then a.(i) lsr s else 0 in
+  let hi = if i + 1 < la then a.(i + 1) lsl (limb_bits - s) else 0 in
+  (lo lor hi) land ((1 lsl w) - 1)
+
 (* Short division by a single limb 0 < d < 2^26. *)
 let nat_divmod_small a d =
   let la = Array.length a in
@@ -488,44 +497,33 @@ let of_string s =
 let to_hex t =
   if t.sign = 0 then "0"
   else begin
-    let bits = num_bits t in
-    let digits = (bits + 3) / 4 in
-    let buf = Buffer.create (digits + 1) in
-    if t.sign < 0 then Buffer.add_char buf '-';
-    let started = ref false in
-    for i = digits - 1 downto 0 do
-      let nibble =
-        ((if test_bit t ((4 * i) + 3) then 8 else 0)
-        lor (if test_bit t ((4 * i) + 2) then 4 else 0)
-        lor (if test_bit t ((4 * i) + 1) then 2 else 0)
-        lor if test_bit t (4 * i) then 1 else 0)
-      in
-      if nibble <> 0 || !started || i = 0 then begin
-        started := true;
-        Buffer.add_char buf "0123456789abcdef".[nibble]
-      end
-    done;
-    Buffer.contents buf
+    let digits = (num_bits t + 3) / 4 in
+    let hex =
+      String.init digits (fun i ->
+          "0123456789abcdef".[nat_bits t.mag (4 * (digits - 1 - i)) 4])
+    in
+    if t.sign < 0 then "-" ^ hex else hex
   end
 
+(* Each byte lands in the one or two limbs its eight bits straddle. *)
 let of_bytes_be s =
-  let v = ref zero in
-  String.iter (fun c -> v := add_int (shift_left !v 8) (Char.code c)) s;
-  !v
+  let n = String.length s in
+  let mag = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  String.iteri
+    (fun i c ->
+      let off = 8 * (n - 1 - i) in
+      let j = off / limb_bits and b = Char.code c lsl (off mod limb_bits) in
+      mag.(j) <- mag.(j) lor (b land limb_mask);
+      if b > limb_mask then mag.(j + 1) <- mag.(j + 1) lor (b lsr limb_bits))
+    s;
+  make 1 mag
 
 let to_bytes_be t =
   if t.sign < 0 then invalid_arg "Bignum.to_bytes_be: negative value"
-  else if t.sign = 0 then ""
   else begin
     let nbytes = (num_bits t + 7) / 8 in
-    let buf = Bytes.create nbytes in
-    let v = ref t in
-    let mask = of_int 255 in
-    for i = nbytes - 1 downto 0 do
-      Bytes.set buf i (Char.chr (to_int (logand !v mask)));
-      v := shift_right !v 8
-    done;
-    Bytes.to_string buf
+    String.init nbytes (fun i ->
+        Char.chr (nat_bits t.mag (8 * (nbytes - 1 - i)) 8))
   end
 
 module Infix = struct

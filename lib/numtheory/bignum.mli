@@ -37,7 +37,8 @@ val of_hex : string -> t
 (** Hexadecimal (no [0x] prefix required, case-insensitive). *)
 
 val to_hex : t -> string
-(** Lower-case hexadecimal, no prefix; ["0"] for zero. *)
+(** Lower-case hexadecimal of the magnitude, no [0x] prefix, with a
+    ["-"] prefix for negatives; ["0"] for zero. *)
 
 val of_bytes_be : string -> t
 (** Big-endian unsigned byte-string interpretation (as used when hashing). *)

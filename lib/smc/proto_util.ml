@@ -1,6 +1,6 @@
 open Numtheory
 
-let bignum_wire_size v = String.length (Bignum.to_bytes_be (Bignum.abs v))
+let bignum_wire_size v = (Bignum.num_bits v + 7) / 8
 
 let ring_next ring node =
   let rec go = function

@@ -3,7 +3,9 @@
 open Numtheory
 
 val bignum_wire_size : Bignum.t -> int
-(** Bytes a group element occupies on the wire (minimal big-endian). *)
+(** Bytes a group element occupies on the wire: the length of the
+    magnitude's minimal big-endian encoding (the sign is ignored; [0]
+    for zero). *)
 
 val ring_next : Net.Node_id.t list -> Net.Node_id.t -> Net.Node_id.t
 (** Successor in ring order; the list must contain the node.

@@ -83,6 +83,35 @@ let values_gen ?(parties_min = 2) ?(parties_max = 5) ?(hi = 1_000_000) () =
 let bignum_gen ?(hi = 1_000_000) () =
   QCheck.Gen.map Bignum.of_int (QCheck.Gen.int_range 0 hi)
 
+(* Signed bignums of 0 to 600 bits, half of them one bit wide or within
+   one bit of a 26-bit limb boundary (26, 52, 78).  The magnitude is
+   random below a set top bit, all ones, or a lone top bit.  Built by
+   shifts and adds only, so the byte and hex codecs can be tested on
+   it. *)
+let wide_bignum_gen =
+  let open QCheck.Gen in
+  let* width =
+    oneof
+      [ oneofl [ 1; 25; 26; 27; 51; 52; 53; 77; 78; 79 ]; int_range 0 600 ]
+  in
+  let* words = list_repeat ((width / 30) + 1) (int_range 0 ((1 lsl 30) - 1)) in
+  let* shape = oneofl [ `Random; `Ones; `Top ] in
+  let* negative = bool in
+  let top = Bignum.shift_left Bignum.one (max 0 (width - 1)) in
+  let below =
+    match shape with
+    | `Top -> Bignum.zero
+    | `Ones -> Bignum.pred top
+    | `Random ->
+      Bignum.rem
+        (List.fold_left
+           (fun acc w -> Bignum.add_int (Bignum.shift_left acc 30) w)
+           Bignum.zero words)
+        top
+  in
+  let v = if width = 0 then Bignum.zero else Bignum.add top below in
+  return (if negative then Bignum.neg v else v)
+
 (* Equality inputs: bias toward actual equality so both verdicts get
    exercised. *)
 let equality_pair_gen =

@@ -32,6 +32,7 @@ let test_hex_roundtrip () =
   List.iter
     (fun h -> Alcotest.(check string) h h (Bignum.to_hex (Bignum.of_hex h)))
     [ "0"; "1"; "ff"; "deadbeef"; "123456789abcdef0123456789abcdef" ];
+  Alcotest.(check string) "negative" "-ff" (Bignum.to_hex (bn (-255)));
   check_bn "0x parse" (bn 255) (bs "0xff");
   check_bn "hex/dec agree" (bs "4277009102") (Bignum.of_hex "feedface")
 
@@ -88,7 +89,11 @@ let test_bytes_be () =
   Alcotest.(check string) "ff" "\xff" (Bignum.to_bytes_be (bn 255));
   Alcotest.(check string) "0100" "\x01\x00" (Bignum.to_bytes_be (bn 256));
   check_bn "roundtrip" (bs "123456789012345678901234567890")
-    (Bignum.of_bytes_be (Bignum.to_bytes_be (bs "123456789012345678901234567890")))
+    (Bignum.of_bytes_be (Bignum.to_bytes_be (bs "123456789012345678901234567890")));
+  check_bn "no bytes" Bignum.zero (Bignum.of_bytes_be "");
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Bignum.to_bytes_be: negative value") (fun () ->
+      ignore (Bignum.to_bytes_be (bn (-1))))
 
 let test_compare () =
   Alcotest.(check bool) "lt" true (Bignum.compare (bn 3) (bn 4) < 0);
@@ -302,6 +307,89 @@ let prop_division_boundary_limbs =
       Bignum.equal a (Bignum.add (Bignum.mul q b) r)
       && Bignum.sign r >= 0
       && Bignum.compare r b < 0)
+
+(* Reference codecs: the bit- and byte-at-a-time definitions that
+   [to_hex], [of_bytes_be] and [to_bytes_be] replaced.  The limb-level
+   codecs must agree with them exactly. *)
+let ref_to_hex t =
+  if Bignum.is_zero t then "0"
+  else begin
+    let digits = (Bignum.num_bits t + 3) / 4 in
+    let buf = Buffer.create (digits + 1) in
+    if Bignum.sign t < 0 then Buffer.add_char buf '-';
+    let started = ref false in
+    for i = digits - 1 downto 0 do
+      let nibble =
+        ((if Bignum.test_bit t ((4 * i) + 3) then 8 else 0)
+        lor (if Bignum.test_bit t ((4 * i) + 2) then 4 else 0)
+        lor (if Bignum.test_bit t ((4 * i) + 1) then 2 else 0)
+        lor if Bignum.test_bit t (4 * i) then 1 else 0)
+      in
+      if nibble <> 0 || !started || i = 0 then begin
+        started := true;
+        Buffer.add_char buf "0123456789abcdef".[nibble]
+      end
+    done;
+    Buffer.contents buf
+  end
+
+let ref_of_bytes_be s =
+  let v = ref Bignum.zero in
+  String.iter
+    (fun c -> v := Bignum.add_int (Bignum.shift_left !v 8) (Char.code c))
+    s;
+  !v
+
+let ref_to_bytes_be t =
+  if Bignum.is_zero t then ""
+  else begin
+    let nbytes = (Bignum.num_bits t + 7) / 8 in
+    let buf = Bytes.create nbytes in
+    let v = ref t in
+    let mask = bn 255 in
+    for i = nbytes - 1 downto 0 do
+      Bytes.set buf i (Char.chr (Bignum.to_int (Bignum.logand !v mask)));
+      v := Bignum.shift_right !v 8
+    done;
+    Bytes.to_string buf
+  end
+
+let arbitrary_wide_bignum =
+  QCheck.make Generators.wide_bignum_gen ~print:Bignum.to_string
+
+(* 0 to 80 bytes, up to three of them leading zeros. *)
+let arbitrary_bytes =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      let* zeros = int_range 0 3 in
+      let* body = string_size ~gen:char (int_range 0 (80 - zeros)) in
+      return (String.make zeros '\000' ^ body))
+
+let strip_leading_zeros s =
+  let n = String.length s in
+  let rec first i = if i < n && s.[i] = '\000' then first (i + 1) else i in
+  let i = first 0 in
+  String.sub s i (n - i)
+
+let prop_of_bytes_matches_reference =
+  QCheck.Test.make ~name:"of_bytes_be = reference, to_bytes_be inverts it"
+    ~count:500 arbitrary_bytes
+    (fun s ->
+      let v = Bignum.of_bytes_be s in
+      Bignum.equal v (ref_of_bytes_be s)
+      && String.equal (Bignum.to_bytes_be v) (strip_leading_zeros s))
+
+let prop_to_bytes_and_hex_match_reference =
+  QCheck.Test.make
+    ~name:"to_bytes_be and to_hex = reference, and both round-trip"
+    ~count:500 arbitrary_wide_bignum
+    (fun v ->
+      let m = Bignum.abs v in
+      let bytes = Bignum.to_bytes_be m and hex = Bignum.to_hex v in
+      String.equal bytes (ref_to_bytes_be m)
+      && String.equal hex (ref_to_hex v)
+      && Bignum.equal (Bignum.of_bytes_be bytes) m
+      && Bignum.equal (Bignum.of_hex (Bignum.to_hex m)) m)
 
 let test_division_addback_case () =
   (* A shape that forces the D6 add-back: dividend ~ B^(n+1)/2 against a
@@ -799,7 +887,8 @@ let () =
           [ prop_int_agreement; prop_string_roundtrip; prop_add_commutative;
             prop_mul_commutative; prop_distributive; prop_divmod_identity;
             prop_karatsuba_matches_school; prop_shift_is_pow2; prop_erem_range;
-            prop_division_boundary_limbs
+            prop_division_boundary_limbs; prop_of_bytes_matches_reference;
+            prop_to_bytes_and_hex_match_reference
           ]
         @ [ Alcotest.test_case "add-back case" `Quick test_division_addback_case ] );
       ( "modular",

@@ -388,6 +388,79 @@ let prop_executor_random_partition =
         List.map Glsn.to_string report.Executor.matching
         = List.map Glsn.to_string (oracle_matching cluster query))
 
+(* Rows where the cross-atom operands tid, C2 and C3 are each absent a
+   third of the time, and C3 is Money or Str: the blind TTP must drop
+   glsns missing from either blinded column, and pairs whose comparison
+   classes differ. *)
+let sparse_rows_gen =
+  let open QCheck.Gen in
+  let maybe attr value_gen =
+    frequency
+      [ (1, return []); (2, map (fun v -> [ (attr, v) ]) value_gen) ]
+  in
+  let small_money = map (fun v -> Value.Money v) (int_range 0 12) in
+  let row =
+    let* id = map (fun i -> Printf.sprintf "U%d" i) (int_range 1 3) in
+    let* tid =
+      maybe (d "tid") (map (fun s -> Value.Str s) (oneofl [ "U1"; "U2"; "T1" ]))
+    in
+    let* c1 = int_range 0 60 in
+    let* c2 = maybe (u 2) small_money in
+    let* c3 =
+      maybe (u 3)
+        (oneof
+           [ small_money;
+             map (fun s -> Value.Str s) (oneofl [ "bank"; "salary" ]) ])
+    in
+    return
+      ([ (d "time", Value.Time 1021234715); (d "id", Value.Str id);
+         (d "protocl", Value.Str "UDP"); (u 1, Value.Int c1) ]
+      @ tid @ c2 @ c3)
+  in
+  list_repeat 60 row
+
+let prop_cross_atoms_on_sparse_rows =
+  let queries =
+    List.map q
+      [ "C2 = C3"; "C2 < C3"; "C2 != C3"; "id != tid"; "id = tid";
+        "!(C2 = C3)" ]
+  in
+  QCheck.Test.make ~name:"cross atoms = oracle on sparse mixed-class rows"
+    ~count:20
+    (QCheck.make sparse_rows_gen
+       ~print:
+         (QCheck.Print.list (fun row ->
+              String.concat " "
+                (List.map
+                   (fun (a, v) -> Attribute.to_string a ^ "=" ^ Value.to_string v)
+                   row))))
+    (fun rows ->
+      let cluster = Cluster.create ~seed:7 paper in
+      let ticket =
+        Cluster.issue_ticket cluster ~id:"T" ~principal:(Net.Node_id.User 1)
+          ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:86400
+      in
+      List.iter
+        (fun row ->
+          match
+            Cluster.to_result
+              (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
+                 ~attributes:row)
+          with
+          | Ok _ -> ()
+          | Error e -> failwith e)
+        rows;
+      List.for_all
+        (fun query ->
+          match Executor.run cluster ~auditor query with
+          | Error e ->
+            QCheck.Test.fail_reportf "%s: %s" (Query.to_string query)
+              (Audit_error.to_string e)
+          | Ok report ->
+            List.map Glsn.to_string report.Executor.matching
+            = List.map Glsn.to_string (oracle_matching cluster query))
+        queries)
+
 let test_executor_count_only () =
   let cluster, _ = Workload.Paper_example.build () in
   match
@@ -510,7 +583,8 @@ let () =
         :: Alcotest.test_case "count only" `Quick test_executor_count_only
         :: qt
              [ prop_executor_matches_oracle; prop_parse_print_roundtrip;
-               prop_executor_random_partition ] );
+               prop_executor_random_partition;
+               prop_cross_atoms_on_sparse_rows ] );
       ( "confidentiality",
         [ Alcotest.test_case "paper rows (eq 10)" `Quick test_c_store_paper_rows;
           Alcotest.test_case "monotone in nodes" `Quick test_c_store_monotone_in_nodes;

@@ -751,7 +751,16 @@ let test_bignum_wire_size_edges () =
   Alcotest.(check int) "one byte" 1 (size (bn 1));
   Alcotest.(check int) "255 fits one byte" 1 (size (bn 255));
   Alcotest.(check int) "256 needs two" 2 (size (bn 256));
-  Alcotest.(check int) "2^61-1 needs eight" 8 (size (Lazy.force sum_p))
+  Alcotest.(check int) "2^61-1 needs eight" 8 (size (Lazy.force sum_p));
+  Alcotest.(check int) "sign ignored: -1" 1 (size (bn (-1)));
+  Alcotest.(check int) "sign ignored: -256" 2 (size (bn (-256)));
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Bignum.to_string v)
+        (String.length (Bignum.to_bytes_be (Bignum.abs v)))
+        (size v))
+    (Generators.cases ~seed:(Generators.qcheck_seed ()) ~count:300
+       Generators.wide_bignum_gen)
 
 let test_observe_phase_and_hook_nesting () =
   (* [observe] stamps events with the open span path and mirrors to the
