@@ -33,7 +33,6 @@ let diverged cluster ~ticket_id =
 
 let reconcile cluster ~rng ~ticket_id =
   let net = Cluster.net cluster in
-  let ledger = Net.Network.ledger net in
   let nodes = Cluster.nodes cluster in
   (* Commit-then-reveal the digests so a compromised node cannot tailor
      its claim to the others' reveals. *)
@@ -109,8 +108,8 @@ let reconcile cluster ~rng ~ticket_id =
             Glsn.Set.iter
               (fun glsn -> Access_control.grant acl ~ticket_id glsn)
               majority_entry;
-            Net.Ledger.record ledger ~node ~sensitivity:Net.Ledger.Metadata
-              ~tag:"aclsync:adopted" winner;
+            Smc.Proto_util.observe net ~node ~sensitivity:Net.Ledger.Metadata
+              ~tag:"aclsync:adopted" (Net.Ledger.Text winner);
             Some node
           end)
         valid

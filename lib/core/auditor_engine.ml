@@ -119,9 +119,9 @@ let secret_sum cluster ?ttp ~auditor ~attr input =
           let net = Cluster.net cluster in
           Net.Network.send_exn net ~src:home ~dst:auditor
             ~label:"query:secret-sum" ~bytes:16;
-          Net.Ledger.record (Net.Network.ledger net) ~node:auditor
+          Smc.Proto_util.observe net ~node:auditor
             ~sensitivity:Net.Ledger.Aggregate ~tag:"query:secret-sum"
-            (Value.to_string sum);
+            (Net.Ledger.Text (Value.to_string sum));
           Net.Network.round net;
           Ok sum)))
 

@@ -24,13 +24,9 @@ let submit t ~origin ~attributes =
   Net.Network.send_exn t.net ~src:origin ~dst:t.auditor ~label:"central:log"
     ~bytes;
   Net.Network.round t.net;
-  let ledger = Net.Network.ledger t.net in
-  List.iter
-    (fun (a, v) ->
-      Net.Ledger.record ledger ~node:t.auditor ~sensitivity:Net.Ledger.Plaintext
-        ~tag:"central:log"
-        (Printf.sprintf "%s=%s" (Attribute.to_string a) (Value.to_string v)))
-    attributes;
+  Smc.Proto_util.observe t.net ~node:t.auditor
+    ~sensitivity:Net.Ledger.Plaintext ~tag:"central:log"
+    (Net.Ledger.Batch (Log_record.cell_to_string, attributes));
   t.repository <- Glsn.Map.add glsn record t.repository;
   glsn
 

@@ -142,21 +142,17 @@ let open_hint t ~target ~glsn blob =
 (* Commit one fragment into its home store, with the legitimate
    own-column ledger observations. *)
 let commit_fragment t ~node ~glsn ~fragment ~digest ~witness ~ticket_id =
-  let ledger = Net.Network.ledger t.net in
   let store = store_of t node in
   Storage.store store ~glsn ~fragment;
   Storage.store_digest store ~glsn digest;
   Storage.store_witness store ~glsn witness;
   Access_control.grant (Storage.acl store) ~ticket_id glsn;
   (* The node legitimately observes its own columns. *)
-  List.iter
-    (fun (a, v) ->
-      Net.Ledger.record ledger ~node ~sensitivity:Net.Ledger.Plaintext
-        ~tag:"store:fragment"
-        (Printf.sprintf "%s=%s" (Attribute.to_string a) (Value.to_string v)))
-    fragment;
-  Net.Ledger.record ledger ~node ~sensitivity:Net.Ledger.Metadata
-    ~tag:"store:glsn" (Glsn.to_string glsn)
+  Smc.Proto_util.observe t.net ~node ~sensitivity:Net.Ledger.Plaintext
+    ~tag:"store:fragment"
+    (Net.Ledger.Batch (Log_record.cell_to_string, fragment));
+  Smc.Proto_util.observe t.net ~node ~sensitivity:Net.Ledger.Metadata
+    ~tag:"store:glsn" (Net.Ledger.Text (Glsn.to_string glsn))
 
 (* First ring successor of [target] that is a live candidate for
    holding a parked hint. *)
@@ -212,7 +208,6 @@ let submit_unobserved ~durability t ~ticket ~origin ~attributes =
         let glsn = Glsn.Allocator.next t.allocator in
         let record = Log_record.make ~glsn ~origin ~attributes in
         let fragments = Fragmentation.fragment t.fragmentation record in
-        let ledger = Net.Network.ledger t.net in
         (* Digest over all fragments, deposited at every node (§4.1),
            plus each node's membership witness (ref [27]: the
            accumulation of the *other* nodes' fragments) so a node can
@@ -306,9 +301,9 @@ let submit_unobserved ~durability t ~ticket ~origin ~attributes =
               (function
                 | None -> assert false
                 | Some (holder, target, blob, witness) ->
-                  Net.Ledger.record ledger ~node:holder
+                  Smc.Proto_util.observe t.net ~node:holder
                     ~sensitivity:Net.Ledger.Ciphertext ~tag:"park:hint"
-                    (Crypto.Sha256.digest_hex blob);
+                    (Net.Ledger.Text (Crypto.Sha256.digest_hex blob));
                   Storage.park_hint (store_of t holder)
                     {
                       Storage.hint_target = target;
@@ -359,7 +354,6 @@ let pending_hints t =
 let drain_hints t =
   Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms t.net);
   Obs.Trace.with_span "cluster.drain" (fun () ->
-  let ledger = Net.Network.ledger t.net in
   let delivered = ref [] in
   List.iter
     (fun (holder, holder_store) ->
@@ -394,9 +388,9 @@ let drain_hints t =
                         ~digest:hint.Storage.hint_digest
                         ~witness:hint.Storage.hint_witness
                         ~ticket_id:hint.Storage.hint_ticket;
-                      Net.Ledger.record ledger ~node:target
+                      Smc.Proto_util.observe t.net ~node:target
                         ~sensitivity:Net.Ledger.Metadata ~tag:"drain:hint"
-                        (Glsn.to_string glsn);
+                        (Net.Ledger.Text (Glsn.to_string glsn));
                       delivered := (target, glsn) :: !delivered
                     end
                     else begin

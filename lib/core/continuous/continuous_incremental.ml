@@ -282,7 +282,7 @@ let checkpoint_now t =
       Net.Network.send_exn net ~src:t.ttp ~dst:t.verifier
         ~label:"continuous:checkpoint" ~bytes:64);
   Smc.Proto_util.observe net ~node:t.verifier ~sensitivity:Net.Ledger.Metadata
-    ~tag:"ckpt:publish" cp.Continuous_checkpoint.digest;
+    ~tag:"ckpt:publish" (Net.Ledger.Text cp.Continuous_checkpoint.digest);
   Net.Network.round ~label:"continuous" net;
   cp
 

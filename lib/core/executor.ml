@@ -77,10 +77,9 @@ let glsn_set_bytes set = 8 * Glsn.Set.cardinal set
 let send_glsn_set net ~src ~dst ~label set =
   if not (Net.Node_id.equal src dst) then
     Net.Network.send_exn net ~src ~dst ~label ~bytes:(glsn_set_bytes set);
-  Net.Ledger.record (Net.Network.ledger net) ~node:dst
-    ~sensitivity:Net.Ledger.Metadata ~tag:label
-    (String.concat ","
-       (List.map Glsn.to_string (Glsn.Set.elements set)))
+  Smc.Proto_util.observe net ~node:dst ~sensitivity:Net.Ledger.Metadata
+    ~tag:label
+    (Net.Ledger.Joined (Glsn.to_string, Glsn.Set.elements set))
 
 (* A local atom evaluated entirely at its home node. *)
 let eval_local_atom store (atom : Query.atom) =
@@ -118,7 +117,6 @@ let eval_local_atom store (atom : Query.atom) =
 let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
     rhs_attr =
   let net = Cluster.net cluster in
-  let ledger = Net.Network.ledger net in
   let left_store = Cluster.store_of cluster left in
   let right_store = Cluster.store_of cluster right in
   let left_col = Storage.column left_store atom.Query.attr in
@@ -146,11 +144,10 @@ let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
         0 blinded
     in
     Net.Network.send_exn net ~src ~dst:ttp ~label:"query:cross-column" ~bytes;
-    List.iter
-      (fun (_, _, w) ->
-        Net.Ledger.record ledger ~node:ttp ~sensitivity:Net.Ledger.Blinded
-          ~tag:"query:cross-column" (Bignum.to_string w))
-      blinded;
+    Smc.Proto_util.observe net ~node:ttp ~sensitivity:Net.Ledger.Blinded
+      ~tag:"query:cross-column"
+      (Net.Ledger.Batch
+         (Bignum.to_string, List.map (fun (_, _, w) -> w) blinded));
     blinded
   in
   let left_blinded = blind_column left left_col in
@@ -503,7 +500,6 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
         Net.Network.virtual_time_ms (Cluster.net cluster));
     Obs.Trace.with_span "executor.audit" @@ fun () ->
     let net = Cluster.net cluster in
-    let ledger = Net.Network.ledger net in
     (* Failover step: a node that is back up but lost rows (crash then
        recover) is repaired from its sealed replicas before it serves
        the audit — recovery targets the owner itself, so no other node's
@@ -600,18 +596,15 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
     | Glsns ->
       send_glsn_set net ~src:deliverer ~dst:auditor ~label:"query:final"
         final_set;
-      List.iter
-        (fun glsn ->
-          Net.Ledger.record ledger ~node:auditor
-            ~sensitivity:Net.Ledger.Aggregate ~tag:"query:final"
-            (Glsn.to_string glsn))
-        (Glsn.Set.elements final_set)
+      Smc.Proto_util.observe net ~node:auditor
+        ~sensitivity:Net.Ledger.Aggregate ~tag:"query:final"
+        (Net.Ledger.Batch (Glsn.to_string, Glsn.Set.elements final_set))
     | Count_only ->
       Net.Network.send_exn net ~src:deliverer ~dst:auditor
         ~label:"query:final-count" ~bytes:8;
-      Net.Ledger.record ledger ~node:auditor ~sensitivity:Net.Ledger.Aggregate
-        ~tag:"query:final-count"
-        (string_of_int (Glsn.Set.cardinal final_set)));
+      Smc.Proto_util.observe net ~node:auditor
+        ~sensitivity:Net.Ledger.Aggregate ~tag:"query:final-count"
+        (Net.Ledger.Text (string_of_int (Glsn.Set.cardinal final_set))));
     Net.Network.round ~label:"query" net;
     let s = float_of_int plan.Planner.total_atoms in
     let t = float_of_int plan.Planner.cross_atoms in

@@ -9,9 +9,6 @@ let fraction c =
   if c.cells_total = 0 then 0.0
   else float_of_int c.cells_observed /. float_of_int c.cells_total
 
-let cell_string attr value =
-  Printf.sprintf "%s=%s" (Attribute.to_string attr) (Value.to_string value)
-
 let coalition_coverage cluster ~coalition =
   let ledger = Net.Network.ledger (Cluster.net cluster) in
   let saw value =
@@ -29,7 +26,9 @@ let coalition_coverage cluster ~coalition =
           let cells = Log_record.attributes record in
           let observed =
             List.length
-              (List.filter (fun (a, v) -> saw (cell_string a v)) cells)
+              (List.filter
+                 (fun cell -> saw (Log_record.cell_to_string cell))
+                 cells)
           in
           ( cells_total + List.length cells,
             cells_observed + observed,

@@ -68,6 +68,9 @@ let unescape s =
   go 0;
   Buffer.contents buf
 
+let cell_to_string (a, v) =
+  Printf.sprintf "%s=%s" (Attribute.to_string a) (Value.to_string v)
+
 let fragment_wire ~glsn pairs =
   let fields =
     List.map

@@ -36,6 +36,10 @@ val to_wire : t -> string
 (** Canonical byte serialization (sorted attributes), used for
     accumulator digests and integrity checks.  Injective. *)
 
+val cell_to_string : Attribute.t * Value.t -> string
+(** ["attr=value"] — the form in which a plaintext attribute cell is
+    observed (ledger, transcript, exposure analysis). *)
+
 val fragment_wire : glsn:Glsn.t -> (Attribute.t * Value.t) list -> string
 (** Canonical serialization of a stored fragment, [Log_i] of §4.
     Reserved characters in values are percent-escaped, so the encoding

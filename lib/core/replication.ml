@@ -65,7 +65,6 @@ let deliver ?retry net ~src ~dst ~label ~bytes =
 
 let replicate_fragment ?retry t cluster ~owner ~glsn fragment =
   let net = Cluster.net cluster in
-  let ledger = Net.Network.ledger net in
   let wire = Log_record.fragment_wire ~glsn fragment in
   let blob = seal (key_of t owner) ~glsn:(Glsn.to_string glsn) wire in
   List.fold_left
@@ -74,9 +73,9 @@ let replicate_fragment ?retry t cluster ~owner ~glsn fragment =
         deliver ?retry net ~src:owner ~dst:holder ~label:"replicate:blob"
           ~bytes:(String.length blob)
       then begin
-        Net.Ledger.record ledger ~node:holder
+        Smc.Proto_util.observe net ~node:holder
           ~sensitivity:Net.Ledger.Ciphertext ~tag:"replicate:blob"
-          (Crypto.Sha256.digest_hex blob);
+          (Net.Ledger.Text (Crypto.Sha256.digest_hex blob));
         Storage.store_replica
           (Cluster.store_of cluster holder)
           ~owner ~glsn ~blob;

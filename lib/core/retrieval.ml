@@ -39,13 +39,9 @@ let deliver cluster ~requester ~node fragment =
     ~bytes:8;
   Net.Network.send_exn net ~src:node ~dst:requester ~label:"retrieval:fragment"
     ~bytes:(fragment_bytes fragment);
-  let ledger = Net.Network.ledger net in
-  List.iter
-    (fun (a, v) ->
-      Net.Ledger.record ledger ~node:requester
-        ~sensitivity:Net.Ledger.Plaintext ~tag:"retrieval:fragment"
-        (Printf.sprintf "%s=%s" (Attribute.to_string a) (Value.to_string v)))
-    fragment
+  Smc.Proto_util.observe net ~node:requester ~sensitivity:Net.Ledger.Plaintext
+    ~tag:"retrieval:fragment"
+    (Net.Ledger.Batch (Log_record.cell_to_string, fragment))
 
 let fetch_record cluster ~ticket ~requester glsn =
   match authorize cluster ~ticket ~requester glsn with

@@ -49,18 +49,17 @@ let record t ?(dealer = Net.Node_id.User 0) ~glsn value =
       ~secret:(Bignum.of_int v)
   in
   let net = Cluster.net t.cluster in
-  let ledger = Net.Network.ledger net in
-  Net.Ledger.record ledger ~node:dealer ~sensitivity:Net.Ledger.Plaintext
-    ~tag:"shared-column:own-value" (Value.to_string value);
+  Smc.Proto_util.observe net ~node:dealer ~sensitivity:Net.Ledger.Plaintext
+    ~tag:"shared-column:own-value" (Net.Ledger.Text (Value.to_string value));
   let paired = List.combine nodes dealt in
   List.iter
     (fun (node, (share : Crypto.Shamir.share)) ->
       Net.Network.send_exn net ~src:dealer ~dst:node
         ~label:"shared-column:deal"
         ~bytes:(Smc.Proto_util.bignum_wire_size share.Crypto.Shamir.y);
-      Net.Ledger.record ledger ~node ~sensitivity:Net.Ledger.Share
+      Smc.Proto_util.observe net ~node ~sensitivity:Net.Ledger.Share
         ~tag:"shared-column:deal"
-        (Bignum.to_string share.Crypto.Shamir.y))
+        (Net.Ledger.Text (Bignum.to_string share.Crypto.Shamir.y)))
     paired;
   Net.Network.round net;
   t.shares <- Glsn.Map.add glsn paired t.shares
@@ -79,7 +78,6 @@ let secret_total t ?over ~auditor () =
   in
   let nodes = Cluster.nodes t.cluster in
   let net = Cluster.net t.cluster in
-  let ledger = Net.Network.ledger net in
   (* Each node sums its shares over the selection — a share of the
      total, by linearity. *)
   let aggregates =
@@ -115,9 +113,9 @@ let secret_total t ?over ~auditor () =
         Net.Network.send_exn net ~src:node ~dst:auditor
           ~label:"shared-column:aggregate"
           ~bytes:(Smc.Proto_util.bignum_wire_size share.Crypto.Shamir.y);
-        Net.Ledger.record ledger ~node:auditor ~sensitivity:Net.Ledger.Share
-          ~tag:"shared-column:aggregate"
-          (Bignum.to_string share.Crypto.Shamir.y))
+        Smc.Proto_util.observe net ~node:auditor
+          ~sensitivity:Net.Ledger.Share ~tag:"shared-column:aggregate"
+          (Net.Ledger.Text (Bignum.to_string share.Crypto.Shamir.y)))
       chosen;
     Net.Network.round net;
     let total =
@@ -129,8 +127,8 @@ let secret_total t ?over ~auditor () =
       | None -> invalid_arg "Shared_column.secret_total: overflow"
     in
     let result = value_of_total t total in
-    Net.Ledger.record ledger ~node:auditor ~sensitivity:Net.Ledger.Aggregate
-      ~tag:"shared-column:total" (Value.to_string result);
+    Smc.Proto_util.observe net ~node:auditor ~sensitivity:Net.Ledger.Aggregate
+      ~tag:"shared-column:total" (Net.Ledger.Text (Value.to_string result));
     result
   end
 

@@ -83,7 +83,7 @@ let secure_sum ~net ~rng ~dealer ~receiver ~width parties =
       (fun party ->
         Proto_util.observe net ~node:party.node
           ~sensitivity:Net.Ledger.Plaintext ~tag:"circuit:own-value"
-          (Bignum.to_string party.value);
+          (Net.Ledger.Text (Bignum.to_string party.value));
         List.iter
           (fun dst ->
             if not (Net.Node_id.equal party.node dst) then
@@ -120,5 +120,5 @@ let secure_sum ~net ~rng ~dealer ~receiver ~width parties =
     |> fst
   in
   Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
-    ~tag:"circuit:result" (Bignum.to_string total);
+    ~tag:"circuit:result" (Net.Ledger.Text (Bignum.to_string total));
   total

@@ -2,7 +2,7 @@ open Numtheory
 
 let record_blinded net node value =
   Proto_util.observe net ~node ~sensitivity:Net.Ledger.Blinded
-    ~tag:"equality:blinded" (Bignum.to_string value)
+    ~tag:"equality:blinded" (Net.Ledger.Text (Bignum.to_string value))
 
 let via_ttp ~net ~rng ~p ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
   let check v =
@@ -108,7 +108,7 @@ let naive ~net ~coordinator ~left:(lnode, lval) ~right:(rnode, rval) =
           ~label:"equality:naive" ~bytes:(Proto_util.bignum_wire_size v);
       Proto_util.observe net ~node:coordinator
         ~sensitivity:Net.Ledger.Plaintext ~tag:"equality:naive"
-        (Bignum.to_string v))
+        (Net.Ledger.Text (Bignum.to_string v)))
     [ (lnode, lval); (rnode, rval) ];
   Proto_util.round ~label:"equality" net;
   Bignum.equal lval rval

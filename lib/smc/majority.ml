@@ -36,7 +36,7 @@ let run ~net ~rng ~votes ?(cheaters = []) () =
           (fun dst ->
             Proto_util.observe net ~node:dst
               ~sensitivity:Net.Ledger.Ciphertext ~tag:"majority:commit"
-              (Crypto.Commitment.to_hex commitment))
+              (Net.Ledger.Text (Crypto.Commitment.to_hex commitment)))
           nodes;
         (node, vote, commitment, opening))
       votes
@@ -63,7 +63,7 @@ let run ~net ~rng ~votes ?(cheaters = []) () =
           (fun dst ->
             Proto_util.observe net ~node:dst
               ~sensitivity:Net.Ledger.Plaintext ~tag:"majority:reveal"
-              opening.Crypto.Commitment.value)
+              (Net.Ledger.Text opening.Crypto.Commitment.value))
           nodes;
         (node, vote, commitment, opening))
       committed
@@ -95,8 +95,9 @@ let run ~net ~rng ~votes ?(cheaters = []) () =
     (fun node ->
       Proto_util.observe net ~node ~sensitivity:Net.Ledger.Aggregate
         ~tag:"majority:verdict"
-        (match verdict with
-        | Some v -> vote_to_string v
-        | None -> "tie"))
+        (Net.Ledger.Text
+           (match verdict with
+           | Some v -> vote_to_string v
+           | None -> "tie")))
     nodes;
   { verdict; approvals; rejections; flagged }

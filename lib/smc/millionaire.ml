@@ -6,9 +6,9 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
   if i < 1 || i > domain || j < 1 || j > domain then
     invalid_arg "Millionaire.run: wealth outside [1, domain]";
   Proto_util.observe net ~node:alice_node ~sensitivity:Net.Ledger.Plaintext
-    ~tag:"millionaire:own-wealth" (string_of_int i);
+    ~tag:"millionaire:own-wealth" (Net.Ledger.Text (string_of_int i));
   Proto_util.observe net ~node:bob_node ~sensitivity:Net.Ledger.Plaintext
-    ~tag:"millionaire:own-wealth" (string_of_int j);
+    ~tag:"millionaire:own-wealth" (Net.Ledger.Text (string_of_int j));
   (* Alice's trapdoor permutation; the public key is already with Bob. *)
   let secret = Crypto.Rsa.generate rng ~bits () in
   let public = Crypto.Rsa.public secret in
@@ -20,7 +20,7 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
   Net.Network.send_exn net ~src:bob_node ~dst:alice_node
     ~label:"millionaire:blinded" ~bytes:(Proto_util.bignum_wire_size m);
   Proto_util.observe net ~node:alice_node ~sensitivity:Net.Ledger.Ciphertext
-    ~tag:"millionaire:blinded" (Bignum.to_hex m);
+    ~tag:"millionaire:blinded" (Net.Ledger.Text (Bignum.to_hex m));
   Proto_util.round net;
   (* 2. Alice decrypts all domain candidates; y_j recovers Bob's x. *)
   let ys =
@@ -66,11 +66,9 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
          (fun acc w -> acc + Proto_util.bignum_wire_size w)
          (Proto_util.bignum_wire_size p)
          ws);
-  Array.iter
-    (fun w ->
-      Proto_util.observe net ~node:bob_node ~sensitivity:Net.Ledger.Blinded
-        ~tag:"millionaire:residues" (Bignum.to_string w))
-    ws;
+  Proto_util.observe net ~node:bob_node ~sensitivity:Net.Ledger.Blinded
+    ~tag:"millionaire:residues"
+    (Net.Ledger.Batch (Bignum.to_string, Array.to_list ws));
   Proto_util.round net;
   (* 5. Bob tests his own position: unmarked iff j <= i. *)
   let verdict = Bignum.equal ws.(j - 1) (Bignum.erem x p) in

@@ -56,12 +56,17 @@ let with_transcript_hook hook f =
   transcript_hook := Some hook;
   Fun.protect ~finally:(fun () -> transcript_hook := previous) f
 
-let observe net ~node ~sensitivity ~tag value =
-  Net.Ledger.record (Net.Network.ledger net) ~node ~sensitivity ~tag value;
+(* The one writer of the ledger.  Without a hook nothing is rendered:
+   the ledger keeps the payload's values until a query reads them. *)
+let observe net ~node ~sensitivity ~tag payload =
+  Net.Ledger.record (Net.Network.ledger net) ~node ~sensitivity ~tag payload;
   match !transcript_hook with
   | None -> ()
   | Some hook ->
-    hook { node; sensitivity; tag; value; phase = Obs.Trace.current_path () }
+    let phase = Obs.Trace.current_path () in
+    List.iter
+      (fun value -> hook { node; sensitivity; tag; value; phase })
+      (Net.Ledger.rendered payload)
 
 (* Byzantine layer: the payload [dst] actually receives, after any
    installed adversary has tampered with it, cross-checked by any
@@ -84,7 +89,7 @@ let deliver net ~src ~dst ~label values =
         ~received:wire
     in
     observe net ~node:dst ~sensitivity:Net.Ledger.Metadata
-      ~tag:("byz:commit:" ^ label) commitment);
+      ~tag:("byz:commit:" ^ label) (Net.Ledger.Text commitment));
   wire
 
 let deliver_share net ~src ~dst ~label y =
@@ -99,11 +104,8 @@ let send_bignums net ~src ~dst ~label values =
   let wire = deliver net ~src ~dst ~label values in
   let bytes = List.fold_left (fun acc v -> acc + bignum_wire_size v) 0 wire in
   Net.Network.send_exn net ~src ~dst ~label ~bytes;
-  List.iter
-    (fun v ->
-      observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
-        (Bignum.to_hex v))
-    wire;
+  observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
+    (Net.Ledger.Batch (Bignum.to_hex, wire));
   wire
 
 let send_residents net ~(scheme : Crypto.Commutative.scheme) ~src ~dst ~label
@@ -120,11 +122,8 @@ let send_residents net ~(scheme : Crypto.Commutative.scheme) ~src ~dst ~label
   let wire = deliver net ~src ~dst ~label views in
   let bytes = List.fold_left (fun acc v -> acc + bignum_wire_size v) 0 wire in
   Net.Network.send_exn net ~src ~dst ~label ~bytes;
-  List.iter
-    (fun v ->
-      observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
-        (Bignum.to_hex v))
-    wire;
+  observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
+    (Net.Ledger.Batch (Bignum.to_hex, wire));
   if List.length wire = List.length residents then
     List.map2 scheme.resync residents wire
   else scheme.enter_many wire

@@ -40,9 +40,11 @@ type wire_event = {
 
 val transcript_hook : (wire_event -> unit) option ref
 (** When set, every {!observe} call (i.e. every per-node value
-    observation a protocol makes) is also delivered here, stamped with
-    the current span path.  The spec layer's transcript recorder is the
-    intended consumer; protocol code never reads it. *)
+    observation a protocol makes) is also delivered here, rendered and
+    stamped with the current span path — one event per observation, so
+    a batch payload yields one event per element, in order.  The spec
+    layer's transcript recorder is the intended consumer; protocol code
+    never reads it. *)
 
 val with_transcript_hook : (wire_event -> unit) -> (unit -> 'a) -> 'a
 (** Install [hook] for the extent of the thunk, restoring whatever hook
@@ -54,12 +56,16 @@ val observe :
   node:Net.Node_id.t ->
   sensitivity:Net.Ledger.sensitivity ->
   tag:string ->
-  string ->
+  Net.Ledger.payload ->
   unit
-(** Record a per-node value observation in the network's {!Net.Ledger}
-    {e and} mirror it to {!transcript_hook}.  All protocol modules route
-    their ledger writes through this, so an installed recorder sees the
-    complete per-participant view of the transcript. *)
+(** Record a per-node observation in the network's {!Net.Ledger} {e and}
+    mirror it to {!transcript_hook}.  This is the only writer of the
+    ledger: every protocol module and the audit path in [lib/core] route
+    their observations through it (CI rejects any other
+    [Net.Ledger.record] call in [lib/]), so an installed recorder sees
+    the complete per-participant view of whole audits.  The payload is
+    stored unrendered; it is rendered here only when a hook is
+    installed. *)
 
 val deliver :
   Net.Network.t ->
@@ -93,7 +99,8 @@ val send_bignums :
   Bignum.t list ->
   Bignum.t list
 (** Account one message carrying the given group elements and record a
-    [Ciphertext] observation of each at the destination; returns the
+    [Ciphertext] observation of each at the destination (one
+    {!Net.Ledger.Batch}, rendered by [Bignum.to_hex] on read); returns the
     payload as delivered (identical to the argument unless a Byzantine
     adversary is installed — see {!deliver}).  Protocol code must
     continue with the returned payload, exactly as a real receiver

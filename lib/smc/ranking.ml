@@ -57,7 +57,7 @@ let run ~net ~rng ~ttp parties =
               (fun party ->
                 Proto_util.observe net ~node:party.node
                   ~sensitivity:Net.Ledger.Plaintext ~tag:"ranking:own-value"
-                  (Bignum.to_string party.value))
+                  (Net.Ledger.Text (Bignum.to_string party.value)))
               parties;
             (* Every party applies the same agreed map, so the whole
                column blinds as one batch pass before the submissions. *)
@@ -73,7 +73,7 @@ let run ~net ~rng ~ttp parties =
                     ~bytes:(Proto_util.bignum_wire_size w);
                   Proto_util.observe net ~node:ttp
                     ~sensitivity:Net.Ledger.Blinded ~tag:"ranking:submit"
-                    (Bignum.to_string w);
+                    (Net.Ledger.Text (Bignum.to_string w));
                   (party.node, w))
                 parties ws
             in
@@ -90,7 +90,7 @@ let run ~net ~rng ~ttp parties =
                 ~label:"ranking:verdict" ~bytes:(4 * List.length parties);
               Proto_util.observe net ~node ~sensitivity:Net.Ledger.Aggregate
                 ~tag:"ranking:verdict"
-                (Net.Node_id.to_string verdict.max_holder))
+                (Net.Ledger.Text (Net.Node_id.to_string verdict.max_holder)))
             nodes;
           Proto_util.round ~label:"ranking" net;
           verdict))
@@ -110,7 +110,7 @@ let comparisons ~net ~rng ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
       Net.Network.send_exn net ~src ~dst:ttp ~label:"compare:submit"
         ~bytes:(Proto_util.bignum_wire_size w);
       Proto_util.observe net ~node:ttp ~sensitivity:Net.Ledger.Blinded
-        ~tag:"compare:submit" (Bignum.to_string w))
+        ~tag:"compare:submit" (Net.Ledger.Text (Bignum.to_string w)))
     [ (lnode, wl); (rnode, wr) ];
   Proto_util.round ~label:"compare" net;
   let verdict = Bignum.compare wl wr in
@@ -130,7 +130,7 @@ let naive ~net ~coordinator parties =
           ~bytes:(Proto_util.bignum_wire_size party.value);
       Proto_util.observe net ~node:coordinator
         ~sensitivity:Net.Ledger.Plaintext ~tag:"ranking:naive"
-        (Bignum.to_string party.value))
+        (Net.Ledger.Text (Bignum.to_string party.value)))
     parties;
   Proto_util.round ~label:"ranking" net;
   verdict_of_values (List.map (fun party -> (party.node, party.value)) parties)

@@ -28,11 +28,8 @@ let ring_encrypt ~net ~scheme ~receiver parties =
     List.map
       (fun p ->
         let set = dedupe p.set in
-        List.iter
-          (fun e ->
-            Proto_util.observe net ~node:p.node
-              ~sensitivity:Net.Ledger.Plaintext ~tag:"intersection:own-set" e)
-          set;
+        Proto_util.observe net ~node:p.node ~sensitivity:Net.Ledger.Plaintext
+          ~tag:"intersection:own-set" (Net.Ledger.Batch (Fun.id, set));
         (p.node, set))
       parties
   in
@@ -154,11 +151,9 @@ let run ~net ~scheme ~receiver parties =
               (zip receiver_plain receiver_cts)
             |> List.sort compare
           in
-          List.iter
-            (fun e ->
-              Proto_util.observe net ~node:receiver
-                ~sensitivity:Net.Ledger.Aggregate ~tag:"intersection:result" e)
-            intersection;
+          Proto_util.observe net ~node:receiver
+            ~sensitivity:Net.Ledger.Aggregate ~tag:"intersection:result"
+            (Net.Ledger.Batch (Fun.id, intersection));
           { intersection; encrypted_by_all }))
 
 let cardinality ~net ~scheme ~receiver parties =
@@ -168,7 +163,7 @@ let cardinality ~net ~scheme ~receiver parties =
       let _, encrypted_by_all = ring_encrypt ~net ~scheme ~receiver parties in
       let count = String_set.cardinal (common_ciphertexts encrypted_by_all) in
       Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
-        ~tag:"intersection:cardinality" (string_of_int count);
+        ~tag:"intersection:cardinality" (Net.Ledger.Text (string_of_int count));
       count)
 
 let naive ~net ~coordinator parties =
@@ -181,11 +176,9 @@ let naive ~net ~coordinator parties =
           Net.Network.send_exn net ~src:p.node ~dst:coordinator
             ~label:"intersection:naive" ~bytes
         end;
-        List.iter
-          (fun e ->
-            Proto_util.observe net ~node:coordinator
-              ~sensitivity:Net.Ledger.Plaintext ~tag:"intersection:naive" e)
-          set;
+        Proto_util.observe net ~node:coordinator
+          ~sensitivity:Net.Ledger.Plaintext ~tag:"intersection:naive"
+          (Net.Ledger.Batch (Fun.id, set));
         String_set.of_list set)
       parties
   in

@@ -24,11 +24,9 @@ let ring_collect ~net ~scheme ~receiver parties =
         List.map
           (fun p ->
             let set = dedupe p.set in
-            List.iter
-              (fun e ->
-                Proto_util.observe net ~node:p.node
-                  ~sensitivity:Net.Ledger.Plaintext ~tag:"union:own-set" e)
-              set;
+            Proto_util.observe net ~node:p.node
+              ~sensitivity:Net.Ledger.Plaintext ~tag:"union:own-set"
+              (Net.Ledger.Batch (Fun.id, set));
             let kp = keypair_of p.node in
             (* Remember plaintext alongside, so the receiver can later verify
                nothing: the mapping never leaves the origin.  Ciphertexts
@@ -163,11 +161,9 @@ let run ~net ~scheme ~rng ~receiver parties =
               group_elements
             |> List.sort compare
           in
-          List.iter
-            (fun e ->
-              Proto_util.observe net ~node:receiver
-                ~sensitivity:Net.Ledger.Aggregate ~tag:"union:result" e)
-            union;
+          Proto_util.observe net ~node:receiver
+            ~sensitivity:Net.Ledger.Aggregate ~tag:"union:result"
+            (Net.Ledger.Batch (Fun.id, union));
           union))
 
 let cardinality ~net ~scheme ~receiver parties =
@@ -177,7 +173,7 @@ let cardinality ~net ~scheme ~receiver parties =
       let distinct, _, _ = ring_collect ~net ~scheme ~receiver parties in
       let count = List.length distinct in
       Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
-        ~tag:"union:cardinality" (string_of_int count);
+        ~tag:"union:cardinality" (Net.Ledger.Text (string_of_int count));
       count)
 
 let naive ~net ~coordinator parties =
@@ -190,11 +186,9 @@ let naive ~net ~coordinator parties =
           Net.Network.send_exn net ~src:p.node ~dst:coordinator
             ~label:"union:naive" ~bytes
         end;
-        List.iter
-          (fun e ->
-            Proto_util.observe net ~node:coordinator
-              ~sensitivity:Net.Ledger.Plaintext ~tag:"union:naive" e)
-          set;
+        Proto_util.observe net ~node:coordinator
+          ~sensitivity:Net.Ledger.Plaintext ~tag:"union:naive"
+          (Net.Ledger.Batch (Fun.id, set));
         String_set.union acc (String_set.of_list set))
       String_set.empty parties
   in

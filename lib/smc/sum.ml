@@ -27,7 +27,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
               (fun party ->
                 Proto_util.observe net ~node:party.node
                   ~sensitivity:Net.Ledger.Plaintext ~tag:"sum:own-value"
-                  (Bignum.to_string party.value);
+                  (Net.Ledger.Text (Bignum.to_string party.value));
                 Crypto.Shamir.split rng ~p ~k ~xs ~secret:party.value
                 |> List.map
                      (Crypto.Shamir.scale_share ~p (weight_of party.node)))
@@ -59,7 +59,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
                       in
                       Proto_util.observe net ~node:dst
                         ~sensitivity:Net.Ledger.Share ~tag:share_tag
-                        (Bignum.to_string share.y);
+                        (Net.Ledger.Text (Bignum.to_string share.y));
                       share)
                     nodes shares)
                 parties dealt
@@ -99,7 +99,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
                 in
                 Proto_util.observe net ~node:receiver
                   ~sensitivity:Net.Ledger.Share ~tag:"sum:aggregate"
-                  (Bignum.to_string share.y);
+                  (Net.Ledger.Text (Bignum.to_string share.y));
                 share)
               selected
           in
@@ -133,7 +133,8 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
                        in
                        Proto_util.observe net ~node:receiver
                          ~sensitivity:Net.Ledger.Share
-                         ~tag:"sum:aggregate-verify" (Bignum.to_string y);
+                         ~tag:"sum:aggregate-verify"
+                         (Net.Ledger.Text (Bignum.to_string y));
                        { share with y })
               in
               let robust =
@@ -156,7 +157,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
           in
           Proto_util.observe net ~node:receiver
             ~sensitivity:Net.Ledger.Aggregate ~tag:"sum:result"
-            (Bignum.to_string total);
+            (Net.Ledger.Text (Bignum.to_string total));
           total))
 
 let run ~net ~rng ~p ~k ~receiver parties =
@@ -179,14 +180,14 @@ let run_ttp_coordinated ~net ~rng ~public ~secret ~coordinator ~receiver
       (fun party ->
         Proto_util.observe net ~node:party.node
           ~sensitivity:Net.Ledger.Plaintext ~tag:"sum:own-value"
-          (Bignum.to_string party.value);
+          (Net.Ledger.Text (Bignum.to_string party.value));
         let c = Crypto.Paillier.encrypt rng public party.value in
         Net.Network.send_exn net ~src:party.node ~dst:coordinator
           ~label:"sum:paillier-ct"
           ~bytes:(Proto_util.bignum_wire_size c);
         Proto_util.observe net ~node:coordinator
           ~sensitivity:Net.Ledger.Ciphertext ~tag:"sum:paillier-ct"
-          (Bignum.to_hex c);
+          (Net.Ledger.Text (Bignum.to_hex c));
         c)
       parties
   in
@@ -203,7 +204,7 @@ let run_ttp_coordinated ~net ~rng ~public ~secret ~coordinator ~receiver
   Proto_util.round ~label:"sum" net;
   let total = Crypto.Paillier.decrypt public secret folded in
   Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
-    ~tag:"sum:result" (Bignum.to_string total);
+    ~tag:"sum:result" (Net.Ledger.Text (Bignum.to_string total));
   total
 
 let naive ~net ~coordinator parties =
@@ -216,7 +217,7 @@ let naive ~net ~coordinator parties =
             ~bytes:(Proto_util.bignum_wire_size party.value);
         Proto_util.observe net ~node:coordinator
           ~sensitivity:Net.Ledger.Plaintext ~tag:"sum:naive"
-          (Bignum.to_string party.value);
+          (Net.Ledger.Text (Bignum.to_string party.value));
         Bignum.add acc party.value)
       Bignum.zero parties
   in

@@ -182,6 +182,43 @@ let paper_query_gen =
   in
   tree 3
 
+(* Generated log populations over the paper schema, with values drawn
+   from the same bands as [paper_query_gen]'s constants so generated
+   criteria select some rows and not others.  tid, C2 and C3 are each
+   absent a quarter of the time, C3 is Money or Str, and tid sometimes
+   equals an id, so cross atoms see missing operands, mixed comparison
+   classes and equal pairs. *)
+let paper_population_gen =
+  let open QCheck.Gen in
+  let open Dla in
+  let d = Attribute.defined and u = Attribute.undefined in
+  let maybe attr value_gen =
+    frequency [ (1, return []); (3, map (fun v -> [ (attr, v) ]) value_gen) ]
+  in
+  let money = map (fun v -> Value.Money v) (int_range 0 70000) in
+  let row =
+    let* time = int_range (-500) 500 in
+    let* id = map (Printf.sprintf "U%d") (int_range 1 3) in
+    let* protocl = oneofl [ "UDP"; "TCP" ] in
+    let* c1 = int_range 0 60 in
+    let* tid =
+      maybe (d "tid")
+        (map (fun s -> Value.Str s) (oneofl [ "T1100265"; "T1100267"; "U1" ]))
+    in
+    let* c2 = maybe (u 2) money in
+    let* c3 =
+      maybe (u 3)
+        (oneof
+           [ money;
+             map (fun s -> Value.Str s) (oneofl [ "signature"; "bank" ]) ])
+    in
+    return
+      ([ (d "time", Value.Time (1021234715 + time)); (d "id", Value.Str id);
+         (d "protocl", Value.Str protocl); (u 1, Value.Int c1) ]
+      @ tid @ c2 @ c3)
+  in
+  list_size (int_range 2 8) row
+
 (* Deterministic qcheck sampling for data-driven (non-property) suites:
    same QCHECK_SEED, same cases. *)
 let cases ~seed ~count gen =

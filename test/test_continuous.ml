@@ -481,7 +481,7 @@ let test_checkpoint_event_rules () =
       Spec.Transcript.record (fun () ->
           let net = Net.Network.of_config (Net.Config.make ()) in
           Smc.Proto_util.observe net ~node:auditor ~sensitivity
-            ~tag:"ckpt:publish" value)
+            ~tag:"ckpt:publish" (Net.Ledger.Text value))
     in
     reasons (Spec.View_auditor.audit ~specs transcript)
   in

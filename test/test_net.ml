@@ -115,11 +115,11 @@ let test_network_send_exn () =
 let test_ledger_queries () =
   let ledger = Net.Ledger.create () in
   Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Plaintext
-    ~tag:"t1" "secret-a";
+    ~tag:"t1" (Net.Ledger.Text "secret-a");
   Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Ciphertext
-    ~tag:"t2" "blob";
+    ~tag:"t2" (Net.Ledger.Text "blob");
   Net.Ledger.record ledger ~node:(dla 1) ~sensitivity:Net.Ledger.Plaintext
-    ~tag:"t1" "secret-a";
+    ~tag:"t1" (Net.Ledger.Text "secret-a");
   Alcotest.(check int) "size" 3 (Net.Ledger.size ledger);
   Alcotest.(check bool) "saw plaintext" true
     (Net.Ledger.saw_plaintext ledger ~node:(dla 0) "secret-a");
@@ -151,6 +151,135 @@ let test_ledger_sensitivity_names () =
       (Net.Ledger.Aggregate, "aggregate"); (Net.Ledger.Metadata, "metadata")
     ]
 
+(* Typed payloads: rendering on read must give exactly the strings the
+   eager ledger stored — one [Bignum.to_string]/[Bignum.to_hex] string
+   per batch element, a [","]-joined string per glsn set. *)
+
+let bn = Numtheory.Bignum.of_int
+let glsns = List.map Dla.Glsn.of_string [ "139aef78"; "139aef79"; "139aef7c" ]
+
+let observed ledger node =
+  List.map
+    (fun (s, tag, v) ->
+      Printf.sprintf "%s %s %s" (Net.Ledger.sensitivity_to_string s) tag v)
+    (Net.Ledger.observations ledger ~node)
+
+let test_payload_rendering () =
+  let values =
+    [ bn 0; bn 7; bn (-255);
+      Numtheory.Bignum.of_string "12345678901234567890123" ]
+  in
+  let ledger = Net.Ledger.create () in
+  Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Blinded
+    ~tag:"dec" (Net.Ledger.Batch (Numtheory.Bignum.to_string, values));
+  Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Ciphertext
+    ~tag:"hex" (Net.Ledger.Batch (Numtheory.Bignum.to_hex, values));
+  Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Metadata
+    ~tag:"set" (Net.Ledger.Joined (Dla.Glsn.to_string, glsns));
+  Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Aggregate
+    ~tag:"text" (Net.Ledger.Text "3");
+  let eager =
+    List.map (fun v -> "blinded dec " ^ Numtheory.Bignum.to_string v) values
+    @ List.map (fun v -> "ciphertext hex " ^ Numtheory.Bignum.to_hex v) values
+    @ [ "metadata set "
+        ^ String.concat "," (List.map Dla.Glsn.to_string glsns);
+        "aggregate text 3" ]
+  in
+  Alcotest.(check (list string)) "rendered = eager strings" eager
+    (observed ledger (dla 0));
+  Alcotest.(check (list string)) "literal renderings"
+    [ "blinded dec 0"; "blinded dec 7"; "blinded dec -255";
+      "blinded dec 12345678901234567890123"; "ciphertext hex 0";
+      "ciphertext hex 7"; "ciphertext hex -ff";
+      "ciphertext hex 29d42b64e76714244cb";
+      "metadata set 139aef78,139aef79,139aef7c"; "aggregate text 3" ]
+    (observed ledger (dla 0));
+  Alcotest.(check int) "size counts batch elements, a set once" 10
+    (Net.Ledger.size ledger)
+
+let test_payload_empty () =
+  let net = Net.Network.of_config (Net.Config.make ()) in
+  let ledger = Net.Network.ledger net in
+  let events = ref [] in
+  Smc.Proto_util.with_transcript_hook
+    (fun ev -> events := ev.Smc.Proto_util.value :: !events)
+    (fun () ->
+      Smc.Proto_util.observe net ~node:(dla 0)
+        ~sensitivity:Net.Ledger.Ciphertext ~tag:"empty-batch"
+        (Net.Ledger.Batch (Numtheory.Bignum.to_hex, []));
+      Alcotest.(check int) "empty batch records nothing" 0
+        (Net.Ledger.size ledger);
+      Alcotest.(check (list string)) "empty batch emits no event" []
+        !events;
+      Smc.Proto_util.observe net ~node:(dla 0)
+        ~sensitivity:Net.Ledger.Metadata ~tag:"empty-set"
+        (Net.Ledger.Joined (Dla.Glsn.to_string, [])));
+  Alcotest.(check int) "empty set is one observation" 1
+    (Net.Ledger.size ledger);
+  Alcotest.(check (list string)) "empty set renders as \"\""
+    [ "metadata empty-set " ] (observed ledger (dla 0));
+  Alcotest.(check (list string)) "empty set emits one \"\" event" [ "" ]
+    !events
+
+let test_payload_hook_order () =
+  let net = Net.Network.of_config (Net.Config.make ()) in
+  let events = ref [] in
+  Smc.Proto_util.with_transcript_hook
+    (fun ev ->
+      events :=
+        Smc.Proto_util.(ev.tag, ev.value, ev.phase) :: !events)
+    (fun () ->
+      Smc.Proto_util.span net "payload-test" (fun () ->
+          Smc.Proto_util.observe net ~node:(dla 1)
+            ~sensitivity:Net.Ledger.Ciphertext ~tag:"a"
+            (Net.Ledger.Batch (Numtheory.Bignum.to_hex, [ bn 255; bn 16 ]));
+          Smc.Proto_util.observe net ~node:(dla 1)
+            ~sensitivity:Net.Ledger.Metadata ~tag:"b"
+            (Net.Ledger.Joined (Dla.Glsn.to_string, glsns))));
+  Alcotest.(check (list (triple string string (list string))))
+    "one event per observation, in order, stamped with the phase"
+    [ ("a", "ff", [ "payload-test" ]); ("a", "10", [ "payload-test" ]);
+      ("b", "139aef78,139aef79,139aef7c", [ "payload-test" ]) ]
+    (List.rev !events);
+  Alcotest.(check (list string)) "ledger agrees with the transcript"
+    [ "ciphertext a ff"; "ciphertext a 10";
+      "metadata b 139aef78,139aef79,139aef7c" ]
+    (observed (Net.Network.ledger net) (dla 1))
+
+let test_payload_queries () =
+  let ledger = Net.Ledger.create () in
+  Net.Ledger.record ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Plaintext
+    ~tag:"own" (Net.Ledger.Batch (Fun.id, [ "x=1"; "y=2" ]));
+  Net.Ledger.record ledger ~node:(dla 1) ~sensitivity:Net.Ledger.Blinded
+    ~tag:"col"
+    (Net.Ledger.Batch (Numtheory.Bignum.to_string, [ bn 41; bn 42 ]));
+  Net.Ledger.record ledger ~node:(dla 2) ~sensitivity:Net.Ledger.Plaintext
+    ~tag:"own" (Net.Ledger.Text "y=2");
+  Net.Ledger.record ledger ~node:(dla 2) ~sensitivity:Net.Ledger.Metadata
+    ~tag:"set" (Net.Ledger.Joined (Dla.Glsn.to_string, glsns));
+  let names = List.map Net.Node_id.to_string in
+  Alcotest.(check bool) "saw finds a batch element" true
+    (Net.Ledger.saw ledger ~node:(dla 1) ~sensitivity:Net.Ledger.Blinded "42");
+  Alcotest.(check bool) "saw respects sensitivity" false
+    (Net.Ledger.saw ledger ~node:(dla 1) ~sensitivity:Net.Ledger.Plaintext
+       "42");
+  Alcotest.(check bool) "saw respects the node" false
+    (Net.Ledger.saw ledger ~node:(dla 0) ~sensitivity:Net.Ledger.Blinded "42");
+  Alcotest.(check (list string)) "plaintext exposure through a batch"
+    [ "P0"; "P2" ]
+    (names (Net.Ledger.plaintext_exposure ledger "y=2"));
+  Alcotest.(check (list string)) "nodes_that_saw by kind" [ "P1" ]
+    (names
+       (Net.Ledger.nodes_that_saw ledger ~sensitivity:Net.Ledger.Blinded "41"));
+  Alcotest.(check (list string)) "a blinded element is no plaintext" []
+    (names (Net.Ledger.plaintext_exposure ledger "41"));
+  Alcotest.(check bool) "a joined set matches only whole" true
+    (Net.Ledger.saw ledger ~node:(dla 2) ~sensitivity:Net.Ledger.Metadata
+       "139aef78,139aef79,139aef7c"
+    && not
+         (Net.Ledger.saw ledger ~node:(dla 2) ~sensitivity:Net.Ledger.Metadata
+            "139aef78"))
+
 let () =
   Alcotest.run "net"
     [ ( "node-id",
@@ -166,6 +295,12 @@ let () =
         ] );
       ( "ledger",
         [ Alcotest.test_case "queries" `Quick test_ledger_queries;
-          Alcotest.test_case "sensitivity names" `Quick test_ledger_sensitivity_names
+          Alcotest.test_case "sensitivity names" `Quick
+            test_ledger_sensitivity_names;
+          Alcotest.test_case "payload rendering" `Quick test_payload_rendering;
+          Alcotest.test_case "empty payloads" `Quick test_payload_empty;
+          Alcotest.test_case "payload hook order" `Quick
+            test_payload_hook_order;
+          Alcotest.test_case "payload queries" `Quick test_payload_queries
         ] )
     ]

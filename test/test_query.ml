@@ -476,6 +476,55 @@ let test_executor_count_only () =
     Alcotest.(check bool) "auditor saw the count" true
       (Net.Ledger.saw ledger ~node:auditor ~sensitivity:Net.Ledger.Aggregate "3")
 
+(* Ledger golden pin: the rendered observations of every node after a
+   fixed paper-example scenario — four audits covering cross atoms,
+   local clauses, secret counting and a disjunction, then a
+   Pohlig–Hellman session — hashed line by line.  Typed payloads are
+   rendered only when read; this pins that what is read is exactly the
+   strings an eagerly rendering ledger stored. *)
+let test_ledger_golden () =
+  let cluster, _ = Workload.Paper_example.build () in
+  List.iter
+    (fun (delivery, text) ->
+      match
+        Auditor_engine.run cluster ~delivery ~auditor (Auditor_engine.Text text)
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Audit_error.to_string e))
+    [ (Executor.Glsns, "C2 = C3 && time >= 0");
+      (Executor.Glsns, {|protocl = "UDP" && C1 > 30|});
+      (Executor.Count_only, "C1 > 20 && C2 < 400");
+      (Executor.Glsns, "id != tid || C1 > 50")
+    ];
+  let conjunction rng =
+    Crypto.Commutative.pohlig_hellman rng
+      (Crypto.Pohlig_hellman.generate_params
+         (Numtheory.Prng.create ~seed:71) ~bits:64)
+  in
+  (match
+     Audit_session.run_strings cluster ~conjunction ~auditor
+       [ "C1 > 20 && C2 < 400"; "C2 = C3" ]
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Audit_error.to_string e));
+  let ledger = Net.Network.ledger (Cluster.net cluster) in
+  let lines =
+    List.concat_map
+      (fun node ->
+        List.map
+          (fun (sensitivity, tag, value) ->
+            String.concat " | "
+              [ Net.Node_id.to_string node;
+                Net.Ledger.sensitivity_to_string sensitivity; tag; value ])
+          (Net.Ledger.observations ledger ~node))
+      (auditor :: Net.Node_id.Ttp "query" :: Cluster.nodes cluster)
+  in
+  Alcotest.(check int) "observations" 130 (List.length lines);
+  Alcotest.(check int) "size counts observations" 130 (Net.Ledger.size ledger);
+  Alcotest.(check string) "rendered ledger digest"
+    "d6bb003e20acd7f6383eb7f8b17c692872bb7d518836ed667a8a6e88ffcc59d1"
+    (Crypto.Sha256.digest_hex (String.concat "\n" lines))
+
 (* ------------------------------------------------------------------ *)
 (* Confidentiality metrics                                             *)
 (* ------------------------------------------------------------------ *)
@@ -581,6 +630,7 @@ let () =
         :: Alcotest.test_case "privacy" `Quick test_executor_privacy
         :: Alcotest.test_case "c_auditing" `Quick test_executor_c_auditing
         :: Alcotest.test_case "count only" `Quick test_executor_count_only
+        :: Alcotest.test_case "ledger golden" `Quick test_ledger_golden
         :: qt
              [ prop_executor_matches_oracle; prop_parse_print_roundtrip;
                prop_executor_random_partition;

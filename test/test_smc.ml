@@ -771,7 +771,7 @@ let test_observe_phase_and_hook_nesting () =
   let values events = List.rev_map (fun ev -> ev.Smc.Proto_util.value) events in
   let say value =
     Smc.Proto_util.observe net ~node:p1 ~sensitivity:Net.Ledger.Metadata
-      ~tag:"hook-test" value
+      ~tag:"hook-test" (Net.Ledger.Text value)
   in
   Smc.Proto_util.with_transcript_hook
     (fun ev -> outer := ev :: !outer)

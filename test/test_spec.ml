@@ -39,6 +39,13 @@ let blind_ttp node allowed_outputs =
 
 let show_strings l = "{" ^ String.concat "," l ^ "}"
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let run_cases schedule cases =
   List.iter
     (fun case ->
@@ -321,6 +328,259 @@ let majority_cases () =
       })
     generated
 
+(* ------------------------------------------------------------------ *)
+(* Whole audits: Definition 1 where audits actually run                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A generated population is logged, then one criterion is audited
+   through Auditor_engine.run (or Sharding.audit on a fleet) with every
+   observation the engine makes — ingest, blinded columns at the TTP,
+   glsn sets, ring passes, the final answer — on the transcript. *)
+
+let auditor = Net.Node_id.Auditor
+let query_ttp = Net.Node_id.Ttp "query"
+let paper = Dla.Fragmentation.paper_partition
+let origin_of_row i = Net.Node_id.User (i + 1)
+
+(* A verdict in deployment-independent form: matching rows by
+   submission index, and the count.  [final] (what the auditor is owed)
+   and [glsns] (every glsn assigned) name the deployment's glsns for
+   the specs; [equal] ignores them. *)
+type audit_verdict = {
+  rows : int list;
+  count : int;
+  final : string list;
+  glsns : string list;
+}
+
+let verdict_equal a b = a.rows = b.rows && a.count = b.count
+
+let show_verdict v =
+  Printf.sprintf "rows=[%s] count=%d"
+    (String.concat "," (List.map string_of_int v.rows))
+    v.count
+
+let show_population rows =
+  String.concat " / "
+    (List.map
+       (fun row ->
+         String.concat " " (List.map Dla.Log_record.cell_to_string row))
+       rows)
+
+let audit_oracle rows delivery q =
+  let matching =
+    List.concat
+      (List.mapi
+         (fun i attributes ->
+           let record =
+             Dla.Log_record.make ~glsn:(Dla.Glsn.of_string "0")
+               ~origin:(origin_of_row i) ~attributes
+           in
+           if Dla.Query.eval_record record q then [ i ] else [])
+         rows)
+  in
+  {
+    rows =
+      (match delivery with Dla.Executor.Glsns -> matching | Count_only -> []);
+    count = List.length matching;
+    final = [];
+    glsns = [];
+  }
+
+(* [answers] are the verdicts the auditor is handed: one audit, or
+   each shard's — Sharding.audit returns them all as [per_shard], so
+   under Count_only the auditor is owed every shard's count, not only
+   their sum (Sharding.secret_count_total is the fleet count that hides
+   them). *)
+let verdict_of tags delivery glsns ~answers (a : Dla.Auditor_engine.audit) =
+  let matching = List.map Dla.Glsn.to_string a.Dla.Auditor_engine.matching in
+  {
+    rows = List.sort compare (List.map (fun g -> List.assoc g tags) matching);
+    count = a.Dla.Auditor_engine.count;
+    final =
+      (match delivery with
+      | Dla.Executor.Glsns -> matching
+      | Count_only ->
+        List.map
+          (fun (x : Dla.Auditor_engine.audit) ->
+            string_of_int x.Dla.Auditor_engine.count)
+          answers);
+    glsns = List.map Dla.Glsn.to_string glsns;
+  }
+
+(* Each DLA node holds its own attr=value cells and may see any glsn
+   (Definition 1's metadata); the blind TTP holds and is owed nothing;
+   the auditor is owed exactly the final glsns or the count. *)
+let audit_specs rows v =
+  List.map
+    (fun node ->
+      let own =
+        List.concat_map
+          (List.filter_map (fun (a, value) ->
+               match Dla.Fragmentation.home_of paper a with
+               | Some home when Net.Node_id.equal home node ->
+                 Some (Dla.Log_record.cell_to_string (a, value))
+               | _ -> None))
+          rows
+      in
+      { (participant node own) with allowed_outputs = v.glsns })
+    (Dla.Fragmentation.nodes paper)
+  @ [ blind_ttp query_ttp []; blind_ttp auditor v.final ]
+
+let audit_or_fail = function
+  | Ok a -> a
+  | Error e -> failwith (Dla.Audit_error.to_string e)
+
+let ingest_cluster net rows =
+  let cluster = Dla.Cluster.create ~seed:7 ~net paper in
+  let tags =
+    List.mapi
+      (fun i attributes ->
+        let origin = origin_of_row i in
+        let ticket =
+          Dla.Cluster.issue_ticket cluster
+            ~id:(Printf.sprintf "T%d" i) ~principal:origin
+            ~rights:[ Dla.Ticket.Read; Dla.Ticket.Write ] ~ttl:86400
+        in
+        match
+          Dla.Cluster.to_result
+            (Dla.Cluster.submit cluster ~ticket ~origin ~attributes)
+        with
+        | Ok glsn -> (Dla.Glsn.to_string glsn, i)
+        | Error e -> failwith e)
+      rows
+  in
+  (cluster, tags)
+
+let honest_audit cluster ~delivery q =
+  Dla.Auditor_engine.run cluster ~delivery ~auditor
+    (Dla.Auditor_engine.Criteria q)
+
+let audit_case ?(audit = honest_audit) ~protocol (rows, q, delivery) =
+  {
+    Spec.Differential.protocol;
+    input =
+      Printf.sprintf "%s | %s" (Dla.Query.to_string q) (show_population rows);
+    run =
+      (fun net ->
+        let cluster, tags = ingest_cluster net rows in
+        let a = audit_or_fail (audit cluster ~delivery q) in
+        verdict_of tags delivery (Dla.Cluster.all_glsns cluster) ~answers:[ a ]
+          a);
+    oracle = audit_oracle rows delivery q;
+    equal = verdict_equal;
+    show = show_verdict;
+    specs = audit_specs rows;
+  }
+
+let sharded_audit_case ~shards (rows, q, delivery) =
+  {
+    Spec.Differential.protocol = Printf.sprintf "sharded-audit/%d" shards;
+    input =
+      Printf.sprintf "%s | %s" (Dla.Query.to_string q) (show_population rows);
+    run =
+      (fun nets ->
+        let nets = Array.of_list nets in
+        let fleet =
+          Dla.Sharding.create ~seed:7 ~net_of:(Array.get nets) ~shards paper
+        in
+        let tags =
+          List.mapi
+            (fun i attributes ->
+              match
+                Dla.Sharding.submit fleet ~origin:(origin_of_row i) ~attributes
+              with
+              | Ok (_, glsn) -> (Dla.Glsn.to_string glsn, i)
+              | Error e -> failwith e)
+            rows
+        in
+        let sharded =
+          audit_or_fail
+            (Dla.Sharding.audit fleet ~delivery ~auditor
+               (Dla.Auditor_engine.Criteria q))
+        in
+        verdict_of tags delivery (Dla.Sharding.all_glsns fleet)
+          ~answers:(List.map snd sharded.Dla.Sharding.per_shard)
+          sharded.Dla.Sharding.merged);
+    oracle = audit_oracle rows delivery q;
+    equal = verdict_equal;
+    show = show_verdict;
+    specs = audit_specs rows;
+  }
+
+let audit_inputs ~seed =
+  let open QCheck.Gen in
+  Generators.cases ~seed ~count:(max 1 (case_count / 5))
+    (triple Generators.paper_population_gen Generators.paper_query_gen
+       (oneofl [ Dla.Executor.Glsns; Dla.Executor.Count_only ]))
+
+let run_fleet_cases schedule cases =
+  List.iter
+    (fun (shards, case) ->
+      match Spec.Differential.check_fleet ~schedule ~count:shards case with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    cases
+
+let audit_cases () =
+  List.map (audit_case ~protocol:"audit") (audit_inputs ~seed:(qseed + 7))
+
+let sharded_audit_cases () =
+  List.mapi
+    (fun i input ->
+      let shards = 1 + (i mod 3) in
+      (shards, sharded_audit_case ~shards input))
+    (audit_inputs ~seed:(qseed + 8))
+
+(* The paper's Table 1 and the criteria the view check was first run
+   on: a cross atom with a local clause, two local homes, a disjunction
+   with a cross atom, under both deliveries. *)
+let paper_audit_inputs =
+  let parse s =
+    match Dla.Query.parse s with Ok q -> q | Error e -> failwith e
+  in
+  List.concat_map
+    (fun text ->
+      List.map
+        (fun delivery -> (Workload.Paper_example.rows, parse text, delivery))
+        [ Dla.Executor.Glsns; Dla.Executor.Count_only ])
+    [ "C2 = C3 && time >= 0"; {|protocl = "UDP" && C1 > 30|};
+      "C1 > 20 && C2 < 400"; "id != tid || C1 > 50" ]
+
+let test_paper_audits_simulatable () =
+  List.iter
+    (fun schedule ->
+      run_cases schedule
+        (List.map (audit_case ~protocol:"audit") paper_audit_inputs);
+      run_fleet_cases schedule
+        (List.map
+           (fun input -> (2, sharded_audit_case ~shards:2 input))
+           paper_audit_inputs))
+    schedules
+
+let test_leaky_audit_rejected () =
+  let path = Spec.Differential.counterexample_path () in
+  let existed = Sys.file_exists path in
+  let leaky =
+    audit_case ~protocol:"leaky-audit"
+      ~audit:(fun cluster ~delivery q ->
+        Spec.Leaky_fixture.audit_leaking_column cluster ~delivery ~auditor
+          ~attr:(Dla.Attribute.undefined 2) (Dla.Auditor_engine.Criteria q))
+      (List.hd paper_audit_inputs)
+  in
+  let outcome = Spec.Differential.check ~schedule:(List.hd schedules) leaky in
+  if not existed && Sys.file_exists path then Sys.remove path;
+  (* The answer is the oracle's, so only the view check can object. *)
+  match outcome with
+  | Ok () -> Alcotest.fail "a TTP holding a plaintext column passed"
+  | Error msg ->
+    Alcotest.(check bool) "rejected for plaintext at the blind TTP" true
+      (contains msg "view violations"
+      && contains msg
+           (Spec.View_auditor.reason_to_string
+              Spec.View_auditor.Plaintext_at_ttp)
+      && contains msg "C2=")
+
 let families : (string * (Spec.Schedule.t -> unit)) list =
   [ ("intersection", fun s -> run_cases s (intersection_cases ()));
     ("union", fun s -> run_cases s (union_cases ()));
@@ -328,7 +588,9 @@ let families : (string * (Spec.Schedule.t -> unit)) list =
     ("ranking", fun s -> run_cases s (ranking_cases ()));
     ("sum", fun s -> run_cases s (sum_cases ~weighted:false ()));
     ("weighted-sum", fun s -> run_cases s (sum_cases ~weighted:true ()));
-    ("majority", fun s -> run_cases s (majority_cases ()))
+    ("majority", fun s -> run_cases s (majority_cases ()));
+    ("audit", fun s -> run_cases s (audit_cases ()));
+    ("sharded-audit", fun s -> run_fleet_cases s (sharded_audit_cases ()))
   ]
 
 let differential_tests =
@@ -462,7 +724,8 @@ let record_events events =
         let net = Net.Network.of_config (Net.Config.make ()) in
         List.iter
           (fun (node, sensitivity, value) ->
-            Smc.Proto_util.observe net ~node ~sensitivity ~tag:"unit" value)
+            Smc.Proto_util.observe net ~node ~sensitivity ~tag:"unit"
+              (Net.Ledger.Text value))
           events)
   in
   transcript
@@ -597,13 +860,6 @@ let test_lossy_schedule_retries () =
           ~receiver:Net.Node_id.Auditor parties)
   in
   Alcotest.(check string) "lossy run total" "26" (Bignum.to_string total)
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
 
 let test_schedule_fail_fast_on_down () =
   (* A permanently-down endpoint must not loop the retry budget: the
@@ -870,7 +1126,8 @@ let test_verifier_leak_flagged () =
     let _, transcript =
       Spec.Transcript.record (fun () ->
           let net = Net.Network.of_config (Net.Config.make ()) in
-          Smc.Proto_util.observe net ~node:alice ~sensitivity ~tag value)
+          Smc.Proto_util.observe net ~node:alice ~sensitivity ~tag
+            (Net.Ledger.Text value))
     in
     reasons (Spec.View_auditor.audit ~specs transcript)
   in
@@ -1089,7 +1346,11 @@ let () =
           Alcotest.test_case "leaky fixture rejected" `Quick
             test_leaky_fixture_fails_auditor;
           Alcotest.test_case "counterexample artifact" `Quick
-            test_counterexample_written
+            test_counterexample_written;
+          Alcotest.test_case "paper audits simulatable" `Quick
+            test_paper_audits_simulatable;
+          Alcotest.test_case "leaky audit rejected" `Quick
+            test_leaky_audit_rejected
         ] );
       ( "schedules",
         [ Alcotest.test_case "suite shapes" `Quick test_schedule_suite_shapes;
