@@ -1,5 +1,5 @@
-(* Shared plumbing for the benchmark/report harness: plain-text tables
-   and a thin wrapper over bechamel's OLS pipeline. *)
+(* Shared plumbing for the reproduction harness: section headers and
+   plain-text tables. *)
 
 let section title =
   let bar = String.make 72 '=' in
@@ -34,56 +34,3 @@ let print_table ~header rows =
       in
       print_endline (line row))
     rows
-
-(* Measure each (name, thunk) with bechamel OLS; returns ns/run. *)
-let time_ns ?(quota_s = 0.25) cases =
-  let open Bechamel in
-  let tests =
-    List.map
-      (fun (name, fn) -> Test.make ~name (Staged.stage fn))
-      cases
-  in
-  let grouped = Test.make_grouped ~name:"" ~fmt:"%s%s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  List.map
-    (fun (name, _) ->
-      let result = Hashtbl.find analyzed name in
-      let ns =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> est
-        | Some _ | None -> nan
-      in
-      (name, ns))
-    cases
-
-(* Median wall-clock over [repeats] explicit runs of [f] — for
-   operations seconds-long at scale, where bechamel's quota-driven OLS
-   loop would either starve (one sample) or run for minutes.  The
-   repeats are real back-to-back executions; the median discards
-   one-off scheduler noise without averaging it in. *)
-let median_ms ~repeats f =
-  let times =
-    List.init repeats (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        1000.0 *. (Unix.gettimeofday () -. t0))
-  in
-  match List.sort compare times with
-  | [] -> nan
-  | sorted -> List.nth sorted (repeats / 2)
-
-let pp_ns ns =
-  if Float.is_nan ns then "n/a"
-  else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-  else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-  else Printf.sprintf "%.0f ns" ns

@@ -2,12 +2,16 @@
 
    Usage: diff_metrics BASELINE CURRENT [--threshold PCT]
 
-   Prints one line per counter whose value drifted, and exits non-zero
-   when any counter moved by more than the threshold (default 10%) —
-   the CI job runs this with continue-on-error so drift warns without
-   blocking. *)
+   Prints one line per counter whose value drifted, and exits 1 when
+   any counter moved by more than the threshold (default 10%).  CI and
+   `dune runtest` run it at --threshold 0, so any drift fails them.
+   Usage errors and unreadable files exit 2. *)
 
 let threshold = ref 10.0
+
+let usage () =
+  prerr_endline "usage: diff_metrics BASELINE CURRENT [--threshold PCT]";
+  exit 2
 
 let read_counters ~role path =
   match Obs.Sink.read_counters ~path with
@@ -16,8 +20,8 @@ let read_counters ~role path =
     Printf.eprintf "diff_metrics: missing %s file %s\n" role path;
     if role = "baseline" then
       prerr_endline
-        "  regenerate with: dune exec bench/main.exe -- <experiment> \
-         --metrics-out <path>";
+        "  regenerate with: dune exec bench/main.exe -- --only <experiment> \
+         --metrics-out <dir>";
     exit 2
   | Error e ->
     Printf.eprintf "diff_metrics: malformed %s: %s\n" role
@@ -32,7 +36,9 @@ let () =
     (match argv.(!i) with
     | "--threshold" when !i + 1 < Array.length argv ->
       incr i;
-      threshold := float_of_string argv.(!i)
+      (match float_of_string_opt argv.(!i) with
+      | Some pct -> threshold := pct
+      | None -> usage ())
     | arg -> positional := arg :: !positional);
     incr i
   done;
@@ -76,6 +82,4 @@ let () =
         !drifted !threshold;
       exit 0
     end
-  | _ ->
-    prerr_endline "usage: diff_metrics BASELINE CURRENT [--threshold PCT]";
-    exit 2
+  | _ -> usage ()

@@ -1,17 +1,19 @@
-(* Benchmark & reproduction harness.
+(* Reproduction harness.
 
    One section per paper artifact (see DESIGN.md §4 for the experiment
    index): the worked-example tables T1–T6, the protocol walkthroughs
-   F1–F7, the §5 confidentiality formulas E10–E13, and the cost
-   experiments P1–P5.  Running with no arguments reproduces everything;
-   [--skip-timing] omits the bechamel measurements (useful in CI),
-   [--only ID] runs a single experiment. *)
+   F1–F7, the §5 confidentiality formulas E10–E13, and the cost and
+   systems experiments P1–P18 (EXPERIMENTS.md indexes them all).  Every
+   experiment is seeded and reports figures and counters only;
+   wall-clock timing lives in bench/perf.  Running with no arguments
+   reproduces everything; [--only ID] runs a single experiment, [--list]
+   prints the ids and [--metrics-out DIR] writes each experiment's
+   counters to DIR/BENCH_<id>.json. *)
 
 open Numtheory
 open Dla
 open Bench_util
 
-let skip_timing = ref false
 let only = ref None
 let metrics_out = ref None
 
@@ -425,19 +427,6 @@ let exp_cost_sum () =
       [ "n"; "naive msgs"; "paillier (TTP) msgs"; "shamir msgs";
         "circuit msgs"; "circuit analytic (gates*cost)" ]
     rows;
-  if not !skip_timing then begin
-    subsection "wall-clock (bechamel, n = 4)";
-    let timings =
-      time_ns
-        [ ("naive", (fun () -> ignore (run_naive_sum 4)));
-          ("paillier (TTP)", (fun () -> ignore (run_paillier_sum 4)));
-          ("shamir", (fun () -> ignore (run_shamir_sum 4)));
-          ("circuit w=16", fun () -> ignore (run_circuit_sum 4 ~width))
-        ]
-    in
-    print_table ~header:[ "protocol"; "time/run" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings)
-  end;
   print_endline
     "=> shape: the TTP-coordinated Paillier variant needs only n+1\n\
      messages (the §3 claim that a coordinating TTP slashes cost); the\n\
@@ -493,90 +482,7 @@ let exp_cost_intersection () =
     ~header:
       [ "n"; "set size"; "secure msgs"; "secure bytes"; "naive msgs";
         "naive bytes" ]
-    rows;
-  if not !skip_timing then begin
-    subsection "wall-clock per protocol run (n=3, |S|=32)";
-    let ph_params =
-      Crypto.Pohlig_hellman.generate_params (Prng.create ~seed:1) ~bits:128
-    in
-    let ph_scheme =
-      Crypto.Commutative.pohlig_hellman (Prng.create ~seed:2) ph_params
-    in
-    let timings =
-      time_ns
-        [ ( "xor-pad scheme",
-            fun () -> ignore (run_intersection xor_scheme ~n:3 ~size:32) );
-          ( "pohlig-hellman 128",
-            fun () -> ignore (run_intersection ph_scheme ~n:3 ~size:32) );
-          ( "naive plaintext",
-            fun () ->
-              let net = Net.Network.of_config (Net.Config.make ()) in
-              ignore
-                (Smc.Set_intersection.naive ~net
-                   ~coordinator:(Net.Node_id.Dla 0)
-                   (intersection_parties ~n:3 ~size:32)) )
-        ]
-    in
-    print_table ~header:[ "variant"; "time/run" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* P3: commutative cipher cost                                         *)
-(* ------------------------------------------------------------------ *)
-
-let exp_cost_cipher () =
-  section "P3: commutative cipher cost vs modulus size (ablation)";
-  if !skip_timing then print_endline "(timing skipped)"
-  else begin
-    let cases =
-      List.map
-        (fun bits ->
-          let rng = Prng.create ~seed:bits in
-          let params = Crypto.Pohlig_hellman.generate_params rng ~bits in
-          let key = Crypto.Pohlig_hellman.generate_key rng params in
-          let m = Crypto.Pohlig_hellman.encode params "payload" in
-          ( Printf.sprintf "pohlig-hellman %d-bit" bits,
-            fun () -> ignore (Crypto.Pohlig_hellman.encrypt params key m) ))
-        [ 64; 128; 256; 512 ]
-    in
-    let xor_case =
-      let rng = Prng.create ~seed:5 in
-      let params = Crypto.Xor_pad.params ~width_bits:256 in
-      let key = Crypto.Xor_pad.generate_key rng params in
-      let m = Crypto.Xor_pad.encode params "payload" in
-      ("xor-pad 256-bit", fun () -> ignore (Crypto.Xor_pad.encrypt params key m))
-    in
-    let timings = time_ns (cases @ [ xor_case ]) in
-    print_table ~header:[ "cipher"; "encrypt time" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings);
-    print_endline
-      "=> exponentiation cost grows ~cubically with modulus bits; the XOR\n\
-       pad is orders of magnitude cheaper but leaks ciphertext equality\n\
-       patterns under key reuse (see DESIGN.md ablation notes).";
-    subsection "modexp implementation ablation (Montgomery vs division)";
-    let rng = Prng.create ~seed:61 in
-    let modexp_cases =
-      List.concat_map
-        (fun bits ->
-          let p = Primes.random_prime rng ~bits in
-          let b = Prng.bignum_below rng p in
-          let e = Prng.bignum_below rng p in
-          let ctx = Montgomery.create p in
-          [ ( Printf.sprintf "classic %d-bit" bits,
-              fun () -> ignore (Modular.pow_classic b e ~m:p) );
-            ( Printf.sprintf "montgomery %d-bit" bits,
-              fun () -> ignore (Montgomery.pow ctx b e) )
-          ])
-        [ 128; 256; 512 ]
-    in
-    let timings = time_ns modexp_cases in
-    print_table ~header:[ "implementation"; "time/modexp" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings);
-    print_endline
-      "=> Modular.pow auto-dispatches to the Montgomery path for odd\n\
-       multi-limb moduli, which is what the cipher rows above use."
-  end
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* P13: modexp acceleration layer                                      *)
@@ -595,252 +501,7 @@ let run_union scheme ~n ~size =
 
 let exp_modexp () =
   section
-    "P13: modexp acceleration — context cache, batch exponentiation, \
-     protocol wall time";
-  (* Timing first: bechamel loops pollute the global counters, so the
-     registry is reset before the deterministic counter workload below —
-     the emitted BENCH_modexp.json counters are byte-stable with or
-     without --skip-timing. *)
-  let speedups = ref [] in
-  let ablation_speedups = ref [] in
-  if not !skip_timing then begin
-    subsection
-      "ring-encryption microbench: classic vs montgomery vs batch \
-       (fixed 256-bit key exponent)";
-    let rng = Prng.create ~seed:71 in
-    let params = Crypto.Pohlig_hellman.generate_params rng ~bits:256 in
-    let key = Crypto.Pohlig_hellman.generate_key rng params in
-    let p = params.Crypto.Pohlig_hellman.p in
-    let e = key.Crypto.Pohlig_hellman.e in
-    let rows =
-      List.map
-        (fun size ->
-          let ms =
-            List.init size (fun i ->
-                Crypto.Pohlig_hellman.encode params
-                  (Printf.sprintf "elem-%d" i))
-          in
-          let timings =
-            time_ns ~quota_s:0.5
-              [ ( "classic",
-                  fun () ->
-                    List.iter
-                      (fun x -> ignore (Modular.pow_classic x e ~m:p))
-                      ms );
-                ( "montgomery",
-                  fun () ->
-                    List.iter (fun x -> ignore (Modular.pow x e ~m:p)) ms );
-                ("batch", fun () -> ignore (Modular.pow_many ms e ~m:p))
-              ]
-          in
-          let t name = List.assoc name timings in
-          let classic = t "classic"
-          and mont = t "montgomery"
-          and batch = t "batch" in
-          speedups :=
-            (size, classic /. batch, mont /. batch) :: !speedups;
-          [ fi size; pp_ns classic; pp_ns mont; pp_ns batch;
-            Printf.sprintf "%.1fx" (classic /. batch);
-            Printf.sprintf "%.2fx" (mont /. batch)
-          ])
-        [ 16; 64; 256 ]
-    in
-    print_table
-      ~header:
-        [ "batch size"; "classic"; "montgomery"; "batch";
-          "batch vs classic"; "batch vs montgomery" ]
-      rows;
-    print_endline
-      "=> the headline win is batch vs the element-at-a-time classic\n\
-       path: Montgomery representation plus one shared fixed-exponent\n\
-       plan.  Relative to scalar Montgomery the batch saves only the\n\
-       per-call window recoding, table allocation and cache lookup —\n\
-       a few percent at cryptographic sizes (the ~300 inner\n\
-       multiplications dominate), within bechamel's run-to-run noise.";
-    subsection "protocol wall time (pohlig-hellman 256-bit, n = 3)";
-    let ph_scheme =
-      Crypto.Commutative.pohlig_hellman (Prng.create ~seed:72) params
-    in
-    let timings =
-      time_ns
-        [ ( "intersection |S|=16",
-            fun () -> ignore (run_intersection ph_scheme ~n:3 ~size:16) );
-          ( "intersection |S|=64",
-            fun () -> ignore (run_intersection ph_scheme ~n:3 ~size:64) );
-          ( "union |S|=16",
-            fun () -> ignore (run_union ph_scheme ~n:3 ~size:16) );
-          ("union |S|=64", fun () -> ignore (run_union ph_scheme ~n:3 ~size:64))
-        ]
-    in
-    print_table ~header:[ "protocol run"; "time/run" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings);
-    (* ---- fixed_base ablation phase ------------------------------- *)
-    subsection
-      "fixed_base ablation: generic windowed vs precomputed base table \
-       (256-bit, 64 exponents)";
-    let rng_fb = Prng.create ~seed:78 in
-    let p_fb = Primes.random_prime rng_fb ~bits:256 in
-    let g_fb = Prng.bignum_below rng_fb p_fb in
-    let exps_fb = List.init 64 (fun _ -> Prng.bits rng_fb 256) in
-    (* Warm the table outside the timed region: steady-state reuse (one
-       generator signing many digests) is the case the path targets. *)
-    ignore (Modular.pow_base ~base:g_fb (List.hd exps_fb) ~m:p_fb);
-    let fb_timings =
-      time_ns ~quota_s:0.5
-        [ ( "generic windowed",
-            fun () ->
-              List.iter (fun e -> ignore (Modular.pow g_fb e ~m:p_fb)) exps_fb
-          );
-          ( "fixed-base table",
-            fun () ->
-              List.iter
-                (fun e -> ignore (Modular.pow_base ~base:g_fb e ~m:p_fb))
-                exps_fb )
-        ]
-    in
-    let t name = List.assoc name fb_timings in
-    let fb_generic = t "generic windowed" and fb_table = t "fixed-base table" in
-    ablation_speedups :=
-      ("modexp.speedup.fixed_base_vs_generic", fb_generic /. fb_table)
-      :: !ablation_speedups;
-    print_table ~header:[ "path"; "time/64 modexps"; "vs generic" ]
-      [ [ "generic windowed"; pp_ns fb_generic; "1.0x" ];
-        [ "fixed-base table"; pp_ns fb_table;
-          Printf.sprintf "%.2fx" (fb_generic /. fb_table)
-        ]
-      ];
-    print_endline
-      "=> the cached table removes every squaring from the exponentiation\n\
-       (one table multiply per nonzero 4-bit digit), so a warmed fixed\n\
-       base beats the generic window for each exponent it serves.";
-    (* ---- multi_exp ablation phase -------------------------------- *)
-    subsection
-      "multi_exp ablation: separate exponentiations vs one shared \
-       squaring chain (256-bit)";
-    let mk_pairs k =
-      List.init k (fun _ ->
-          (Prng.bignum_below rng_fb p_fb, Prng.bits rng_fb 256))
-    in
-    let pairs2 = mk_pairs 2 and pairs6 = mk_pairs 6 in
-    let sequential ps =
-      List.fold_left
-        (fun acc (b, e) -> Modular.mul acc (Modular.pow b e ~m:p_fb) ~m:p_fb)
-        Bignum.one ps
-    in
-    let me_timings =
-      time_ns ~quota_s:0.5
-        [ ("sequential k=2", fun () -> ignore (sequential pairs2));
-          ( "simultaneous k=2",
-            fun () -> ignore (Modular.multi_pow pairs2 ~m:p_fb) );
-          ("sequential k=6", fun () -> ignore (sequential pairs6));
-          ( "simultaneous k=6",
-            fun () -> ignore (Modular.multi_pow pairs6 ~m:p_fb) )
-        ]
-    in
-    let t name = List.assoc name me_timings in
-    let rows =
-      List.map
-        (fun k ->
-          let seq = t (Printf.sprintf "sequential k=%d" k)
-          and simul = t (Printf.sprintf "simultaneous k=%d" k) in
-          ablation_speedups :=
-            ("modexp.speedup.multi_exp_vs_sequential", seq /. simul)
-            :: !ablation_speedups;
-          [ fi k; pp_ns seq; pp_ns simul;
-            Printf.sprintf "%.2fx" (seq /. simul)
-          ])
-        [ 2; 6 ]
-    in
-    print_table
-      ~header:[ "bases"; "sequential"; "simultaneous"; "speedup" ]
-      rows;
-    print_endline
-      "=> Shamir's trick pays the ~256 squarings once for the whole\n\
-       product instead of once per base; k=2 is the Paillier add_scaled\n\
-       shape, k=6 a threshold-RSA combine.";
-    (* ---- resident_ring ablation phase ---------------------------- *)
-    subsection
-      "resident_ring ablation: per-hop domain round-trips vs \
-       Montgomery-resident chaining (256-bit, 4 layers x 64 elements)";
-    let rng_rr = Prng.create ~seed:79 in
-    let keys_rr =
-      List.init 4 (fun _ -> Crypto.Pohlig_hellman.generate_key rng_rr params)
-    in
-    let ms_rr =
-      List.init 64 (fun i ->
-          Crypto.Pohlig_hellman.encode params (Printf.sprintf "ring-%d" i))
-    in
-    let p_rr = params.Crypto.Pohlig_hellman.p in
-    let ctx_rr = Montgomery.create p_rr in
-    let blinds_rr = List.init 4 (fun _ -> Prng.bignum_below rng_rr p_rr) in
-    let rr_timings =
-      time_ns ~quota_s:1.0
-        [ ( "re-encrypt: per-hop batch (PR 3)",
-            fun () ->
-              ignore
-                (List.fold_left
-                   (fun cts key ->
-                     Crypto.Pohlig_hellman.encrypt_many params key cts)
-                   ms_rr keys_rr) );
-          ( "re-encrypt: resident chain",
-            fun () ->
-              let rs = Crypto.Pohlig_hellman.enter_many params ms_rr in
-              let rs =
-                List.fold_left
-                  (fun rs key ->
-                    Crypto.Pohlig_hellman.encrypt_resident_many params key rs)
-                  rs keys_rr
-              in
-              ignore (List.map Crypto.Pohlig_hellman.view rs) );
-          ( "blind: per-hop division mul",
-            fun () ->
-              ignore
-                (List.fold_left
-                   (fun ys a ->
-                     List.map (fun y -> Modular.mul a y ~m:p_rr) ys)
-                   ms_rr blinds_rr) );
-          ( "blind: resident chain",
-            fun () ->
-              let rs = List.map (Montgomery.to_resident ctx_rr) ms_rr in
-              let bs = List.map (Montgomery.to_resident ctx_rr) blinds_rr in
-              let rs =
-                List.fold_left
-                  (fun rs a ->
-                    List.map (fun r -> Montgomery.mul_resident ctx_rr a r) rs)
-                  rs bs
-              in
-              ignore (List.map (Montgomery.of_resident ctx_rr) rs) )
-        ]
-    in
-    let t name = List.assoc name rr_timings in
-    let enc_batch = t "re-encrypt: per-hop batch (PR 3)"
-    and enc_res = t "re-encrypt: resident chain"
-    and bl_classic = t "blind: per-hop division mul"
-    and bl_res = t "blind: resident chain" in
-    ablation_speedups :=
-      ("modexp.speedup.resident_vs_batch", bl_classic /. bl_res)
-      :: ("modexp.speedup.resident_vs_batch", enc_batch /. enc_res)
-      :: !ablation_speedups;
-    print_table ~header:[ "ring pass"; "time/ring"; "speedup" ]
-      [ [ "re-encrypt, per-hop batch (PR 3)"; pp_ns enc_batch; "1.0x" ];
-        [ "re-encrypt, resident chain"; pp_ns enc_res;
-          Printf.sprintf "%.2fx" (enc_batch /. enc_res)
-        ];
-        [ "blind, per-hop division mul"; pp_ns bl_classic; "1.0x" ];
-        [ "blind, resident chain"; pp_ns bl_res;
-          Printf.sprintf "%.2fx" (bl_classic /. bl_res)
-        ]
-      ];
-    print_endline
-      "=> the resident chain enters the residue domain once per run and\n\
-       refreshes the wire view with a single REDC multiply per hop,\n\
-       instead of a full entry + exit round-trip per element per hop;\n\
-       wire bytes are identical on both paths.  Re-encryption hops are\n\
-       dominated by the ~330 REDC multiplications of the 256-bit power\n\
-       itself, so the saving there is a few percent; blinding hops do\n\
-       one multiplication each, so replacing the Knuth division with a\n\
-       chained REDC multiply is the headline win."
-  end;
+    "P13: modexp acceleration — context cache, batch exponentiation";
   (* Deterministic cache + protocol counter workload; everything below
      is seeded and independent of whatever ran before.  All moduli and
      key material are generated up front — primality testing exercises
@@ -965,19 +626,7 @@ let exp_modexp () =
      op-mix below it shows where those exponentiations actually ran:\n\
      resident_pow replaces generic crypto.mont.pow inside the ring\n\
      passes, and fixed_base/multi_pow absorb the accumulator and\n\
-     threshold work.";
-  (* Persist the measured speedups as histogram samples: the checked-in
-     baseline carries the batch-vs-element-at-a-time evidence, while
-     diff_metrics compares counters only (timing varies run to run). *)
-  List.iter
-    (fun (size, vs_classic, vs_mont) ->
-      ignore size;
-      Obs.Metrics.observe "modexp.speedup.batch_vs_classic" vs_classic;
-      Obs.Metrics.observe "modexp.speedup.batch_vs_montgomery" vs_mont)
-    (List.rev !speedups);
-  List.iter
-    (fun (name, speedup) -> Obs.Metrics.observe name speedup)
-    (List.rev !ablation_speedups)
+     threshold work."
 
 (* ------------------------------------------------------------------ *)
 (* P4: integrity-checking cost and detection                           *)
@@ -1069,26 +718,7 @@ let exp_cost_integrity () =
   Printf.printf
     "messages per check: circulation %d (whole record), witness challenge %d \
      (one node)\n"
-    circulation challenge;
-  if not !skip_timing then begin
-    let timings =
-      time_ns
-        [ ( "check_record (ring, 4 nodes)",
-            fun () ->
-              ignore
-                (Integrity.check_record cluster ~initiator:(Net.Node_id.Dla 0)
-                   glsn) );
-          ( "challenge_node (witness)",
-            fun () ->
-              ignore
-                (Integrity.challenge_node cluster
-                   ~challenger:(Net.Node_id.Dla 0) ~node:(Net.Node_id.Dla 1)
-                   glsn) )
-        ]
-    in
-    print_table ~header:[ "operation"; "time/run" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings)
-  end
+    circulation challenge
 
 (* ------------------------------------------------------------------ *)
 (* P5: Shamir threshold sweep                                          *)
@@ -1237,32 +867,7 @@ let exp_cost_threshold () =
           (if ok then "verifies" else "FAILED"); below ])
       [ (1, 3); (2, 3); (3, 4); (3, 5); (5, 7) ]
   in
-  print_table ~header:[ "scheme"; "k partials"; "k-1 partials" ] rows;
-  if not !skip_timing then begin
-    let params, shares = Crypto.Threshold_rsa.deal rng ~bits:128 ~k:3 ~parties:5 in
-    let partials =
-      List.map (fun s -> Crypto.Threshold_rsa.partial_sign s statement) shares
-    in
-    let subset = List.filteri (fun i _ -> i < 3) partials in
-    let timings =
-      time_ns
-        [ ( "partial_sign",
-            fun () ->
-              ignore
-                (Crypto.Threshold_rsa.partial_sign (List.hd shares) statement) );
-          ( "combine (3 partials)",
-            fun () ->
-              ignore (Crypto.Threshold_rsa.combine params statement subset) );
-          ( "verify",
-            fun () ->
-              match Crypto.Threshold_rsa.combine params statement subset with
-              | Ok s -> ignore (Crypto.Threshold_rsa.verify params statement s)
-              | Error _ -> () )
-        ]
-    in
-    print_table ~header:[ "operation"; "time/run" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings)
-  end
+  print_table ~header:[ "scheme"; "k partials"; "k-1 partials" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* P7: distributed majority agreement                                  *)
@@ -1398,31 +1003,6 @@ let exp_millionaire () =
       fi stats.Net.Network.bytes ]
   in
   print_table ~header:[ "protocol"; "messages"; "bytes" ] (rows @ [ ttp_row ]);
-  if not !skip_timing then begin
-    let timings =
-      time_ns
-        [ ( "millionaire N=32",
-            fun () ->
-              let net = Net.Network.of_config (Net.Config.make ()) in
-              ignore
-                (Smc.Millionaire.run ~net ~rng:(Prng.create ~seed:7) ~bits:128
-                   ~domain:32
-                   ~alice:(Net.Node_id.Dla 0, 20)
-                   ~bob:(Net.Node_id.Dla 1, 9)
-                   ()) );
-          ( "blinded TTP",
-            fun () ->
-              let net = Net.Network.of_config (Net.Config.make ()) in
-              ignore
-                (Smc.Ranking.comparisons ~net ~rng:(Prng.create ~seed:8)
-                   ~ttp:(Net.Node_id.Ttp "cmp")
-                   ~left:(Net.Node_id.Dla 0, Bignum.of_int 20)
-                   ~right:(Net.Node_id.Dla 1, Bignum.of_int 9)) )
-        ]
-    in
-    print_table ~header:[ "protocol"; "time/comparison" ]
-      (List.map (fun (n, ns) -> [ n; pp_ns ns ]) timings)
-  end;
   print_endline
     "=> the 1982 protocol pays O(N) trapdoor decryptions and O(N) wire\n\
      bytes per comparison (and needs a public wealth domain); the relaxed\n\
@@ -2177,25 +1757,15 @@ let scale_row u =
   ]
 
 let scale_criteria = {|protocl = "UDP" && C1 > 30|}
-
-(* SCALE_SMOKE=1 shrinks the ladder to a seconds-long smoke run (CI's
-   per-seed matrix); the full ladder backs the checked-in
-   BENCH_scale.json and the threshold-0 drift gate. *)
-let scale_smoke = Sys.getenv_opt "SCALE_SMOKE" = Some "1"
-let scale_shards = if scale_smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-
-let scale_users =
-  if scale_smoke then [ 200; 1_000 ] else [ 1_000; 10_000; 100_000 ]
-
-let scale_repeats = 5
+let scale_shards = [ 1; 2; 4; 8 ]
+let scale_users = [ 1_000; 10_000; 100_000 ]
 
 let exp_scale () =
   section
     "P17: sharded scale ladder — scatter-gather audits vs shard count and \
      population";
-  Printf.printf "machine: ocaml %s, %d-bit, %s%s\n" Sys.ocaml_version
-    Sys.word_size Sys.os_type
-    (if scale_smoke then " (SMOKE ladder)" else "");
+  Printf.printf "machine: ocaml %s, %d-bit, %s\n" Sys.ocaml_version
+    Sys.word_size Sys.os_type;
   let criteria = Auditor_engine.Text scale_criteria in
   let cells = ref [] in
   List.iter
@@ -2220,26 +1790,20 @@ let exp_scale () =
             | Ok a -> a
             | Error e -> failwith ("scale: " ^ Audit_error.to_string e)
           in
-          (* Explicit warmup: the first audit on a rung pays one-time
-             setup (Montgomery contexts, per-shard key material); it is
-             never measured and never counted. *)
+          (* Two audits per rung, and BENCH_scale.json records the
+             second: the baseline was recorded after the first, so the
+             first stays. *)
           ignore (audit_once ());
-          let result = audit_once () in
-          let median =
-            if !skip_timing then None
-            else Some (median_ms ~repeats:scale_repeats audit_once)
-          in
-          cells := (shards, users, result, median) :: !cells)
+          cells := (shards, users, audit_once ()) :: !cells)
         scale_users)
     scale_shards;
-  (* Counters last, from a clean registry: the warmup/timing audits
-     above never leak into BENCH_scale.json, so the emitted file is
-     byte-stable with or without --skip-timing. *)
+  (* Counters last, from a clean registry: only the recorded audits'
+     cells reach BENCH_scale.json. *)
   Obs.Metrics.reset ();
   Obs.Trace.reset ();
   let rows =
     List.map
-      (fun (s, u, (a : Sharding.audit), median) ->
+      (fun (s, u, (a : Sharding.audit)) ->
         let merged = a.Sharding.merged in
         let cell name v =
           Obs.Metrics.incr ~by:v (Printf.sprintf "scale.s%d.u%d.%s" s u name)
@@ -2251,18 +1815,13 @@ let exp_scale () =
         cell "matches" merged.Auditor_engine.count;
         [ fi s; fi u; fi merged.Auditor_engine.messages;
           fi merged.Auditor_engine.rounds; fi a.Sharding.cross_shard_msgs;
-          fi merged.Auditor_engine.count;
-          (match median with
-          | Some ms -> Printf.sprintf "%.2f ms" ms
-          | None -> "(timing skipped)")
+          fi merged.Auditor_engine.count
         ])
       (List.rev !cells)
   in
   print_table
     ~header:
-      [ "shards"; "users"; "audit msgs"; "rounds"; "fabric msgs"; "matches";
-        "median audit (of 5)"
-      ]
+      [ "shards"; "users"; "audit msgs"; "rounds"; "fabric msgs"; "matches" ]
     rows;
   print_endline
     "=> the audit's SMC traffic is per-shard-constant (every shard runs\n\
@@ -2311,20 +1870,9 @@ let pipeline_criteria =
     {|protocl = "UDP" && C1 > 30 && C4 < 50|}
   ]
 
-(* PIPELINE_SMOKE=1 shrinks the population and the width ladder to a
-   seconds-long smoke run; PIPELINE_DOMAINS=k pins the ladder to one
-   pool width (CI's domains matrix runs k = 1, 2, 4 and relies on the
-   in-experiment differential checks against the width-1 reference). *)
-let pipeline_smoke = Sys.getenv_opt "PIPELINE_SMOKE" = Some "1"
-let pipeline_rows = if pipeline_smoke then 160 else 800
-
-let pipeline_widths =
-  match Sys.getenv_opt "PIPELINE_DOMAINS" with
-  | Some s -> [ int_of_string s ]
-  | None -> if pipeline_smoke then [ 1; 2 ] else [ 1; 2; 4 ]
-
+let pipeline_rows = 800
+let pipeline_widths = [ 1; 2; 4 ]
 let pipeline_depths = [ 1; 4 ]
-let pipeline_repeats = 3
 
 let exp_pipeline () =
   (* Several same-population clusters live at once (reference, ladder
@@ -2333,9 +1881,7 @@ let exp_pipeline () =
   section
     "P18: reactor pipeline ladder — domains x depth over the 8-criteria \
      batched session";
-  Printf.printf "population: %d rows; host cores: %d%s\n" pipeline_rows
-    (Domain.recommended_domain_count ())
-    (if pipeline_smoke then " (SMOKE ladder)" else "");
+  Printf.printf "population: %d rows\n" pipeline_rows;
   (* Pohlig–Hellman conjunction: unlike the default XOR pad, the ∩ₛ
      ring passes become modexp batches — the work the domain pool
      farms.  Params are generated once, before any cluster exists. *)
@@ -2384,8 +1930,8 @@ let exp_pipeline () =
      the sequential engine every other cell must reproduce exactly. *)
   let reference = session (build ~domains:1 ~depth:1 ()) in
   let ref_matching = matching_of reference in
-  (* Scheme cross-check: the conjunction cipher may move wall-clock and
-     the crypto op-mix, never the verdicts. *)
+  (* Scheme cross-check: the conjunction cipher may move the crypto
+     op-mix, never the verdicts. *)
   let xor_summary =
     session
       ~conjunction:(fun rng ->
@@ -2403,8 +1949,8 @@ let exp_pipeline () =
           (fun acc e -> acc + List.length e.Audit_session.matching)
           0 reference.Audit_session.entries));
   (* The ladder: every (domains, depth) cell must return byte-identical
-     verdicts and identical §3 wire costs; only wall-clock and the
-     virtual pipeline makespan may move. *)
+     verdicts and identical §3 wire costs; only the virtual pipeline
+     makespan may move. *)
   let cells = ref [] in
   List.iter
     (fun domains ->
@@ -2415,11 +1961,7 @@ let exp_pipeline () =
           Domain_pool.with_pool pool (fun () ->
               List.iter
                 (fun depth ->
-                  let cluster = build ~domains ~depth () in
-                  let once () = session cluster in
-                  (* First run doubles as warmup (Montgomery contexts,
-                     key material) and as the differential check. *)
-                  let s = once () in
+                  let s = session (build ~domains ~depth ()) in
                   if matching_of s <> ref_matching then
                     failwith
                       (Printf.sprintf
@@ -2438,56 +1980,24 @@ let exp_pipeline () =
                          "pipeline: domains=%d depth=%d moved the section-3 \
                           wire cost"
                          domains depth);
-                  let median =
-                    if !skip_timing then None
-                    else Some (median_ms ~repeats:pipeline_repeats once)
-                  in
-                  cells := (domains, depth, s, median) :: !cells)
+                  cells := (domains, depth, s) :: !cells)
                 pipeline_depths)))
     pipeline_widths;
-  let cells = List.rev !cells in
-  let base_median =
-    List.find_map
-      (fun (d, p, _, m) -> if d = 1 && p = 1 then m else None)
-      cells
-  in
   print_table
-    ~header:
-      [ "domains"; "depth"; "virtual seq"; "virtual pipelined";
-        "median wall (of 3)"; "wall speedup"
-      ]
+    ~header:[ "domains"; "depth"; "virtual seq"; "virtual pipelined" ]
     (List.map
-       (fun (domains, depth, (s : Audit_session.summary), median) ->
+       (fun (domains, depth, (s : Audit_session.summary)) ->
          let r = s.Audit_session.pipeline in
          [ fi domains; fi depth;
            Printf.sprintf "%.1f ms" r.Net.Runtime.Pipeline.sequential_ms;
-           Printf.sprintf "%.1f ms" r.Net.Runtime.Pipeline.pipelined_ms;
-           (match median with
-           | Some ms -> Printf.sprintf "%.1f ms" ms
-           | None -> "(timing skipped)");
-           (match (median, base_median) with
-           | Some ms, Some base when ms > 0.0 ->
-             let speedup = base /. ms in
-             Obs.Metrics.observe
-               (Printf.sprintf "pipeline.wall.speedup.d%d_depth%d" domains
-                  depth)
-               speedup;
-             Printf.sprintf "%.2fx" speedup
-           | _ -> "-")
+           Printf.sprintf "%.1f ms" r.Net.Runtime.Pipeline.pipelined_ms
          ])
-       cells);
-  if Domain.recommended_domain_count () < List.fold_left max 1 pipeline_widths
-  then
-    print_endline
-      "note: this host has fewer cores than the widest ladder cell — the\n\
-       domain term cannot realize parallel wall-clock speedup here; the\n\
-       deterministic virtual makespan below is the gating headline.";
+       (List.rev !cells));
   (* Counters last, from a clean registry: the canonical cell is
      domains=4, depth=4 with coalescing on.  The cluster is built
      before the reset (submission traffic never pollutes the emitted
      counters), and everything below is seeded, so BENCH_pipeline.json
-     is byte-stable with or without --skip-timing and identical at
-     every PIPELINE_DOMAINS matrix leg. *)
+     is byte-stable. *)
   let pool = Domain_pool.create ~domains:4 in
   Fun.protect
     ~finally:(fun () -> Domain_pool.shutdown pool)
@@ -2561,7 +2071,6 @@ let experiments =
     ("c_dla", exp_c_dla);
     ("cost_sum", exp_cost_sum);
     ("cost_intersection", exp_cost_intersection);
-    ("cost_cipher", exp_cost_cipher);
     ("cost_integrity", exp_cost_integrity);
     ("cost_shamir", exp_cost_shamir);
     ("cost_threshold", exp_cost_threshold);
@@ -2581,20 +2090,27 @@ let experiments =
     ("pipeline", exp_pipeline)
   ]
 
+let usage = "usage: main.exe [--only ID] [--list] [--metrics-out DIR]"
+
+let usage_error msg =
+  Printf.eprintf "main.exe: %s\n%s\n" msg usage;
+  exit 2
+
+let rec parse_args = function
+  | [] -> ()
+  | "--list" :: _ ->
+    List.iter (fun (name, _) -> print_endline name) experiments;
+    exit 0
+  | ("--only" | "--metrics-out" as flag) :: value :: rest
+    when not (String.starts_with ~prefix:"-" value) ->
+    (if flag = "--only" then only else metrics_out) := Some value;
+    parse_args rest
+  | ("--only" | "--metrics-out" as flag) :: _ ->
+    usage_error (flag ^ " needs a value")
+  | arg :: _ -> usage_error ("unknown argument " ^ arg)
+
 let () =
-  Array.iteri
-    (fun i arg ->
-      match arg with
-      | "--skip-timing" -> skip_timing := true
-      | "--list" ->
-        List.iter (fun (name, _) -> print_endline name) experiments;
-        exit 0
-      | "--only" when i + 1 < Array.length Sys.argv ->
-        only := Some Sys.argv.(i + 1)
-      | "--metrics-out" when i + 1 < Array.length Sys.argv ->
-        metrics_out := Some Sys.argv.(i + 1)
-      | _ -> ())
-    Sys.argv;
+  parse_args (List.tl (Array.to_list Sys.argv));
   let to_run =
     match !only with
     | None -> experiments
@@ -2607,14 +2123,15 @@ let () =
   end;
   List.iter
     (fun (name, fn) ->
-      (* Per-experiment metrics: reset the global registry around each
-         run so every BENCH_<id>.json holds that experiment's counters
-         alone, comparable run-to-run (everything is seeded, so the
-         files are byte-stable — the CI baseline diff relies on it). *)
-      if !metrics_out <> None then begin
-        Obs.Metrics.reset ();
-        Obs.Trace.reset ()
-      end;
+      (* Per-experiment state: reset the global registry, trace and
+         Montgomery/fixed-base caches before each run, so every
+         experiment's counters are its own alone and the same whether it
+         runs in the full sweep or under --only (everything is seeded,
+         so the BENCH_<id>.json files are byte-stable — the baseline
+         diffs rely on it). *)
+      Obs.Metrics.reset ();
+      Obs.Trace.reset ();
+      Modular.reset_mont_cache ();
       fn ();
       match !metrics_out with
       | None -> ()
