@@ -20,6 +20,7 @@ let k =
 
 type ctx = {
   h : int array; (* 8 chaining words *)
+  w : int array; (* 64-word message schedule, private to this hash *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total message bytes *)
@@ -31,17 +32,16 @@ let init () =
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
          0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
     finalized = false;
   }
 
-let w = Array.make 64 0
-
-let compress h block offset =
+let compress { h; w; buf = block; _ } =
   for t = 0 to 15 do
-    let i = offset + (t * 4) in
+    let i = t * 4 in
     w.(t) <-
       (Char.code (Bytes.get block i) lsl 24)
       lor (Char.code (Bytes.get block (i + 1)) lsl 16)
@@ -96,14 +96,14 @@ let update ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress ctx;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
   while len - !pos >= 64 do
     Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx.h ctx.buf 0;
+    compress ctx;
     pos := !pos + 64
   done;
   if !pos < len then begin

@@ -21,6 +21,16 @@ let pow_classic b e ~m =
     !acc
   end
 
+(* The moduli every Montgomery path serves: odd (REDC needs m
+   invertible mod 2^26), at least 64 bits (below that the one-time
+   domain setup outweighs the division savings) and no wider than the
+   kernel's column-sum bound. *)
+let montgomery_shape m =
+  Bignum.is_odd m
+  &&
+  let bits = Bignum.num_bits m in
+  bits >= 64 && bits <= Montgomery.max_modulus_bits
+
 (* Small LRU cache of Montgomery contexts keyed by modulus.  Protocol
    runs interleave exponentiations under several moduli at once (each
    node's Pohlig–Hellman prime, a Paillier n and n², an accumulator
@@ -74,9 +84,7 @@ let mont_ctx m =
     mont_cache := ctx :: cache_trim (!capacity - 1) !mont_cache;
     ctx
 
-let mont_ctx_opt m =
-  if Bignum.is_odd m && Bignum.num_bits m >= 64 then Some (mont_ctx m)
-  else None
+let mont_ctx_opt m = if montgomery_shape m then Some (mont_ctx m) else None
 
 let rec base_cache_take ~base ~m acc = function
   | [] -> None
@@ -103,8 +111,7 @@ let base_table ~base ~m =
 
 (* Montgomery pays off once the per-multiplication division savings
    outweigh the one-time domain setup. *)
-let use_montgomery ~m ~e =
-  Bignum.is_odd m && Bignum.num_bits m >= 64 && Bignum.num_bits e >= 16
+let use_montgomery ~m ~e = montgomery_shape m && Bignum.num_bits e >= 16
 
 let pow b e ~m =
   if Bignum.sign e < 0 then invalid_arg "Modular.pow: negative exponent"
@@ -154,19 +161,17 @@ let pow_many bs e ~m =
     else List.map (fun b -> pow_classic b e ~m) bs
 
 (* Fixed-base exponentiation: the window table only pays for itself
-   when the base is long-lived, so gate on the same modulus shape as
-   [use_montgomery] plus a width cap — a table for a w-window exponent
-   is 15·w residues, and past ~16k exponent bits the build cost and
-   footprint outweigh any plausible reuse. *)
+   when the base is long-lived, so gate on the Montgomery modulus shape
+   plus a width cap — a table for a w-window exponent is 15·w residues,
+   and past ~16k exponent bits the build cost and footprint outweigh
+   any plausible reuse. *)
 let fixed_base_max_bits = 16384
 
 let pow_base ~base e ~m =
   if Bignum.sign e < 0 then invalid_arg "Modular.pow_base: negative exponent"
   else if Bignum.equal m Bignum.one then Bignum.zero
-  else if
-    Bignum.is_odd m && Bignum.num_bits m >= 64
-    && Bignum.num_bits e <= fixed_base_max_bits
-  then Montgomery.pow_base (base_table ~base ~m) e
+  else if montgomery_shape m && Bignum.num_bits e <= fixed_base_max_bits then
+    Montgomery.pow_base (base_table ~base ~m) e
   else pow base e ~m
 
 let multi_pow pairs ~m =
@@ -180,7 +185,7 @@ let multi_pow pairs ~m =
     let widest =
       List.fold_left (fun acc (_, e) -> max acc (Bignum.num_bits e)) 0 pairs
     in
-    if Bignum.is_odd m && Bignum.num_bits m >= 64 && widest >= 16 then begin
+    if montgomery_shape m && widest >= 16 then begin
       Obs.Metrics.incr "crypto.mont.multi_pow";
       Montgomery.multi_pow (mont_ctx m) pairs
     end

@@ -14,9 +14,9 @@ val mul : Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
 
 val pow : Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
 (** [pow b e ~m] is [b^e mod m] for [e >= 0].  Dispatches to Montgomery
-    exponentiation for odd multi-limb moduli with non-trivial exponents
-    (the common cryptographic case) and falls back to classic
-    square-and-multiply otherwise.
+    exponentiation for odd moduli of 64 to {!Montgomery.max_modulus_bits}
+    bits with non-trivial exponents (the common cryptographic case) and
+    falls back to classic square-and-multiply otherwise.
     @raise Invalid_argument on a negative exponent. *)
 
 val pow_many : Bignum.t list -> Bignum.t -> m:Bignum.t -> Bignum.t list
@@ -39,8 +39,9 @@ val pow_base : base:Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
     handful of multiplications each.  Counters:
     [crypto.mont.fixed_base_hit] / [fixed_base_miss] /
     [fixed_base_table_create].  Falls back to the generic {!pow}
-    dispatch for even or single-limb moduli and for exponents wider
-    than ~16k bits (where the table build would dominate).
+    dispatch for even, single-limb or over-wide moduli and for
+    exponents wider than ~16k bits (where the table build would
+    dominate).
     Value-identical to {!pow} in every case.
     @raise Invalid_argument on a negative exponent. *)
 
@@ -58,7 +59,8 @@ val pow_classic : Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
 
 val mont_ctx_opt : Bignum.t -> Montgomery.ctx option
 (** The shared LRU-cached Montgomery context for [m], or [None] when
-    [m] is outside the Montgomery domain shape (even or < 64 bits).
+    [m] is outside the Montgomery domain shape (even, < 64 bits, or
+    wider than {!Montgomery.max_modulus_bits}).
     Consumers holding {!Montgomery.resident} chains (the SMC ring
     passes) use this so their in-domain work shares contexts — and
     cache counters — with {!pow}. *)

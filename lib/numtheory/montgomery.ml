@@ -1,12 +1,35 @@
-(* Word-level Montgomery multiplication (CIOS — coarsely integrated
-   operand scanning).  All inner-loop state lives in preallocated int
-   arrays of 26-bit limbs; a multiplication performs a single fused
-   scan with interleaved reduction, no intermediate bignum allocation.
-   Intermediate products stay below 2^53, far inside the 63-bit int. *)
+(* Word-level Montgomery multiplication by product (column) scanning.
+   Operands are int arrays of k 26-bit limbs.  The product a·b and the
+   reduction q·m are summed column by column: column i adds every
+   a.(j)·b.(i-j) and q.(j)·m.(i-j) (each below 2^52) into one native
+   int and carries once.  A multiplication allocates nothing: the only
+   working state is the context's k q-digits.
+
+   Aliasing.  Column i >= k writes dst.(i-k) and reads operand limbs at
+   indices >= i-k+1 only, so each output limb is written after the last
+   read of that index: dst may be a, b or both (an in-place square).
+   Exponentiation loops therefore multiply their accumulator in place.
+
+   Unchecked access.  The kernel reads and writes limbs with
+   [Array.unsafe_get]/[unsafe_set] at indices in [0, k): a, b, dst,
+   the modulus and the q-digits all hold exactly k limbs.  Every array
+   the kernel sees is built here at the context's width, except
+   residents, whose width the resident entry points check. *)
 
 let limb_bits = Bignum.limb_bits
 let limb_base = 1 lsl limb_bits
 let limb_mask = limb_base - 1
+
+(* Width bound.  A column adds at most 2k limb products, each at most
+   (2^26-1)^2, to the carry from the column below it.  If that carry is
+   at most 2k·(2^26-1), the column's sum is at most
+   2k·(2^26-1)^2 + 2k·(2^26-1) = k·(2^26-1)·2^27, and its own carry is
+   again at most 2k·(2^26-1); the first column starts from 0.  So every
+   column sum fits a native int (max_int = 2^62-1) iff
+   k·(2^26-1)·2^27 <= 2^62-1, i.e. k <= 512 (13,312 bits):
+   512·(2^26-1)·2^27 = 2^62 - 2^36. *)
+let max_limbs = max_int / ((limb_base - 1) lsl (limb_bits + 1))
+let max_modulus_bits = max_limbs * limb_bits
 
 type ctx = {
   m : Bignum.t;
@@ -16,7 +39,7 @@ type ctx = {
   r2 : int array;  (* R^2 mod m, for domain entry *)
   one_mont : int array;  (* R mod m *)
   one_plain : int array;  (* plain 1, for domain exit *)
-  scratch : int array;  (* k+2 limbs of working space *)
+  q : int array;  (* k reduction digits: the kernel's only scratch *)
   exit_buf : int array;  (* k limbs: reusable destination for domain exits *)
 }
 
@@ -32,6 +55,8 @@ let create m =
   if Bignum.compare m (Bignum.of_int 3) < 0 then
     invalid_arg "Montgomery.create: modulus too small";
   if Bignum.is_even m then invalid_arg "Montgomery.create: modulus must be odd";
+  if Bignum.num_bits m > max_modulus_bits then
+    invalid_arg "Montgomery.create: modulus too wide";
   let m_arr = Bignum.to_limbs m in
   let k = Array.length m_arr in
   let r_bits = k * limb_bits in
@@ -56,73 +81,63 @@ let create m =
     r2;
     one_mont;
     one_plain;
-    scratch = Array.make (k + 2) 0;
+    q = Array.make k 0;
     exit_buf = Array.make k 0;
   }
 
 let modulus ctx = ctx.m
 
-(* dst <- REDC(a * b); a, b and dst are k-limb arrays (dst may alias
-   neither input).  Classic CIOS: interleave one limb of schoolbook
-   multiplication with one limb of Montgomery reduction. *)
+(* Unchecked limb access, typed to [int array] so that each access
+   compiles to a plain load or store (no float-array test, no write
+   barrier).  Used by [mont_mul] only; see the header. *)
+let[@inline] get (a : int array) i = Array.unsafe_get a i
+let[@inline] set (a : int array) i (v : int) = Array.unsafe_set a i v
+
+(* dst <- REDC(a * b) = a·b·R^-1 mod m, canonical; a, b < m.  Columns
+   0..k-1 each end by choosing the digit q.(i) that zeroes the column;
+   columns k..2k-1 emit the result limbs.  See the header for the
+   aliasing contract and the width bound that keeps each column sum in
+   one native int. *)
 let mont_mul ctx dst a b =
-  let k = ctx.k and m = ctx.m_arr and t = ctx.scratch in
-  Array.fill t 0 (k + 2) 0;
+  let k = ctx.k and m = ctx.m_arr and q = ctx.q and m0' = ctx.m0_prime in
+  let carry = ref 0 in
   for i = 0 to k - 1 do
-    (* t += a.(i) * b *)
-    let ai = a.(i) in
-    let carry = ref 0 in
-    for j = 0 to k - 1 do
-      let x = t.(j) + (ai * b.(j)) + !carry in
-      t.(j) <- x land limb_mask;
-      carry := x lsr limb_bits
+    let s = ref !carry in
+    for j = 0 to i - 1 do
+      s := !s + (get a j * get b (i - j)) + (get q j * get m (i - j))
     done;
-    let x = t.(k) + !carry in
-    t.(k) <- x land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (x lsr limb_bits);
-    (* fold out the lowest limb: q = t0 * m0' mod base *)
-    let q = t.(0) * ctx.m0_prime land limb_mask in
-    let x = t.(0) + (q * m.(0)) in
-    let carry = ref (x lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let x = t.(j) + (q * m.(j)) + !carry in
-      t.(j - 1) <- x land limb_mask;
-      carry := x lsr limb_bits
-    done;
-    let x = t.(k) + !carry in
-    t.(k - 1) <- x land limb_mask;
-    let x = t.(k + 1) + (x lsr limb_bits) in
-    t.(k) <- x;
-    t.(k + 1) <- 0
+    let s = !s + (get a i * get b 0) in
+    let qi = s land limb_mask * m0' land limb_mask in
+    set q i qi;
+    carry := (s + (qi * get m 0)) lsr limb_bits
   done;
-  (* t.(0..k) holds the result, possibly >= m (t.(k) is 0 or 1). *)
+  for i = k to (2 * k) - 1 do
+    let s = ref !carry in
+    for j = i - k + 1 to k - 1 do
+      s := !s + (get a j * get b (i - j)) + (get q j * get m (i - j))
+    done;
+    set dst (i - k) (!s land limb_mask);
+    carry := !s lsr limb_bits
+  done;
+  (* The result is dst + carry·R < 2m, so carry is 0 or 1 and one
+     conditional subtraction makes it canonical. *)
   let ge =
-    if t.(k) > 0 then true
-    else begin
-      let rec cmp j =
-        if j < 0 then true (* equal *)
-        else if t.(j) > m.(j) then true
-        else if t.(j) < m.(j) then false
-        else cmp (j - 1)
-      in
-      cmp (k - 1)
-    end
+    !carry > 0
+    ||
+    let j = ref (k - 1) in
+    while !j > 0 && get dst !j = get m !j do
+      decr j
+    done;
+    get dst !j >= get m !j
   in
   if ge then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
-      let x = t.(j) - m.(j) - !borrow in
-      if x < 0 then begin
-        dst.(j) <- x + limb_base;
-        borrow := 1
-      end
-      else begin
-        dst.(j) <- x;
-        borrow := 0
-      end
+      let x = get dst j - get m j - !borrow in
+      set dst j (x land limb_mask);
+      borrow := -(x asr limb_bits)
     done
   end
-  else Array.blit t 0 dst 0 k
 
 let to_array ctx x =
   let x = Bignum.erem x ctx.m in
@@ -139,9 +154,9 @@ let window_bits = 4
 
 (* A fixed-exponent exponentiation plan.  The exponent's window digits
    are recoded exactly once, and every working array a single [pow]
-   needs (16-entry table, accumulator, temporary, base conversion
-   buffers) is preallocated here and reused across the whole batch —
-   [pow_with] performs no allocation beyond the result bignum. *)
+   needs (16-entry table, accumulator, base buffer) is preallocated
+   here and reused across the whole batch — [pow_with] performs no
+   allocation beyond the domain entry and the result bignum. *)
 type powers = {
   p_ctx : ctx;
   e : Bignum.t;
@@ -149,8 +164,6 @@ type powers = {
   digits : int array;  (* digits.(w) = bits [w*4 .. w*4+3] of e; empty on the tiny path *)
   table : int array array;
   acc : int array;
-  tmp : int array;
-  b_arr : int array;
   b_mont : int array;
 }
 
@@ -181,8 +194,6 @@ let powers ctx e =
       (if nbits <= 2 * window_bits then [||]
        else Array.init 16 (fun _ -> Array.make ctx.k 0));
     acc = Array.make ctx.k 0;
-    tmp = Array.make ctx.k 0;
-    b_arr = Array.make ctx.k 0;
     b_mont = Array.make ctx.k 0;
   }
 
@@ -192,23 +203,18 @@ let powers ctx e =
    the resident path ([pow_with_resident], which does neither). *)
 let pow_core plan =
   let ctx = plan.p_ctx in
-  let k = ctx.k in
-  let acc = plan.acc and tmp = plan.tmp in
-  Array.blit ctx.one_mont 0 acc 0 k;
+  let acc = plan.acc in
+  Array.blit ctx.one_mont 0 acc 0 ctx.k;
   if plan.nbits <= 2 * window_bits then
     (* Tiny exponent: plain binary, no table amortization possible. *)
     for i = plan.nbits - 1 downto 0 do
-      mont_mul ctx tmp acc acc;
-      Array.blit tmp 0 acc 0 k;
-      if Bignum.test_bit plan.e i then begin
-        mont_mul ctx tmp acc plan.b_mont;
-        Array.blit tmp 0 acc 0 k
-      end
+      mont_mul ctx acc acc acc;
+      if Bignum.test_bit plan.e i then mont_mul ctx acc acc plan.b_mont
     done
   else begin
     let table = plan.table in
-    Array.blit ctx.one_mont 0 table.(0) 0 k;
-    Array.blit plan.b_mont 0 table.(1) 0 k;
+    Array.blit ctx.one_mont 0 table.(0) 0 ctx.k;
+    Array.blit plan.b_mont 0 table.(1) 0 ctx.k;
     for i = 2 to 15 do
       mont_mul ctx table.(i) table.(i - 1) plan.b_mont
     done;
@@ -216,14 +222,10 @@ let pow_core plan =
     for w = nwindows - 1 downto 0 do
       if w < nwindows - 1 then
         for _ = 1 to window_bits do
-          mont_mul ctx tmp acc acc;
-          Array.blit tmp 0 acc 0 k
+          mont_mul ctx acc acc acc
         done;
       let digit = plan.digits.(w) in
-      if digit <> 0 then begin
-        mont_mul ctx tmp acc table.(digit);
-        Array.blit tmp 0 acc 0 k
-      end
+      if digit <> 0 then mont_mul ctx acc acc table.(digit)
     done
   end
 
@@ -233,13 +235,13 @@ let pow_with plan b =
   (* enter the domain: reduce into the reused base buffer, no fresh
      padding array per element. *)
   let limbs = Bignum.to_limbs (Bignum.erem b ctx.m) in
-  Array.fill plan.b_arr 0 k 0;
-  Array.blit limbs 0 plan.b_arr 0 (Array.length limbs);
-  mont_mul ctx plan.b_mont plan.b_arr ctx.r2;
+  Array.fill plan.b_mont 0 k 0;
+  Array.blit limbs 0 plan.b_mont 0 (Array.length limbs);
+  mont_mul ctx plan.b_mont plan.b_mont ctx.r2;
   pow_core plan;
   (* leave the Montgomery domain: multiply by 1. *)
-  mont_mul ctx plan.tmp plan.acc ctx.one_plain;
-  Bignum.of_limbs plan.tmp
+  mont_mul ctx plan.acc plan.acc ctx.one_plain;
+  Bignum.of_limbs plan.acc
 
 let pow_many plan bs = List.map (pow_with plan) bs
 
@@ -249,27 +251,37 @@ let pow_many plan bs = List.map (pow_with plan) bs
    passes, where every node re-encrypts the same ciphertext vector —
    stay in-domain across the whole chain: [(x·R)^e] under REDC powering
    is exactly [(x^e)·R], so each hop skips both the erem/blit/R² entry
-   and the exit multiplication that [pow_with] pays per call. *)
+   and the exit multiplication that [pow_with] pays per call.  A
+   resident reaches the unchecked kernel, so the entry points below
+   reject one whose width is not the context's. *)
 
 type resident = int array  (* k limbs, value·R mod m *)
 
+let check_width fn ctx r =
+  if Array.length r <> ctx.k then
+    invalid_arg ("Montgomery." ^ fn ^ ": resident width differs from the context's")
+
 let to_resident ctx x =
-  let out = Array.make ctx.k 0 in
-  mont_mul ctx out (to_array ctx x) ctx.r2;
+  let out = to_array ctx x in
+  mont_mul ctx out out ctx.r2;
   out
 
 let of_resident ctx r =
+  check_width "of_resident" ctx r;
   (* [of_limbs] copies, so the shared exit buffer never escapes — the
      hot per-hop view refresh allocates nothing but the result. *)
   mont_mul ctx ctx.exit_buf r ctx.one_plain;
   Bignum.of_limbs ctx.exit_buf
 
 let mul_resident ctx a b =
+  check_width "mul_resident" ctx a;
+  check_width "mul_resident" ctx b;
   let out = Array.make ctx.k 0 in
   mont_mul ctx out a b;
   out
 
 let pow_with_resident plan r =
+  check_width "pow_with_resident" plan.p_ctx r;
   Array.blit r 0 plan.b_mont 0 plan.p_ctx.k;
   pow_core plan;
   Array.copy plan.acc
@@ -325,25 +337,20 @@ let ensure_rows t n =
 let pow_base t e =
   if Bignum.sign e < 0 then invalid_arg "Montgomery.pow_base: negative exponent";
   let ctx = t.bt_ctx in
-  let k = ctx.k in
   let nbits = Bignum.num_bits e in
   let nwindows = (nbits + window_bits - 1) / window_bits in
   ensure_rows t nwindows;
-  let acc = Array.make k 0 and tmp = Array.make k 0 in
-  Array.blit ctx.one_mont 0 acc 0 k;
+  let acc = Array.copy ctx.one_mont in
   for w = 0 to nwindows - 1 do
     let digit = ref 0 in
     for bit = window_bits - 1 downto 0 do
       let i = (w * window_bits) + bit in
       digit := (!digit lsl 1) lor (if Bignum.test_bit e i then 1 else 0)
     done;
-    if !digit <> 0 then begin
-      mont_mul ctx tmp acc t.rows.(w).(!digit - 1);
-      Array.blit tmp 0 acc 0 k
-    end
+    if !digit <> 0 then mont_mul ctx acc acc t.rows.(w).(!digit - 1)
   done;
-  mont_mul ctx tmp acc ctx.one_plain;
-  Bignum.of_limbs tmp
+  mont_mul ctx acc acc ctx.one_plain;
+  Bignum.of_limbs acc
 
 (* ---- Simultaneous multi-exponentiation (Shamir's trick) ----------
    Joint windowing over several exponents shares the squaring chain:
@@ -371,26 +378,20 @@ let pow2 ctx a e1 b e2 =
   done;
   let nbits = max (Bignum.num_bits e1) (Bignum.num_bits e2) in
   let nwindows = (nbits + 1) / 2 in
-  let acc = Array.make k 0 and tmp = Array.make k 0 in
-  Array.blit ctx.one_mont 0 acc 0 k;
+  let acc = Array.copy ctx.one_mont in
   let bit e i = if Bignum.test_bit e i then 1 else 0 in
   for w = nwindows - 1 downto 0 do
     if w < nwindows - 1 then begin
-      mont_mul ctx tmp acc acc;
-      Array.blit tmp 0 acc 0 k;
-      mont_mul ctx tmp acc acc;
-      Array.blit tmp 0 acc 0 k
+      mont_mul ctx acc acc acc;
+      mont_mul ctx acc acc acc
     end;
     let i = (bit e1 ((2 * w) + 1) lsl 1) lor bit e1 (2 * w) in
     let j = (bit e2 ((2 * w) + 1) lsl 1) lor bit e2 (2 * w) in
     let idx = (j lsl 2) lor i in
-    if idx <> 0 then begin
-      mont_mul ctx tmp acc table.(idx);
-      Array.blit tmp 0 acc 0 k
-    end
+    if idx <> 0 then mont_mul ctx acc acc table.(idx)
   done;
-  mont_mul ctx tmp acc ctx.one_plain;
-  Bignum.of_limbs tmp
+  mont_mul ctx acc acc ctx.one_plain;
+  Bignum.of_limbs acc
 
 (* At 6 bases per chunk the subset table is 63 products — past that,
    table construction dominates the shared-squaring savings. *)
@@ -430,11 +431,9 @@ let multi_pow ctx pairs =
   let nbits =
     Array.fold_left (fun acc (_, e) -> max acc (Bignum.num_bits e)) 0 pairs
   in
-  let acc = Array.make k 0 and tmp = Array.make k 0 in
-  Array.blit ctx.one_mont 0 acc 0 k;
+  let acc = Array.copy ctx.one_mont in
   for i = nbits - 1 downto 0 do
-    mont_mul ctx tmp acc acc;
-    Array.blit tmp 0 acc 0 k;
+    mont_mul ctx acc acc acc;
     for c = 0 to nchunks - 1 do
       let lo = c * multi_pow_chunk in
       let cn = min multi_pow_chunk (n - lo) in
@@ -443,14 +442,11 @@ let multi_pow ctx pairs =
         if Bignum.test_bit (snd pairs.(lo + j)) i then
           mask := !mask lor (1 lsl j)
       done;
-      if !mask <> 0 then begin
-        mont_mul ctx tmp acc tables.(c).(!mask);
-        Array.blit tmp 0 acc 0 k
-      end
+      if !mask <> 0 then mont_mul ctx acc acc tables.(c).(!mask)
     done
   done;
-  mont_mul ctx tmp acc ctx.one_plain;
-  Bignum.of_limbs tmp
+  mont_mul ctx acc acc ctx.one_plain;
+  Bignum.of_limbs acc
 
 let pow ctx b e =
   if Bignum.sign e < 0 then invalid_arg "Montgomery.pow: negative exponent";
@@ -460,7 +456,6 @@ let pow ctx b e =
 
 let mul ctx a b =
   let a_arr = to_array ctx a and b_arr = to_array ctx b in
-  let a_mont = Array.make ctx.k 0 and tmp = Array.make ctx.k 0 in
-  mont_mul ctx a_mont a_arr ctx.r2;
-  mont_mul ctx tmp a_mont b_arr;
-  Bignum.of_limbs tmp
+  mont_mul ctx a_arr a_arr ctx.r2;
+  mont_mul ctx a_arr a_arr b_arr;
+  Bignum.of_limbs a_arr

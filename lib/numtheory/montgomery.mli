@@ -7,13 +7,31 @@
     setup over hundreds of multiplications, which speeds every
     cryptographic primitive in this repository (Pohlig–Hellman,
     accumulator, RSA, Paillier) — {!Modular.pow} dispatches here
-    automatically; the modexp ablation bench compares the two paths. *)
+    automatically; the modexp ablation bench compares the two paths.
+
+    Every path below runs on one multiplication kernel, a
+    product-scanning REDC: each column of limb products and reduction
+    terms is summed in one native int and carries once.  The kernel
+    allocates nothing, and its output may alias either operand, so
+    exponentiations square and multiply their accumulator in place.
+    It reads limbs without bounds checks; that is safe because every
+    array it sees has exactly the context's k limbs — arrays built
+    here have that width by construction, and the resident entry
+    points check the width of the residents they are given.  The
+    kernel's column sums are bounded to fit a native int only up to
+    {!max_modulus_bits}, so {!create} rejects wider moduli. *)
 
 type ctx
 
+val max_modulus_bits : int
+(** The widest modulus {!create} accepts: 512 limbs of 26 bits
+    (13,312 bits), the largest width at which the kernel's worst-case
+    column sum fits a native int. *)
+
 val create : Bignum.t -> ctx
 (** Precompute the domain constants for an odd modulus [m > 1].
-    @raise Invalid_argument on even or tiny moduli. *)
+    @raise Invalid_argument on even or tiny moduli, and on moduli wider
+    than {!max_modulus_bits}. *)
 
 val modulus : ctx -> Bignum.t
 
@@ -24,7 +42,7 @@ val pow : ctx -> Bignum.t -> Bignum.t -> Bignum.t
 type powers
 (** A fixed-exponent exponentiation plan: the exponent's 4-bit window
     digits recoded once, plus every scratch array a single
-    exponentiation needs (16-entry table, accumulator, temporaries)
+    exponentiation needs (16-entry table, accumulator, base buffer)
     preallocated for reuse across a batch of bases.  Ring encryption in
     the relaxed-SMC protocols raises whole sets to one key exponent, so
     the per-call recoding and allocation amortize to zero. *)
@@ -62,15 +80,18 @@ val to_resident : ctx -> Bignum.t -> resident
 
 val of_resident : ctx -> resident -> Bignum.t
 (** Leave the domain; the result is canonical in [\[0, m)] and
-    identical to the bignum the same op-chain would have produced. *)
+    identical to the bignum the same op-chain would have produced.
+    @raise Invalid_argument on a resident of another context width. *)
 
 val mul_resident : ctx -> resident -> resident -> resident
-(** In-domain product; one REDC multiplication, no conversions. *)
+(** In-domain product; one REDC multiplication, no conversions.
+    @raise Invalid_argument on a resident of another context width. *)
 
 val pow_with_resident : powers -> resident -> resident
 (** [pow_with_resident plan r] raises an in-domain value to the plan's
     exponent, staying in-domain — the core loop of {!pow_with} without
-    the entry and exit conversions. *)
+    the entry and exit conversions.  It allocates only the result.
+    @raise Invalid_argument on a resident of another context width. *)
 
 (** {2 Fixed-base windowed precomputation}
 

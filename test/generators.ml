@@ -83,20 +83,12 @@ let values_gen ?(parties_min = 2) ?(parties_max = 5) ?(hi = 1_000_000) () =
 let bignum_gen ?(hi = 1_000_000) () =
   QCheck.Gen.map Bignum.of_int (QCheck.Gen.int_range 0 hi)
 
-(* Signed bignums of 0 to 600 bits, half of them one bit wide or within
-   one bit of a 26-bit limb boundary (26, 52, 78).  The magnitude is
-   random below a set top bit, all ones, or a lone top bit.  Built by
-   shifts and adds only, so the byte and hex codecs can be tested on
-   it. *)
-let wide_bignum_gen =
+(* A magnitude of exactly [width] bits (0 when [width] is 0): random
+   below the top bit, all ones, or a lone top bit. *)
+let shaped_bignum_gen width =
   let open QCheck.Gen in
-  let* width =
-    oneof
-      [ oneofl [ 1; 25; 26; 27; 51; 52; 53; 77; 78; 79 ]; int_range 0 600 ]
-  in
   let* words = list_repeat ((width / 30) + 1) (int_range 0 ((1 lsl 30) - 1)) in
   let* shape = oneofl [ `Random; `Ones; `Top ] in
-  let* negative = bool in
   let top = Bignum.shift_left Bignum.one (max 0 (width - 1)) in
   let below =
     match shape with
@@ -109,7 +101,20 @@ let wide_bignum_gen =
            Bignum.zero words)
         top
   in
-  let v = if width = 0 then Bignum.zero else Bignum.add top below in
+  return (if width = 0 then Bignum.zero else Bignum.add top below)
+
+(* Signed bignums of 0 to 600 bits, half of them one bit wide or within
+   one bit of a 26-bit limb boundary (26, 52, 78), in the shapes of
+   [shaped_bignum_gen].  Built by shifts and adds only, so the byte and
+   hex codecs can be tested on it. *)
+let wide_bignum_gen =
+  let open QCheck.Gen in
+  let* width =
+    oneof
+      [ oneofl [ 1; 25; 26; 27; 51; 52; 53; 77; 78; 79 ]; int_range 0 600 ]
+  in
+  let* v = shaped_bignum_gen width in
+  let* negative = bool in
   return (if negative then Bignum.neg v else v)
 
 (* Equality inputs: bias toward actual equality so both verdicts get

@@ -61,6 +61,36 @@ let test_sha256_block_boundaries () =
         (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 127; 128; 129; 1000 ]
 
+(* Two domains hashing at once share no state: every digest equals the
+   sequential one.  Both domains start together and walk the set in
+   opposite orders, so at any one moment they hash different blocks. *)
+let test_sha256_two_domains () =
+  let n = 20_000 in
+  let msgs =
+    Array.init n (fun i ->
+        String.init (1 + (i mod 200)) (fun j ->
+            Char.chr (((i * 31) + (j * 7)) land 0xff)))
+  in
+  let expected = Array.map Crypto.Sha256.digest msgs in
+  let ready = Atomic.make 0 in
+  let hash_in position =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        Array.init n (fun i -> Crypto.Sha256.digest msgs.(position i)))
+  in
+  let forward = Fun.id and backward i = n - 1 - i in
+  let a = hash_in forward and b = hash_in backward in
+  let wrong domain position =
+    let digests = Domain.join domain and c = ref 0 in
+    Array.iteri (fun i d -> if d <> expected.(position i) then incr c) digests;
+    !c
+  in
+  Alcotest.(check int) "forward domain" 0 (wrong a forward);
+  Alcotest.(check int) "backward domain" 0 (wrong b backward)
+
 let test_hmac_rfc4231 () =
   (* RFC 4231 test cases 1, 2 and 7. *)
   Alcotest.(check string) "case 1"
@@ -1341,6 +1371,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental_matches_oneshot;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "two domains at once" `Quick test_sha256_two_domains;
           Alcotest.test_case "HMAC RFC 4231" `Quick test_hmac_rfc4231
         ] );
       ( "pohlig-hellman",

@@ -696,6 +696,197 @@ let prop_resident_chain_equals_pow_chain =
            (Modular.mul expected (bn 7) ~m)
            (Montgomery.of_resident ctx blinded))
 
+(* The kernel's edge cases: odd moduli of 1 to 81 limbs in the three
+   shapes of [Generators.shaped_bignum_gen] (a full-width [`Ones]
+   modulus has every limb 2^26-1, which maximizes the column sums and
+   the top carry), with contexts built directly so that k = 1 and 2 are
+   reached.  Exponents are capped on wide moduli to keep the classic
+   reference fast. *)
+let kernel_exponent_bits k = min (26 * k) (max 32 (4096 / k))
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let* k = int_range 1 81 in
+  let* width =
+    oneof [ return (26 * k); int_range (max 2 ((26 * (k - 1)) + 1)) (26 * k) ]
+  in
+  let* m = Generators.shaped_bignum_gen width in
+  let m = Bignum.logor m Bignum.one in
+  let* e_rand =
+    int_range 0 (kernel_exponent_bits k) >>= Generators.shaped_bignum_gen
+  in
+  let* above = Generators.shaped_bignum_gen (Bignum.num_bits m) in
+  return (m, e_rand, Bignum.add m above)
+
+let prop_kernel_edges =
+  let print (m, e, b) =
+    Printf.sprintf "m=%s e=%s b=%s" (Bignum.to_string m) (Bignum.to_string e)
+      (Bignum.to_string b)
+  in
+  QCheck.Test.make ~name:"every Montgomery path = reference on 1-81 limbs"
+    ~count:40
+    (QCheck.make ~print kernel_case_gen)
+    (fun (m, e_rand, b_above) ->
+      let ctx = Montgomery.create m in
+      let k = Array.length (Bignum.to_limbs m) in
+      let ones =
+        Bignum.pred (Bignum.shift_left Bignum.one (kernel_exponent_bits k))
+      in
+      let bases = [| Bignum.zero; Bignum.one; Bignum.pred m; m; b_above |] in
+      let exps = [| Bignum.zero; Bignum.one; ones; e_rand |] in
+      let classic b e = Modular.pow_classic b e ~m in
+      let mulm a b = Modular.mul a b ~m in
+      (* expected.(i).(j) = bases.(i)^exps.(j) mod m *)
+      let expected = Array.map (fun b -> Array.map (classic b) exps) bases in
+      let pow_ok =
+        Array.for_all2
+          (fun b row ->
+            Array.for_all2
+              (fun e r -> Bignum.equal r (Montgomery.pow ctx b e))
+              exps row)
+          bases expected
+      in
+      let pow_many_ok =
+        Array.for_all
+          (fun j ->
+            List.for_all2 Bignum.equal
+              (Array.to_list (Array.map (fun row -> row.(j)) expected))
+              (Montgomery.pow_many
+                 (Montgomery.powers ctx exps.(j))
+                 (Array.to_list bases)))
+          (Array.init (Array.length exps) Fun.id)
+      in
+      (* A ring pass in miniature: four hops in-domain, each hop's view
+         checked against the bignum chain. *)
+      let hops = [ ones; e_rand; Bignum.one; Bignum.zero ] in
+      let plans = List.map (Montgomery.powers ctx) hops in
+      let chain_ok =
+        Array.for_all
+          (fun b ->
+            let _, _, ok =
+              List.fold_left2
+                (fun (r, v, ok) plan e ->
+                  let r = Montgomery.pow_with_resident plan r in
+                  let v = classic v e in
+                  (r, v, ok && Bignum.equal v (Montgomery.of_resident ctx r)))
+                (Montgomery.to_resident ctx b, Bignum.erem b m, true)
+                plans hops
+            in
+            ok)
+          bases
+      in
+      let pow_base_ok =
+        Array.for_all2
+          (fun b row ->
+            let t = Montgomery.base_table ctx b in
+            Array.for_all2
+              (fun e r -> Bignum.equal r (Montgomery.pow_base t e))
+              exps row)
+          bases expected
+      in
+      (* Pair base i with exponent i mod 4, so every base and exponent
+         takes part. *)
+      let nb = Array.length bases and ne = Array.length exps in
+      let term i = (bases.(i mod nb), exps.(i mod ne)) in
+      let term_ref i = expected.(i mod nb).(i mod ne) in
+      let pow2_ok =
+        List.for_all
+          (fun i ->
+            let a, ea = term i and b, eb = term (i + 1) in
+            Bignum.equal
+              (mulm (term_ref i) (term_ref (i + 1)))
+              (Montgomery.pow2 ctx a ea b eb))
+          (List.init nb Fun.id)
+      in
+      let multi_pow_ok =
+        let idx = List.init nb Fun.id in
+        Bignum.equal
+          (List.fold_left (fun acc i -> mulm acc (term_ref i)) Bignum.one idx)
+          (Montgomery.multi_pow ctx (List.map term idx))
+      in
+      let mul_ok =
+        Array.for_all
+          (fun a ->
+            Array.for_all
+              (fun b -> Bignum.equal (mulm a b) (Montgomery.mul ctx a b))
+              bases)
+          bases
+      in
+      pow_ok && pow_many_ok && chain_ok && pow_base_ok && pow2_ok
+      && multi_pow_ok && mul_ok)
+
+(* The kernel allocates nothing: a resident exponentiation allocates
+   only its k-limb result (k + 1 words with the header). *)
+let test_pow_with_resident_allocation () =
+  let m = Bignum.pred (Bignum.shift_left Bignum.one 256) in
+  let k = Array.length (Bignum.to_limbs m) in
+  let ctx = Montgomery.create m in
+  let plan = Montgomery.powers ctx (Bignum.shift_right m 1) in
+  let r = Montgomery.to_resident ctx (bn 7) in
+  ignore (Montgomery.pow_with_resident plan r);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Montgomery.pow_with_resident plan r))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 100 calls (at most %d)" words
+       (100 * (k + 2)))
+    true
+    (words <= float_of_int (100 * (k + 2)))
+
+(* A modulus of [limbs] limbs, all ones: odd, and the widest such. *)
+let all_ones_limbs limbs =
+  Bignum.pred (Bignum.shift_left Bignum.one (limbs * Bignum.limb_bits))
+
+let test_width_bound () =
+  let limit = Montgomery.max_modulus_bits / Bignum.limb_bits in
+  (* At the bound, with the largest limbs: the kernel still agrees. *)
+  let m = all_ones_limbs limit in
+  let ctx = Montgomery.create m in
+  List.iter
+    (fun b ->
+      check_bn "at the bound"
+        (Modular.pow_classic b (bn 5) ~m)
+        (Montgomery.pow ctx b (bn 5)))
+    [ Bignum.pred m; Bignum.shift_right m 3 ];
+  (* One limb past it: Montgomery refuses the modulus and every
+     Modular entry point takes the classic path. *)
+  let m = all_ones_limbs (limit + 1) in
+  Alcotest.check_raises "create rejects"
+    (Invalid_argument "Montgomery.create: modulus too wide") (fun () ->
+      ignore (Montgomery.create m));
+  let e = bn 65537 and b = Bignum.shift_right m 5 in
+  let expected = Modular.pow_classic b e ~m in
+  check_bn "pow" expected (Modular.pow b e ~m);
+  check_bn "pow_base" expected (Modular.pow_base ~base:b e ~m);
+  check_bn "multi_pow" expected (Modular.multi_pow [ (b, e) ] ~m);
+  List.iter (check_bn "pow_many" expected) (Modular.pow_many [ b; b ] e ~m);
+  Alcotest.(check bool) "no shared context" true
+    (Option.is_none (Modular.mont_ctx_opt m))
+
+let test_resident_width_checks () =
+  let ctx3 = Montgomery.create (all_ones_limbs 3)
+  and ctx5 = Montgomery.create (all_ones_limbs 5) in
+  let r3 = Montgomery.to_resident ctx3 (bn 12345)
+  and r5 = Montgomery.to_resident ctx5 (bn 12345) in
+  let plan3 = Montgomery.powers ctx3 (bn 65537)
+  and plan5 = Montgomery.powers ctx5 (bn 65537) in
+  let raises fn f =
+    Alcotest.check_raises fn
+      (Invalid_argument
+         ("Montgomery." ^ fn ^ ": resident width differs from the context's"))
+      (fun () -> ignore (f ()))
+  in
+  (* Wider resident, narrower context: at one time silently truncated. *)
+  raises "of_resident" (fun () -> Montgomery.of_resident ctx3 r5);
+  raises "mul_resident" (fun () -> Montgomery.mul_resident ctx3 r3 r5);
+  raises "pow_with_resident" (fun () -> Montgomery.pow_with_resident plan3 r5);
+  (* Narrower resident, wider context. *)
+  raises "of_resident" (fun () -> Montgomery.of_resident ctx5 r3);
+  raises "mul_resident" (fun () -> Montgomery.mul_resident ctx5 r3 r5);
+  raises "pow_with_resident" (fun () -> Montgomery.pow_with_resident plan5 r3)
+
 let test_mont_cache_eviction_order () =
   (* Regression for LRU ordering under a configurable capacity: with
      room for two contexts, re-touching the older one must make the
@@ -925,7 +1116,13 @@ let () =
         :: qt [ prop_pow2_equals_product; prop_multi_pow_equals_product ] );
       ( "montgomery:resident",
         Alcotest.test_case "roundtrip" `Quick test_resident_roundtrip
+        :: Alcotest.test_case "width checks" `Quick test_resident_width_checks
         :: qt [ prop_resident_chain_equals_pow_chain ] );
+      ( "montgomery:kernel",
+        Alcotest.test_case "allocation-free" `Quick
+          test_pow_with_resident_allocation
+        :: Alcotest.test_case "width bound" `Quick test_width_bound
+        :: qt [ prop_kernel_edges ] );
       ( "primes",
         [ Alcotest.test_case "small primes" `Quick test_small_primes_list;
           Alcotest.test_case "known primes/composites" `Quick test_is_probable_prime_known;
