@@ -51,13 +51,8 @@ type t = {
   mutable deltas_rev : delta list;
 }
 
-let trusted t node = not (Cluster.is_quarantined t.cluster node)
-
-let available t node =
-  match t.failure_mode with
-  | Executor.Fail -> true
-  | Executor.Degrade ->
-    Net.Network.is_up (Cluster.net t.cluster) node && trusted t node
+let trusted t = Executor.trusted t.cluster
+let available t = Executor.available t.cluster ~on_failure:t.failure_mode
 
 let clause_has_cross_atom (clause : Planner.planned_clause) =
   List.exists

@@ -428,6 +428,16 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
 let all_atoms_skipped (clause : Planner.planned_clause) entry =
   entry.entry_skipped >= List.length clause.Planner.atoms
 
+let trusted cluster node = not (Cluster.is_quarantined cluster node)
+
+let available cluster ~on_failure node =
+  match on_failure with
+  | Fail -> true (* unavailability surfaces as Partitioned *)
+  | Degrade ->
+    (* a quarantined node is fenced exactly like a crashed one: atoms
+       it homes are skipped and the coverage report names it *)
+    Net.Network.is_up (Cluster.net cluster) node && trusted cluster node
+
 (* Serve one clause's glsn set; shared by [run] and [warm_clause].  The
    union is assembled at the clause's planned home, or at a stand-in when
    degraded — glsn sets are Definition-1 metadata, so re-homing the
@@ -437,15 +447,7 @@ let all_atoms_skipped (clause : Planner.planned_clause) entry =
    result is the home, the entry, and whether it came from the cache. *)
 let clause_step cluster ~ttp ~on_failure ~cache
     (clause : Planner.planned_clause) =
-  let trusted node = not (Cluster.is_quarantined cluster node) in
-  let available node =
-    match on_failure with
-    | Fail -> true (* unavailability surfaces as Partitioned *)
-    | Degrade ->
-      (* a quarantined node is fenced exactly like a crashed one: atoms
-         it homes are skipped and the coverage report names it *)
-      Net.Network.is_up (Cluster.net cluster) node && trusted node
-  in
+  let trusted = trusted cluster and available = available cluster ~on_failure in
   let home =
     let planned = clause.Planner.clause_home in
     if available planned then Some planned

@@ -118,6 +118,16 @@ type cached_set = {
       (** provenance: quarantining any of these taints the entry *)
 }
 
+val trusted : Cluster.t -> Net.Node_id.t -> bool
+(** The trust predicate {!run} evaluates and serves cached entries
+    under: a node is trusted unless {!Cluster.is_quarantined}. *)
+
+val available : Cluster.t -> on_failure:failure_mode -> Net.Node_id.t -> bool
+(** Whether {!run} under [on_failure] uses a node: always under [Fail]
+    (unavailability surfaces as {!Net.Network.Partitioned}); under
+    [Degrade], only while it is up and {!trusted} — a quarantined node
+    is fenced exactly like a crashed one. *)
+
 val cache_lookup_clause :
   cache ->
   available:(Net.Node_id.t -> bool) ->

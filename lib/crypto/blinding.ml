@@ -16,31 +16,7 @@ let apply_affine { a; b; p } y =
   Obs.Metrics.incr "crypto.blind.affine";
   Modular.add (Modular.mul a y ~m:p) b ~m:p
 
-let apply_affine_many blind ys =
-  let { a; b; p } = blind in
-  Obs.Metrics.incr ~by:(List.length ys) "crypto.blind.affine";
-  match ys with
-  | [] | [ _ ] ->
-    (* Nothing to amortize for a batch of at most one. *)
-    List.map (fun y -> Modular.add (Modular.mul a y ~m:p) b ~m:p) ys
-  | _ -> (
-    match Modular.mont_ctx_opt p with
-    | Some ctx ->
-      (* Montgomery batch path: the blinding factor enters the domain
-         once, each element pays REDC multiplications instead of a
-         Knuth division.  [of_resident] is canonical, so values are
-         identical to the classic path. *)
-      let a_res = Montgomery.to_resident ctx a in
-      List.map
-        (fun y ->
-          let ay =
-            Montgomery.of_resident ctx
-              (Montgomery.mul_resident ctx a_res
-                 (Montgomery.to_resident ctx y))
-          in
-          Modular.add ay b ~m:p)
-        ys
-    | None -> List.map (fun y -> Modular.add (Modular.mul a y ~m:p) b ~m:p) ys)
+let apply_affine_many blind ys = List.map (apply_affine blind) ys
 
 type monotone = { scale : Bignum.t; offset : Bignum.t }
 

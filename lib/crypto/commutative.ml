@@ -1,56 +1,23 @@
 open Numtheory
 
-(* A ciphertext as threaded through a ring pass: Pohlig–Hellman values
-   ride in Montgomery-resident form (entered once per protocol run),
-   anything else as the bare wire value.  Either way [view] is the
-   canonical bignum that goes on the network — byte-identical to the
-   scalar path. *)
-type resident =
-  | Ph of Pohlig_hellman.params * Pohlig_hellman.resident
-  | Raw of Bignum.t
-
 type keypair = {
-  enc : Bignum.t -> Bignum.t;
-  dec : Bignum.t -> Bignum.t;
   enc_many : Bignum.t list -> Bignum.t list;
   dec_many : Bignum.t list -> Bignum.t list;
-  enc_res_many : resident list -> resident list;
-  dec_res_many : resident list -> resident list;
 }
 
 type scheme = {
   name : string;
   fresh_keypair : unit -> keypair;
   encode : string -> Bignum.t;
-  enter_many : Bignum.t list -> resident list;
-  view : resident -> Bignum.t;
-  resync : resident -> Bignum.t -> resident;
 }
-
-let view = function
-  | Ph (_, r) -> Pohlig_hellman.view r
-  | Raw v -> v
-
-let resync r wire =
-  match r with
-  | Ph (params, r) -> Ph (params, Pohlig_hellman.resync params r wire)
-  | Raw _ -> Raw wire
 
 (* Every keypair counts its layer operations scheme-agnostically, so
    the §3 set-protocol cost formulas (n²·m encryptions for ∩ₛ, plus
    n·u decryptions for ∪ₛ) are assertable whatever cipher backs the
-   run.  Batch and resident calls count one operation per element, so
-   the counters are invariant under both batching and residency. *)
-let counted { enc; dec; enc_many; dec_many; enc_res_many; dec_res_many } =
+   run.  A batch counts one operation per element, so the counters are
+   invariant under batching. *)
+let counted { enc_many; dec_many } =
   {
-    enc =
-      (fun x ->
-        Obs.Metrics.incr "crypto.commutative.enc";
-        enc x);
-    dec =
-      (fun x ->
-        Obs.Metrics.incr "crypto.commutative.dec";
-        dec x);
     enc_many =
       (fun xs ->
         Obs.Metrics.incr ~by:(List.length xs) "crypto.commutative.enc";
@@ -59,29 +26,9 @@ let counted { enc; dec; enc_many; dec_many; enc_res_many; dec_res_many } =
       (fun xs ->
         Obs.Metrics.incr ~by:(List.length xs) "crypto.commutative.dec";
         dec_many xs);
-    enc_res_many =
-      (fun xs ->
-        Obs.Metrics.incr ~by:(List.length xs) "crypto.commutative.enc";
-        enc_res_many xs);
-    dec_res_many =
-      (fun xs ->
-        Obs.Metrics.incr ~by:(List.length xs) "crypto.commutative.dec";
-        dec_res_many xs);
   }
 
 let pohlig_hellman rng params =
-  (* Residents from a foreign scheme (a [Raw] handed to a PH keypair)
-     cannot arise from the protocol code, but re-entering them keeps
-     the operations total. *)
-  let to_ph = function
-    | Ph (_, r) -> r
-    | Raw v -> List.hd (Pohlig_hellman.enter_many params [ v ])
-  in
-  let lift op key rs =
-    List.map
-      (fun r -> Ph (params, r))
-      (op params key (List.map to_ph rs))
-  in
   {
     name = "pohlig-hellman";
     fresh_keypair =
@@ -89,21 +36,10 @@ let pohlig_hellman rng params =
         let key = Pohlig_hellman.generate_key rng params in
         counted
           {
-            enc = Pohlig_hellman.encrypt params key;
-            dec = Pohlig_hellman.decrypt params key;
             enc_many = Pohlig_hellman.encrypt_many params key;
             dec_many = Pohlig_hellman.decrypt_many params key;
-            enc_res_many = lift Pohlig_hellman.encrypt_resident_many key;
-            dec_res_many = lift Pohlig_hellman.decrypt_resident_many key;
           });
     encode = Pohlig_hellman.encode params;
-    enter_many =
-      (fun ms ->
-        List.map
-          (fun r -> Ph (params, r))
-          (Pohlig_hellman.enter_many params ms));
-    view;
-    resync;
   }
 
 let xor_pad rng params =
@@ -112,22 +48,10 @@ let xor_pad rng params =
     fresh_keypair =
       (fun () ->
         let key = Xor_pad.generate_key rng params in
-        let enc = Xor_pad.encrypt params key in
-        let dec = Xor_pad.decrypt params key in
-        (* No useful residue form for the pad: residents are bare wire
-           values and the resident batch is the plain map. *)
-        let lift op rs = List.map (fun r -> Raw (op (view r))) rs in
         counted
           {
-            enc;
-            dec;
-            enc_many = List.map enc;
-            dec_many = List.map dec;
-            enc_res_many = lift enc;
-            dec_res_many = lift dec;
+            enc_many = List.map (Xor_pad.encrypt params key);
+            dec_many = List.map (Xor_pad.decrypt params key);
           });
     encode = Xor_pad.encode params;
-    enter_many = (fun ms -> List.map (fun m -> Raw m) ms);
-    view;
-    resync;
   }

@@ -5,34 +5,22 @@
     deterministic embedding of payloads into the message domain.  This
     module packages Pohlig–Hellman and the XOR pad behind that common
     shape, so protocol code — and the cipher-choice ablation bench — is
-    written once. *)
+    written once.  A ring hop re-encrypts a whole set under one key, so
+    the pair works on batches; a single value is a batch of one. *)
 
 open Numtheory
 
-type resident
-(** A ciphertext as threaded through a ring pass: entered into
-    Montgomery-resident form once per protocol run (Pohlig–Hellman) or
-    carried as the bare wire value (XOR pad).  Its [view] is always the
-    canonical bignum the scalar path would have put on the wire. *)
-
 type keypair = {
-  enc : Bignum.t -> Bignum.t;
-  dec : Bignum.t -> Bignum.t;
   enc_many : Bignum.t list -> Bignum.t list;
-      (** Batch layer under one key: ciphertexts identical to mapping
-          [enc], but fixed-exponent plan state is shared across the
-          list (Montgomery window recoding and scratch arrays are set
-          up once).  Counters advance by the batch length, so §3 cost
-          counts are unchanged. *)
+      (** Encrypt a batch under this node's key.  Under Pohlig–Hellman
+          this is {!Pohlig_hellman.encrypt_many}: ciphertexts identical
+          to element-at-a-time encryption, with the exponent's plan
+          state shared across the list.  [crypto.commutative.enc]
+          advances by the batch length, so §3 cost counts do not
+          depend on batching. *)
   dec_many : Bignum.t list -> Bignum.t list;
-      (** Batch counterpart of [dec]; same guarantees as [enc_many]. *)
-  enc_res_many : resident list -> resident list;
-      (** In-domain batch layer: views are byte-identical to
-          [enc_many] on the corresponding wire values, and counters
-          advance identically — only the [crypto.mont.*] op-mix moves
-          (domain entry/exit is skipped per hop). *)
-  dec_res_many : resident list -> resident list;
-      (** In-domain counterpart of [dec_many]. *)
+      (** Batch counterpart of [enc_many], counted on
+          [crypto.commutative.dec]. *)
 }
 (** One node's matched key, as closures over scheme parameters. *)
 
@@ -43,15 +31,6 @@ type scheme = {
   encode : string -> Bignum.t;
       (** Shared deterministic payload embedding: equal payloads map to
           equal domain elements across all participants. *)
-  enter_many : Bignum.t list -> resident list;
-      (** Convert a batch into resident form once, at ring entry. *)
-  view : resident -> Bignum.t;
-      (** The canonical wire value (always current). *)
-  resync : resident -> Bignum.t -> resident;
-      (** Reconcile a resident with the value that actually arrived
-          after delivery: a no-op when they agree (the honest path), a
-          domain re-entry from the delivered bytes when an adversary
-          tampered in flight. *)
 }
 
 val pohlig_hellman : Numtheory.Prng.t -> Pohlig_hellman.params -> scheme

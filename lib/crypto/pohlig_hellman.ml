@@ -47,87 +47,6 @@ let decrypt_many { p; _ } { d; _ } cs =
   Obs.Metrics.incr ~by:(List.length cs) "crypto.modexp";
   Modular.pow_many cs d ~m:p
 
-(* ---- Montgomery-resident ciphertexts -----------------------------
-   A resident ciphertext pairs the canonical wire value (what goes on
-   the network, byte-identical to the scalar path) with its Montgomery
-   residue.  Ring passes enter the domain once per protocol run and
-   chain every hop's re-encryption in-domain; only the cheap exit
-   multiplication is paid per hop to refresh the wire view.  [dom] is
-   [None] when the modulus falls outside the Montgomery shape (even or
-   single-limb), in which case every operation degrades to the plain
-   batch path on [view]. *)
-
-type resident = { view : Bignum.t; dom : Montgomery.resident option }
-
-let view r = r.view
-
-let enter_many { p; _ } ms =
-  match Modular.mont_ctx_opt p with
-  | Some ctx ->
-    Obs.Metrics.incr ~by:(List.length ms) "crypto.mont.resident_enter";
-    List.map
-      (fun m -> { view = m; dom = Some (Montgomery.to_resident ctx m) })
-      ms
-  | None -> List.map (fun m -> { view = m; dom = None }) ms
-
-let resync { p; _ } r wire =
-  (* After delivery the wire value is authoritative: an adversary may
-     have tampered with it in flight.  The honest path compares equal
-     and keeps the chained residue; a mismatch re-enters the domain
-     from the delivered bytes. *)
-  if Bignum.equal r.view wire then r
-  else begin
-    Obs.Metrics.incr "crypto.mont.resident_resync";
-    match Modular.mont_ctx_opt p with
-    | Some ctx -> { view = wire; dom = Some (Montgomery.to_resident ctx wire) }
-    | None -> { view = wire; dom = None }
-  end
-
-(* Shared by the encrypt/decrypt directions: raise every resident to
-   [exp], staying in-domain when possible.  [crypto.modexp] advances by
-   the batch length exactly as the plain batch path does, so the §3
-   closed-form counts are oblivious to which path ran; only the
-   [crypto.mont.*] op-mix moves. *)
-let pool_min_chunk = 16
-
-let pow_resident_many { p; _ } exp rs =
-  List.iter (fun r -> check_domain p r.view) rs;
-  Obs.Metrics.incr ~by:(List.length rs) "crypto.modexp";
-  match Modular.mont_ctx_opt p with
-  | Some ctx when List.for_all (fun r -> r.dom <> None) rs ->
-    Obs.Metrics.incr ~by:(List.length rs) "crypto.mont.resident_pow";
-    let step plan ctx r =
-      match r.dom with
-      | Some d ->
-        let d = Montgomery.pow_with_resident plan d in
-        { view = Montgomery.of_resident ctx d; dom = Some d }
-      | None -> assert false
-    in
-    let pool = Domain_pool.current () in
-    if Domain_pool.domains pool > 1 && List.length rs >= 2 * pool_min_chunk
-    then
-      (* Ring-pass hot path under a reactor pool: contiguous chunks,
-         each with a private context and plan (residues are plain
-         arrays over the shared modulus, so they cross contexts
-         freely).  Views and residues are identical to the inline
-         path at any pool width. *)
-      Domain_pool.map_list pool ~min_chunk:pool_min_chunk
-        (fun chunk ->
-          let ctx = Montgomery.create p in
-          let plan = Montgomery.powers ctx exp in
-          List.map (step plan ctx) chunk)
-        rs
-    else
-      let plan = Montgomery.powers ctx exp in
-      List.map (step plan ctx) rs
-  | _ ->
-    List.map
-      (fun v -> { view = v; dom = None })
-      (Modular.pow_many (List.map view rs) exp ~m:p)
-
-let encrypt_resident_many params { e; _ } rs = pow_resident_many params e rs
-let decrypt_resident_many params { d; _ } rs = pow_resident_many params d rs
-
 let encode { span; _ } payload =
   (* 2 + (H(payload) mod (p - 3)) lies in [2, p-2]; deterministic, so two
      nodes holding equal plaintexts produce the same group element. *)

@@ -35,46 +35,16 @@ val decrypt : params -> key -> Bignum.t -> Bignum.t
 val encrypt_many : params -> key -> Bignum.t list -> Bignum.t list
 (** Batch encryption under one key: the exponent windows are recoded
     once and the Montgomery scratch state shared across the list
-    ({!Numtheory.Modular.pow_many}).  Ciphertexts are identical to
-    mapping {!encrypt}; [crypto.modexp] is incremented by the batch
-    length, so §3 cost counts are unchanged.
+    ({!Numtheory.Modular.pow_many}, which also farms large batches
+    across an ambient {!Numtheory.Domain_pool}).  Every ∩ₛ/∪ₛ ring hop
+    re-encrypts through this or {!decrypt_many}.  Ciphertexts are
+    identical to mapping {!encrypt}; [crypto.modexp] is incremented by
+    the batch length, so §3 cost counts are unchanged.
     @raise Invalid_argument if any message is outside [\[1, p-1\]]. *)
 
 val decrypt_many : params -> key -> Bignum.t list -> Bignum.t list
 (** Batch counterpart of {!decrypt}; same guarantees as
     {!encrypt_many}. *)
-
-type resident
-(** A ciphertext held in Montgomery-resident form alongside its
-    canonical wire value.  The wire value is byte-identical to what the
-    scalar path produces at every hop; the residue lets chained
-    re-encryptions skip the per-op domain entry/exit
-    ({!Numtheory.Montgomery.pow_with_resident}). *)
-
-val enter_many : params -> Bignum.t list -> resident list
-(** Convert a batch into the residue domain once (counter
-    [crypto.mont.resident_enter]).  For moduli outside the Montgomery
-    shape the residents degrade to plain wrappers and every later
-    operation uses the ordinary batch path. *)
-
-val view : resident -> Bignum.t
-(** The canonical wire value — always current, in [\[0, p)]. *)
-
-val resync : params -> resident -> Bignum.t -> resident
-(** [resync params r wire] reconciles a resident with the value that
-    actually arrived: equal views keep the chained residue free of
-    charge; a tampered delivery re-enters the domain from [wire]
-    (counter [crypto.mont.resident_resync]). *)
-
-val encrypt_resident_many : params -> key -> resident list -> resident list
-(** In-domain batch encryption: value- and counter-equivalent to
-    {!encrypt_many} ([crypto.modexp] advances by the batch length), but
-    each element pays one REDC multiplication to refresh its wire view
-    instead of a full domain round-trip.
-    @raise Invalid_argument if any view is outside [\[1, p-1]\]. *)
-
-val decrypt_resident_many : params -> key -> resident list -> resident list
-(** In-domain counterpart of {!decrypt_many}. *)
 
 val encode : params -> string -> Bignum.t
 (** Deterministic hash-embedding of an arbitrary byte string into

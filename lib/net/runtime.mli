@@ -77,8 +77,8 @@ val pool : 'msg t -> Numtheory.Domain_pool.t
 
 val with_compute : 'msg t -> (unit -> 'a) -> 'a
 (** Run a thunk with the reactor's pool installed as the ambient
-    {!Numtheory.Domain_pool.current}, so modexp batch layers
-    ({!Numtheory.Modular.pow_many}, resident ring passes) farm to it. *)
+    {!Numtheory.Domain_pool.current}, so {!Numtheory.Modular.pow_many}
+    batches (every ∩ₛ/∪ₛ ring hop) farm to it. *)
 
 val shutdown : 'msg t -> unit
 (** Fence and join the worker domains; idempotent, no-op at width 1. *)

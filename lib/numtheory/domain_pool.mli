@@ -1,8 +1,8 @@
 (** Fixed pool of OCaml 5 domains for pure batch compute.
 
     The reactor runtime farms the modexp-heavy tail of an SMC round —
-    {!Modular.pow_many} batches, resident ring-pass re-encryptions — to
-    a small set of worker domains.  Determinism is preserved by
+    the {!Modular.pow_many} batches every ∩ₛ/∪ₛ ring hop re-encrypts
+    through — to a small set of worker domains.  Determinism is preserved by
     construction: work is split into {e contiguous} chunks whose sizes
     depend only on the batch length and the pool width, results are
     joined in submission order, and workers run pure closures that
@@ -48,7 +48,8 @@ val map_list : t -> min_chunk:int -> ('a list -> 'b list) -> 'a list -> 'b list
     Batches shorter than [2 * min_chunk] (and any batch on a width-1
     pool) run inline on the caller; farmed batches advance
     [pool.batches] and [pool.jobs], inline ones [pool.inline].
-    Exceptions raised by a chunk are re-raised on the caller. *)
+    Exceptions raised by a chunk are re-raised on the caller.
+    {!Modular.pow_many} is its one caller in the library. *)
 
 val fence : t -> unit
 (** Block until every submitted chunk has completed — the round

@@ -84,8 +84,6 @@ let mont_ctx m =
     mont_cache := ctx :: cache_trim (!capacity - 1) !mont_cache;
     ctx
 
-let mont_ctx_opt m = if montgomery_shape m then Some (mont_ctx m) else None
-
 let rec base_cache_take ~base ~m acc = function
   | [] -> None
   | t :: rest ->

@@ -26,9 +26,10 @@ val pow_many : Bignum.t list -> Bignum.t -> m:Bignum.t -> Bignum.t list
     When a multi-domain {!Domain_pool} is ambient
     ({!Domain_pool.current}), large batches are additionally split into
     contiguous chunks farmed across the pool, each chunk under a
-    private context.  Results are value-identical to the
-    element-at-a-time path at any pool width, so protocol transcripts
-    built over it are byte-identical. *)
+    private context; this is the only modexp path the pool runs, and
+    every ∩ₛ/∪ₛ ring hop re-encrypts through it.  Results are
+    value-identical to the element-at-a-time path at any pool width,
+    so protocol transcripts built over it are byte-identical. *)
 
 val pow_base : base:Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
 (** [pow_base ~base e ~m] is [pow base e ~m] through a fixed-base
@@ -56,14 +57,6 @@ val multi_pow : (Bignum.t * Bignum.t) list -> m:Bignum.t -> Bignum.t
 val pow_classic : Bignum.t -> Bignum.t -> m:Bignum.t -> Bignum.t
 (** The division-based square-and-multiply path, exposed for the modexp
     ablation bench and as the reference in tests. *)
-
-val mont_ctx_opt : Bignum.t -> Montgomery.ctx option
-(** The shared LRU-cached Montgomery context for [m], or [None] when
-    [m] is outside the Montgomery domain shape (even, < 64 bits, or
-    wider than {!Montgomery.max_modulus_bits}).
-    Consumers holding {!Montgomery.resident} chains (the SMC ring
-    passes) use this so their in-domain work shares contexts — and
-    cache counters — with {!pow}. *)
 
 val reset_mont_cache : unit -> unit
 (** Drop every cached Montgomery context and fixed-base table.  The

@@ -13,8 +13,8 @@
    Unchecked access.  The kernel reads and writes limbs with
    [Array.unsafe_get]/[unsafe_set] at indices in [0, k): a, b, dst,
    the modulus and the q-digits all hold exactly k limbs.  Every array
-   the kernel sees is built here at the context's width, except
-   residents, whose width the resident entry points check. *)
+   the kernel sees is built in this file at the context's width; none
+   is taken from a caller. *)
 
 let limb_bits = Bignum.limb_bits
 let limb_base = 1 lsl limb_bits
@@ -40,7 +40,6 @@ type ctx = {
   one_mont : int array;  (* R mod m *)
   one_plain : int array;  (* plain 1, for domain exit *)
   q : int array;  (* k reduction digits: the kernel's only scratch *)
-  exit_buf : int array;  (* k limbs: reusable destination for domain exits *)
 }
 
 (* Inverse of an odd limb modulo 2^26 by Hensel lifting on native ints. *)
@@ -82,7 +81,6 @@ let create m =
     one_mont;
     one_plain;
     q = Array.make k 0;
-    exit_buf = Array.make k 0;
   }
 
 let modulus ctx = ctx.m
@@ -146,6 +144,13 @@ let to_array ctx x =
   Array.blit limbs 0 out 0 (Array.length limbs);
   out
 
+(* Domain entry into a fresh array, x·R mod m: the long-lived operands
+   of the base tables, [pow2] and [multi_pow]. *)
+let to_mont ctx x =
+  let out = to_array ctx x in
+  mont_mul ctx out out ctx.r2;
+  out
+
 (* Fixed 4-bit-window exponentiation: precompute b^0..b^15 in the
    Montgomery domain, then per window do 4 squarings and at most one
    table multiplication — ~25% fewer multiplications than binary
@@ -197,26 +202,30 @@ let powers ctx e =
     b_mont = Array.make ctx.k 0;
   }
 
-(* Raise the in-domain base sitting in [plan.b_mont] to [plan.e],
-   leaving the in-domain result in [plan.acc].  Shared by the bignum
-   path ([pow_with], which enters and leaves the domain around it) and
-   the resident path ([pow_with_resident], which does neither). *)
-let pow_core plan =
+let pow_with plan b =
   let ctx = plan.p_ctx in
+  let k = ctx.k in
+  (* enter the domain: reduce into the reused base buffer, no fresh
+     padding array per element. *)
+  let limbs = Bignum.to_limbs (Bignum.erem b ctx.m) in
+  let b_mont = plan.b_mont in
+  Array.fill b_mont 0 k 0;
+  Array.blit limbs 0 b_mont 0 (Array.length limbs);
+  mont_mul ctx b_mont b_mont ctx.r2;
   let acc = plan.acc in
-  Array.blit ctx.one_mont 0 acc 0 ctx.k;
+  Array.blit ctx.one_mont 0 acc 0 k;
   if plan.nbits <= 2 * window_bits then
     (* Tiny exponent: plain binary, no table amortization possible. *)
     for i = plan.nbits - 1 downto 0 do
       mont_mul ctx acc acc acc;
-      if Bignum.test_bit plan.e i then mont_mul ctx acc acc plan.b_mont
+      if Bignum.test_bit plan.e i then mont_mul ctx acc acc b_mont
     done
   else begin
     let table = plan.table in
-    Array.blit ctx.one_mont 0 table.(0) 0 ctx.k;
-    Array.blit plan.b_mont 0 table.(1) 0 ctx.k;
+    Array.blit ctx.one_mont 0 table.(0) 0 k;
+    Array.blit b_mont 0 table.(1) 0 k;
     for i = 2 to 15 do
-      mont_mul ctx table.(i) table.(i - 1) plan.b_mont
+      mont_mul ctx table.(i) table.(i - 1) b_mont
     done;
     let nwindows = Array.length plan.digits in
     for w = nwindows - 1 downto 0 do
@@ -227,64 +236,12 @@ let pow_core plan =
       let digit = plan.digits.(w) in
       if digit <> 0 then mont_mul ctx acc acc table.(digit)
     done
-  end
-
-let pow_with plan b =
-  let ctx = plan.p_ctx in
-  let k = ctx.k in
-  (* enter the domain: reduce into the reused base buffer, no fresh
-     padding array per element. *)
-  let limbs = Bignum.to_limbs (Bignum.erem b ctx.m) in
-  Array.fill plan.b_mont 0 k 0;
-  Array.blit limbs 0 plan.b_mont 0 (Array.length limbs);
-  mont_mul ctx plan.b_mont plan.b_mont ctx.r2;
-  pow_core plan;
+  end;
   (* leave the Montgomery domain: multiply by 1. *)
-  mont_mul ctx plan.acc plan.acc ctx.one_plain;
-  Bignum.of_limbs plan.acc
+  mont_mul ctx acc acc ctx.one_plain;
+  Bignum.of_limbs acc
 
 let pow_many plan bs = List.map (pow_with plan) bs
-
-(* ---- Montgomery-resident values ----------------------------------
-   A [resident] is a value held in the residue representation [x·R mod
-   m] (canonical, < m).  Chained exponentiations — the ∩ₛ/∪ₛ ring
-   passes, where every node re-encrypts the same ciphertext vector —
-   stay in-domain across the whole chain: [(x·R)^e] under REDC powering
-   is exactly [(x^e)·R], so each hop skips both the erem/blit/R² entry
-   and the exit multiplication that [pow_with] pays per call.  A
-   resident reaches the unchecked kernel, so the entry points below
-   reject one whose width is not the context's. *)
-
-type resident = int array  (* k limbs, value·R mod m *)
-
-let check_width fn ctx r =
-  if Array.length r <> ctx.k then
-    invalid_arg ("Montgomery." ^ fn ^ ": resident width differs from the context's")
-
-let to_resident ctx x =
-  let out = to_array ctx x in
-  mont_mul ctx out out ctx.r2;
-  out
-
-let of_resident ctx r =
-  check_width "of_resident" ctx r;
-  (* [of_limbs] copies, so the shared exit buffer never escapes — the
-     hot per-hop view refresh allocates nothing but the result. *)
-  mont_mul ctx ctx.exit_buf r ctx.one_plain;
-  Bignum.of_limbs ctx.exit_buf
-
-let mul_resident ctx a b =
-  check_width "mul_resident" ctx a;
-  check_width "mul_resident" ctx b;
-  let out = Array.make ctx.k 0 in
-  mont_mul ctx out a b;
-  out
-
-let pow_with_resident plan r =
-  check_width "pow_with_resident" plan.p_ctx r;
-  Array.blit r 0 plan.b_mont 0 plan.p_ctx.k;
-  pow_core plan;
-  Array.copy plan.acc
 
 (* ---- Fixed-base windowed precomputation --------------------------
    For a long-lived base [b] (a Pohlig–Hellman generator, the
@@ -306,7 +263,7 @@ type base_table = {
 let base_table ctx b =
   let b = Bignum.erem b ctx.m in
   { bt_ctx = ctx; bt_base = b; rows = [||]; nrows = 0;
-    next_seed = to_resident ctx b }
+    next_seed = to_mont ctx b }
 
 let table_modulus t = t.bt_ctx.m
 let table_base t = t.bt_base
@@ -363,7 +320,7 @@ let pow2 ctx a e1 b e2 =
   if Bignum.sign e1 < 0 || Bignum.sign e2 < 0 then
     invalid_arg "Montgomery.pow2: negative exponent";
   let k = ctx.k in
-  let a_m = to_resident ctx a and b_m = to_resident ctx b in
+  let a_m = to_mont ctx a and b_m = to_mont ctx b in
   (* table.(j*4+i) = a^i · b^j · R *)
   let table = Array.init 16 (fun _ -> Array.make k 0) in
   Array.blit ctx.one_mont 0 table.(0) 0 k;
@@ -416,7 +373,7 @@ let multi_pow ctx pairs =
         let tbl = Array.make (1 lsl cn) [||] in
         tbl.(0) <- ctx.one_mont;
         for i = 0 to cn - 1 do
-          tbl.(1 lsl i) <- to_resident ctx (fst pairs.(lo + i))
+          tbl.(1 lsl i) <- to_mont ctx (fst pairs.(lo + i))
         done;
         for mask = 3 to (1 lsl cn) - 1 do
           let lowbit = mask land -mask in

@@ -15,11 +15,11 @@
     allocates nothing, and its output may alias either operand, so
     exponentiations square and multiply their accumulator in place.
     It reads limbs without bounds checks; that is safe because every
-    array it sees has exactly the context's k limbs — arrays built
-    here have that width by construction, and the resident entry
-    points check the width of the residents they are given.  The
-    kernel's column sums are bounded to fit a native int only up to
-    {!max_modulus_bits}, so {!create} rejects wider moduli. *)
+    array it sees has exactly the context's k limbs: the arrays are
+    built inside this module at that width, and the interface takes
+    and returns bignums only.  The kernel's column sums are bounded to
+    fit a native int only up to {!max_modulus_bits}, so {!create}
+    rejects wider moduli. *)
 
 type ctx
 
@@ -54,7 +54,9 @@ val powers : ctx -> Bignum.t -> powers
 
 val pow_with : powers -> Bignum.t -> Bignum.t
 (** [pow_with plan b] is [b^e mod m] — value-identical to
-    [pow ctx b e] ({!pow} itself is a batch of one). *)
+    [pow ctx b e] ({!pow} itself is a batch of one).  It allocates only
+    the reduced base's limbs and the result; the multiplications
+    between them allocate nothing. *)
 
 val pow_many : powers -> Bignum.t list -> Bignum.t list
 (** [pow_many plan bs] maps {!pow_with} over [bs], reusing the plan's
@@ -63,35 +65,6 @@ val pow_many : powers -> Bignum.t list -> Bignum.t list
 val mul : ctx -> Bignum.t -> Bignum.t -> Bignum.t
 (** One modular multiplication through the Montgomery domain (includes
     conversion; use {!pow} for chains). *)
-
-(** {2 Montgomery-resident values}
-
-    A {!resident} holds a value in the residue representation
-    [x·R mod m].  Ring passes that re-exponentiate the same ciphertext
-    at every hop convert once on entry, chain every hop's
-    exponentiation in-domain ([(x·R)^e] REDC-powers to exactly
-    [(x^e)·R]), and convert back once — skipping the per-op domain
-    entry (erem + R² multiply) and exit that {!pow_with} pays. *)
-
-type resident
-
-val to_resident : ctx -> Bignum.t -> resident
-(** Enter the domain: [to_resident ctx x] holds [x mod m]. *)
-
-val of_resident : ctx -> resident -> Bignum.t
-(** Leave the domain; the result is canonical in [\[0, m)] and
-    identical to the bignum the same op-chain would have produced.
-    @raise Invalid_argument on a resident of another context width. *)
-
-val mul_resident : ctx -> resident -> resident -> resident
-(** In-domain product; one REDC multiplication, no conversions.
-    @raise Invalid_argument on a resident of another context width. *)
-
-val pow_with_resident : powers -> resident -> resident
-(** [pow_with_resident plan r] raises an in-domain value to the plan's
-    exponent, staying in-domain — the core loop of {!pow_with} without
-    the entry and exit conversions.  It allocates only the result.
-    @raise Invalid_argument on a resident of another context width. *)
 
 (** {2 Fixed-base windowed precomputation}
 

@@ -107,23 +107,3 @@ let send_bignums net ~src ~dst ~label values =
   observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
     (Net.Ledger.Batch (Bignum.to_hex, wire));
   wire
-
-let send_residents net ~(scheme : Crypto.Commutative.scheme) ~src ~dst ~label
-    residents =
-  (* One ring hop of Montgomery-resident ciphertexts.  What goes on the
-     wire — bytes accounted, ledger observations, adversary tampering,
-     round-guard commitments — is exactly the canonical views, so the
-     transcript is byte-identical to [send_bignums] on them.  Only the
-     receiver's bookkeeping differs: an untampered delivery keeps each
-     chained residue ([resync] compares views for free); tampering or
-     drops re-enter the domain from the delivered payload, exactly as a
-     real receiver must. *)
-  let views = List.map scheme.view residents in
-  let wire = deliver net ~src ~dst ~label views in
-  let bytes = List.fold_left (fun acc v -> acc + bignum_wire_size v) 0 wire in
-  Net.Network.send_exn net ~src ~dst ~label ~bytes;
-  observe net ~node:dst ~sensitivity:Net.Ledger.Ciphertext ~tag:label
-    (Net.Ledger.Batch (Bignum.to_hex, wire));
-  if List.length wire = List.length residents then
-    List.map2 scheme.resync residents wire
-  else scheme.enter_many wire

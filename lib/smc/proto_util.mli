@@ -104,21 +104,6 @@ val send_bignums :
     payload as delivered (identical to the argument unless a Byzantine
     adversary is installed — see {!deliver}).  Protocol code must
     continue with the returned payload, exactly as a real receiver
-    would.
-    @raise Net.Network.Partitioned on non-delivery. *)
-
-val send_residents :
-  Net.Network.t ->
-  scheme:Crypto.Commutative.scheme ->
-  src:Net.Node_id.t ->
-  dst:Net.Node_id.t ->
-  label:string ->
-  Crypto.Commutative.resident list ->
-  Crypto.Commutative.resident list
-(** {!send_bignums} for Montgomery-resident ciphertexts: the wire
-    carries the canonical views (bytes, ledger observations, adversary
-    and round-guard interplay all byte-identical), while the residue
-    forms are carried across the hop for free on the honest path.  A
-    tampered or shortened delivery re-enters the domain from the
-    payload that actually arrived.
+    would: every ∩ₛ/∪ₛ ring hop relays through here, so the next
+    node's layer goes on the values that actually arrived.
     @raise Net.Network.Partitioned on non-delivery. *)

@@ -33,20 +33,15 @@ let ring_encrypt ~net ~scheme ~receiver parties =
         (p.node, set))
       parties
   in
-  (* First encryption layer is local: origin encrypts its own encoding.
-     Ciphertexts enter the Montgomery residue domain here, once per
-     protocol run, and stay resident across every relay hop — the wire
-     always carries the canonical views, so transcripts are
-     byte-identical to the pre-resident protocol. *)
+  (* First encryption layer is local: origin encrypts its own encoding. *)
   let initial =
     Proto_util.span net "smc.intersection.transform" (fun () ->
         List.map
           (fun (node, set) ->
             let kp = keypair_of node in
             let cts =
-              kp.Crypto.Commutative.enc_res_many
-                (scheme.Crypto.Commutative.enter_many
-                   (List.map scheme.Crypto.Commutative.encode set))
+              kp.Crypto.Commutative.enc_many
+                (List.map scheme.Crypto.Commutative.encode set)
             in
             (node, node, cts))
           own_sets)
@@ -61,11 +56,11 @@ let ring_encrypt ~net ~scheme ~receiver parties =
           (fun (origin, holder, cts) ->
             let next = Proto_util.ring_next ring holder in
             let cts =
-              Proto_util.send_residents net ~scheme ~src:holder ~dst:next
+              Proto_util.send_bignums net ~src:holder ~dst:next
                 ~label:"intersection:relay" cts
             in
             let kp = keypair_of next in
-            (origin, next, kp.Crypto.Commutative.enc_res_many cts))
+            (origin, next, kp.Crypto.Commutative.enc_many cts))
           state
       in
       Proto_util.round ~label:"intersection" net;
@@ -75,20 +70,17 @@ let ring_encrypt ~net ~scheme ~receiver parties =
   let final = Proto_util.span net "smc.intersection.exchange" (fun () ->
       hops initial 1)
   in
-  (* Ship every fully-encrypted set to the receiver.  No further crypto
-     happens after this hop, so residents convert back to canonical
-     views here — the once-per-run domain exit. *)
+  (* Ship every fully-encrypted set to the receiver. *)
   let encrypted_by_all =
     Proto_util.span net "smc.intersection.collect" (fun () ->
         let encrypted =
           List.map
             (fun (origin, holder, cts) ->
-              let views = List.map scheme.Crypto.Commutative.view cts in
               let cts =
-                if Net.Node_id.equal holder receiver then views
+                if Net.Node_id.equal holder receiver then cts
                 else
                   Proto_util.send_bignums net ~src:holder ~dst:receiver
-                    ~label:"intersection:collect" views
+                    ~label:"intersection:collect" cts
               in
               (origin, cts))
             final

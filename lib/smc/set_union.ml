@@ -29,14 +29,10 @@ let ring_collect ~net ~scheme ~receiver parties =
               (Net.Ledger.Batch (Fun.id, set));
             let kp = keypair_of p.node in
             (* Remember plaintext alongside, so the receiver can later verify
-               nothing: the mapping never leaves the origin.  Ciphertexts
-               enter the residue domain once here and stay resident for
-               the whole encryption ring (wire bytes are the canonical
-               views, unchanged). *)
+               nothing: the mapping never leaves the origin. *)
             ( p.node,
-              kp.Crypto.Commutative.enc_res_many
-                (scheme.Crypto.Commutative.enter_many
-                   (List.map scheme.Crypto.Commutative.encode set)) ))
+              kp.Crypto.Commutative.enc_many
+                (List.map scheme.Crypto.Commutative.encode set) ))
           parties)
   in
   let n = List.length parties in
@@ -48,11 +44,11 @@ let ring_collect ~net ~scheme ~receiver parties =
           (fun (holder, cts) ->
             let next = Proto_util.ring_next ring holder in
             let cts =
-              Proto_util.send_residents net ~scheme ~src:holder ~dst:next
+              Proto_util.send_bignums net ~src:holder ~dst:next
                 ~label:"union:relay" cts
             in
             let kp = keypair_of next in
-            (next, kp.Crypto.Commutative.enc_res_many cts))
+            (next, kp.Crypto.Commutative.enc_many cts))
           state
       in
       Proto_util.round ~label:"union" net;
@@ -62,19 +58,16 @@ let ring_collect ~net ~scheme ~receiver parties =
   let final =
     Proto_util.span net "smc.union.exchange" (fun () -> hops initial 1)
   in
-  (* Collect at the receiver; keep one copy of each distinct ciphertext.
-     The dedup keys on canonical hex, so residents exit the domain
-     here. *)
+  (* Collect at the receiver; keep one copy of each distinct ciphertext. *)
   let all_cts =
     Proto_util.span net "smc.union.collect" (fun () ->
         let cts =
           List.concat_map
             (fun (holder, cts) ->
-              let views = List.map scheme.Crypto.Commutative.view cts in
-              if Net.Node_id.equal holder receiver then views
+              if Net.Node_id.equal holder receiver then cts
               else
                 Proto_util.send_bignums net ~src:holder ~dst:receiver
-                  ~label:"union:collect" views)
+                  ~label:"union:collect" cts)
             final
         in
         Proto_util.round ~label:"union" net;
@@ -100,31 +93,24 @@ let run ~net ~scheme ~rng ~receiver parties =
              owners. *)
           let shuffled = Proto_util.shuffle rng distinct in
           (* Decode ring: every party peels its layer off the whole
-             batch.  The batch enters the residue domain once at the
-             start and stays resident across all peel hops; the wire
-             still carries canonical views. *)
-          let decoded =
+             batch. *)
+          let holder, group_elements =
             List.fold_left
               (fun (holder, cts) next ->
                 let cts =
                   if Net.Node_id.equal holder next then cts
                   else begin
                     let cts =
-                      Proto_util.send_residents net ~scheme ~src:holder
-                        ~dst:next ~label:"union:decode" cts
+                      Proto_util.send_bignums net ~src:holder ~dst:next
+                        ~label:"union:decode" cts
                     in
                     Proto_util.round ~label:"union" net;
                     cts
                   end
                 in
                 let kp = keypair_of next in
-                (next, kp.Crypto.Commutative.dec_res_many cts))
-              (receiver, scheme.Crypto.Commutative.enter_many shuffled)
-              ring
-          in
-          let holder, decoded_res = decoded in
-          let group_elements =
-            List.map scheme.Crypto.Commutative.view decoded_res
+                (next, kp.Crypto.Commutative.dec_many cts))
+              (receiver, shuffled) ring
           in
           let group_elements =
             if Net.Node_id.equal holder receiver then group_elements

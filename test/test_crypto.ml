@@ -241,89 +241,6 @@ let test_ph_batch_matches_scalar () =
         (Crypto.Pohlig_hellman.decrypt_many params key cts))
     sweep_seeds
 
-let test_ph_resident_chain_matches_scalar () =
-  (* A batch that enters the residue domain once and chains layers
-     in-domain exposes, at every hop, views byte-identical to the
-     scalar chain — including the degenerate single-key, single-element
-     ring.  Peeling the layers back in-domain recovers the encodings. *)
-  let params = Lazy.force ph_params in
-  List.iter
-    (fun seed ->
-      let rng = Prng.create ~seed in
-      let keys =
-        List.init 3 (fun _ -> Crypto.Pohlig_hellman.generate_key rng params)
-      in
-      List.iter
-        (fun (n_keys, n_elems) ->
-          let keys = List.filteri (fun i _ -> i < n_keys) keys in
-          let ms =
-            List.init n_elems (fun i ->
-                Crypto.Pohlig_hellman.encode params
-                  (Printf.sprintf "res-%d-%d" seed i))
-          in
-          let scalar =
-            List.fold_left
-              (fun cts k -> Crypto.Pohlig_hellman.encrypt_many params k cts)
-              ms keys
-          in
-          let res =
-            List.fold_left
-              (fun res k ->
-                Crypto.Pohlig_hellman.encrypt_resident_many params k res)
-              (Crypto.Pohlig_hellman.enter_many params ms)
-              keys
-          in
-          List.iter2
-            (fun c r ->
-              check_bn
-                (Printf.sprintf "seed %d %d-key %d-elem view" seed n_keys
-                   n_elems)
-                c
-                (Crypto.Pohlig_hellman.view r))
-            scalar res;
-          let peeled =
-            List.fold_left
-              (fun res k ->
-                Crypto.Pohlig_hellman.decrypt_resident_many params k res)
-              res keys
-          in
-          List.iter2
-            (fun m r ->
-              check_bn
-                (Printf.sprintf "seed %d %d-key %d-elem peel" seed n_keys
-                   n_elems)
-                m
-                (Crypto.Pohlig_hellman.view r))
-            ms peeled)
-        [ (1, 1); (1, 5); (3, 1); (3, 5) ])
-    sweep_seeds
-
-let test_ph_resident_resync () =
-  (* resync reconciles a resident with what actually arrived on the
-     wire: an untouched delivery keeps the chained residue, a tampered
-     one re-enters the domain from the delivered value — later layers
-     operate on the bytes that were really received. *)
-  let params = Lazy.force ph_params in
-  let rng = Prng.create ~seed:26 in
-  let key = Crypto.Pohlig_hellman.generate_key rng params in
-  let m = Crypto.Pohlig_hellman.encode params "resync-elem" in
-  let r = List.hd (Crypto.Pohlig_hellman.enter_many params [ m ]) in
-  let kept = Crypto.Pohlig_hellman.resync params r (Crypto.Pohlig_hellman.view r) in
-  check_bn "clean delivery keeps view" m (Crypto.Pohlig_hellman.view kept);
-  check_bn "clean delivery encrypts identically"
-    (Crypto.Pohlig_hellman.encrypt params key m)
-    (Crypto.Pohlig_hellman.view
-       (List.hd (Crypto.Pohlig_hellman.encrypt_resident_many params key [ kept ])));
-  let tampered_wire = Bignum.succ m in
-  let tampered = Crypto.Pohlig_hellman.resync params r tampered_wire in
-  check_bn "tampered delivery adopts wire value" tampered_wire
-    (Crypto.Pohlig_hellman.view tampered);
-  check_bn "later layers encrypt the delivered bytes"
-    (Crypto.Pohlig_hellman.encrypt params key tampered_wire)
-    (Crypto.Pohlig_hellman.view
-       (List.hd
-          (Crypto.Pohlig_hellman.encrypt_resident_many params key [ tampered ])))
-
 let test_ph_distinct_messages_distinct_ciphertexts () =
   (* Equation (7): different plaintexts stay different. *)
   let params = Lazy.force ph_params in
@@ -385,9 +302,11 @@ let scheme_commutes scheme =
   let open Crypto.Commutative in
   let kp1 = scheme.fresh_keypair () in
   let kp2 = scheme.fresh_keypair () in
+  let one f x = List.hd (f [ x ]) in
+  let enc kp = one kp.enc_many and dec kp = one kp.dec_many in
   let m = scheme.encode "some log element" in
-  Bignum.equal (kp1.enc (kp2.enc m)) (kp2.enc (kp1.enc m))
-  && Bignum.equal m (kp2.dec (kp1.dec (kp1.enc (kp2.enc m))))
+  Bignum.equal (enc kp1 (enc kp2 m)) (enc kp2 (enc kp1 m))
+  && Bignum.equal m (dec kp2 (dec kp1 (enc kp1 (enc kp2 m))))
 
 let test_schemes () =
   let rng = Prng.create ~seed:7 in
@@ -1383,10 +1302,7 @@ let () =
             test_ph_distinct_messages_distinct_ciphertexts;
           Alcotest.test_case "domain check" `Quick test_ph_domain_check;
           Alcotest.test_case "encode" `Quick test_ph_encode;
-          Alcotest.test_case "batch = scalar" `Quick test_ph_batch_matches_scalar;
-          Alcotest.test_case "resident chain = scalar chain" `Quick
-            test_ph_resident_chain_matches_scalar;
-          Alcotest.test_case "resident resync" `Quick test_ph_resident_resync
+          Alcotest.test_case "batch = scalar" `Quick test_ph_batch_matches_scalar
         ] );
       ( "modexp-paths",
         [ Alcotest.test_case "fast paths agree (sweep)" `Quick

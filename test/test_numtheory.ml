@@ -653,49 +653,6 @@ let prop_multi_pow_equals_product =
       in
       Bignum.equal expected (Modular.multi_pow pairs ~m))
 
-let test_resident_roundtrip () =
-  let p = bs "170141183460469231731687303715884105727" in
-  let ctx = Montgomery.create p in
-  List.iter
-    (fun x ->
-      check_bn
-        (Printf.sprintf "roundtrip %s" (Bignum.to_string x))
-        (Bignum.erem x p)
-        (Montgomery.of_resident ctx (Montgomery.to_resident ctx x)))
-    [ Bignum.zero; Bignum.one; bn 2; bn (-7); Bignum.pred p; p; Bignum.succ p ]
-
-let prop_resident_chain_equals_pow_chain =
-  (* A ring pass in miniature: enter the domain once, chain several
-     exponentiations (plus one in-domain multiplication) without
-     leaving, exit once — must equal the all-bignum chain. *)
-  QCheck.Test.make ~name:"resident op-chain = bignum op-chain" ~count:60
-    (QCheck.triple arbitrary_bignum
-       (QCheck.list_of_size (QCheck.Gen.int_range 1 5) arbitrary_bignum)
-       arbitrary_bignum)
-    (fun (x, exps, m) ->
-      let m = mont_modulus_of m in
-      let exps = List.map Bignum.abs exps in
-      let ctx = Montgomery.create m in
-      let resident =
-        List.fold_left
-          (fun r e ->
-            Montgomery.pow_with_resident (Montgomery.powers ctx e) r)
-          (Montgomery.to_resident ctx x)
-          exps
-      in
-      let expected =
-        List.fold_left
-          (fun v e -> Modular.pow v e ~m)
-          (Bignum.erem x m) exps
-      in
-      let blinded =
-        Montgomery.mul_resident ctx resident (Montgomery.to_resident ctx (bn 7))
-      in
-      Bignum.equal expected (Montgomery.of_resident ctx resident)
-      && Bignum.equal
-           (Modular.mul expected (bn 7) ~m)
-           (Montgomery.of_resident ctx blinded))
-
 (* The kernel's edge cases: odd moduli of 1 to 81 limbs in the three
    shapes of [Generators.shaped_bignum_gen] (a full-width [`Ones]
    modulus has every limb 2^26-1, which maximizes the column sums and
@@ -756,8 +713,9 @@ let prop_kernel_edges =
                  (Array.to_list bases)))
           (Array.init (Array.length exps) Fun.id)
       in
-      (* A ring pass in miniature: four hops in-domain, each hop's view
-         checked against the bignum chain. *)
+      (* A ring pass in miniature: four hops, each re-raising the
+         previous hop's output through a reused plan, checked against
+         the classic chain. *)
       let hops = [ ones; e_rand; Bignum.one; Bignum.zero ] in
       let plans = List.map (Montgomery.powers ctx) hops in
       let chain_ok =
@@ -766,11 +724,10 @@ let prop_kernel_edges =
             let _, _, ok =
               List.fold_left2
                 (fun (r, v, ok) plan e ->
-                  let r = Montgomery.pow_with_resident plan r in
+                  let r = Montgomery.pow_with plan r in
                   let v = classic v e in
-                  (r, v, ok && Bignum.equal v (Montgomery.of_resident ctx r)))
-                (Montgomery.to_resident ctx b, Bignum.erem b m, true)
-                plans hops
+                  (r, v, ok && Bignum.equal v r))
+                (b, b, true) plans hops
             in
             ok)
           bases
@@ -815,25 +772,29 @@ let prop_kernel_edges =
       pow_ok && pow_many_ok && chain_ok && pow_base_ok && pow2_ok
       && multi_pow_ok && mul_ok)
 
-(* The kernel allocates nothing: a resident exponentiation allocates
-   only its k-limb result (k + 1 words with the header). *)
-let test_pow_with_resident_allocation () =
+(* The kernel allocates nothing.  This exponent (255 one-bits) costs 332
+   kernel multiplications per call: 14 to fill the window table, 252
+   squarings, 64 window multiplications, and the domain entry and exit.
+   [pow_with]'s own reduced base and result take under 60 words, so the
+   bound of 200 words per call fails a kernel that allocates even one
+   word per multiplication. *)
+let test_pow_with_allocation () =
   let m = Bignum.pred (Bignum.shift_left Bignum.one 256) in
-  let k = Array.length (Bignum.to_limbs m) in
   let ctx = Montgomery.create m in
   let plan = Montgomery.powers ctx (Bignum.shift_right m 1) in
-  let r = Montgomery.to_resident ctx (bn 7) in
-  ignore (Montgomery.pow_with_resident plan r);
+  let b = Bignum.shift_right m 7 in
+  ignore (Montgomery.pow_with plan b);
+  let bound = 200 in
   let before = Gc.minor_words () in
   for _ = 1 to 100 do
-    ignore (Sys.opaque_identity (Montgomery.pow_with_resident plan r))
+    ignore (Sys.opaque_identity (Montgomery.pow_with plan b))
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words for 100 calls (at most %d)" words
-       (100 * (k + 2)))
+       (100 * bound))
     true
-    (words <= float_of_int (100 * (k + 2)))
+    (words <= float_of_int (100 * bound))
 
 (* A modulus of [limbs] limbs, all ones: odd, and the widest such. *)
 let all_ones_limbs limbs =
@@ -858,34 +819,13 @@ let test_width_bound () =
       ignore (Montgomery.create m));
   let e = bn 65537 and b = Bignum.shift_right m 5 in
   let expected = Modular.pow_classic b e ~m in
+  let created = Obs.Metrics.get "crypto.mont.ctx_create" in
   check_bn "pow" expected (Modular.pow b e ~m);
   check_bn "pow_base" expected (Modular.pow_base ~base:b e ~m);
   check_bn "multi_pow" expected (Modular.multi_pow [ (b, e) ] ~m);
   List.iter (check_bn "pow_many" expected) (Modular.pow_many [ b; b ] e ~m);
-  Alcotest.(check bool) "no shared context" true
-    (Option.is_none (Modular.mont_ctx_opt m))
-
-let test_resident_width_checks () =
-  let ctx3 = Montgomery.create (all_ones_limbs 3)
-  and ctx5 = Montgomery.create (all_ones_limbs 5) in
-  let r3 = Montgomery.to_resident ctx3 (bn 12345)
-  and r5 = Montgomery.to_resident ctx5 (bn 12345) in
-  let plan3 = Montgomery.powers ctx3 (bn 65537)
-  and plan5 = Montgomery.powers ctx5 (bn 65537) in
-  let raises fn f =
-    Alcotest.check_raises fn
-      (Invalid_argument
-         ("Montgomery." ^ fn ^ ": resident width differs from the context's"))
-      (fun () -> ignore (f ()))
-  in
-  (* Wider resident, narrower context: at one time silently truncated. *)
-  raises "of_resident" (fun () -> Montgomery.of_resident ctx3 r5);
-  raises "mul_resident" (fun () -> Montgomery.mul_resident ctx3 r3 r5);
-  raises "pow_with_resident" (fun () -> Montgomery.pow_with_resident plan3 r5);
-  (* Narrower resident, wider context. *)
-  raises "of_resident" (fun () -> Montgomery.of_resident ctx5 r3);
-  raises "mul_resident" (fun () -> Montgomery.mul_resident ctx5 r3 r5);
-  raises "pow_with_resident" (fun () -> Montgomery.pow_with_resident plan5 r3)
+  Alcotest.(check int) "no context created" created
+    (Obs.Metrics.get "crypto.mont.ctx_create")
 
 let test_mont_cache_eviction_order () =
   (* Regression for LRU ordering under a configurable capacity: with
@@ -1114,13 +1054,8 @@ let () =
         Alcotest.test_case "pow2 known" `Quick test_pow2_known
         :: Alcotest.test_case "multi_pow edges" `Quick test_multi_pow_edges
         :: qt [ prop_pow2_equals_product; prop_multi_pow_equals_product ] );
-      ( "montgomery:resident",
-        Alcotest.test_case "roundtrip" `Quick test_resident_roundtrip
-        :: Alcotest.test_case "width checks" `Quick test_resident_width_checks
-        :: qt [ prop_resident_chain_equals_pow_chain ] );
       ( "montgomery:kernel",
-        Alcotest.test_case "allocation-free" `Quick
-          test_pow_with_resident_allocation
+        Alcotest.test_case "allocation-free" `Quick test_pow_with_allocation
         :: Alcotest.test_case "width bound" `Quick test_width_bound
         :: qt [ prop_kernel_edges ] );
       ( "primes",

@@ -111,12 +111,19 @@ let test_intersection_with_xor_scheme () =
   Alcotest.(check (list string)) "xor scheme agrees" [ "e" ]
     result.Smc.Set_intersection.intersection
 
-let test_intersection_resident_wire_bytes () =
-  (* The Montgomery-resident ring pass must put exactly the bytes the
-     scalar chain would produce on the wire, hop by hop.  Capture the
-     ciphertext transcript of a run, then replay its key draws with an
-     identically-seeded scheme and recompute every relay and collect
-     payload through the scalar enc_many path only. *)
+(* SHA-256 of a ring run's ciphertext transcript, one event per line.
+   The two replays below pin it, so any change in what a ∩ₛ/∪ₛ ring
+   puts on the wire for their seeds fails them, even one the replay's
+   own chain would repeat. *)
+let transcript_digest transcript =
+  Crypto.Sha256.digest_hex
+    (String.concat "\n" (List.map (fun (tag, v) -> tag ^ " " ^ v) transcript))
+
+let test_intersection_ring_wire_bytes () =
+  (* The ring pass puts exactly the bytes of the hop-by-hop chain on the
+     wire.  Capture the ciphertext transcript of a run, then replay its
+     key draws with an identically-seeded scheme and recompute every
+     relay and collect payload one hop at a time. *)
   let seed = 411 in
   let events = ref [] in
   let net = Net.Network.of_config (Net.Config.make ()) in
@@ -177,9 +184,12 @@ let test_intersection_resident_wire_bytes () =
           cts)
     final;
   Alcotest.(check (list (pair string string)))
-    "wire transcript = scalar chain" (List.rev !expected) transcript;
-  (* The collected fully-encrypted sets are byte-for-byte the scalar
-     chain's final layer. *)
+    "wire transcript = hop-by-hop chain" (List.rev !expected) transcript;
+  Alcotest.(check string) "transcript pin"
+    "1b7e230c40c89685000603dd080815bfea512a4e2dc2a45a073dd139325493b6"
+    (transcript_digest transcript);
+  (* The collected fully-encrypted sets are byte-for-byte the chain's
+     final layer. *)
   List.iter2
     (fun (origin, _, cts) (origin', cts') ->
       Alcotest.(check bool) "origin order" true
@@ -324,12 +334,12 @@ let test_union_duplicates_collapse () =
   in
   Alcotest.(check (list string)) "dedup" [ "x"; "y" ] union
 
-let test_union_resident_wire_bytes () =
-  (* Same guard for the union's two resident rings: the encryption ring
-     and the decode ring (where every party peels its layer off the
-     shuffled batch in-domain).  The replay recomputes both through
-     scalar enc_many/dec_many, including the receiver-side shuffle with
-     an identically-seeded rng. *)
+let test_union_ring_wire_bytes () =
+  (* Same guard for the union's two rings: the encryption ring and the
+     decode ring (where every party peels its layer off the shuffled
+     batch).  The replay recomputes both hop by hop through
+     enc_many/dec_many, including the receiver-side shuffle with an
+     identically-seeded rng. *)
   let seed = 412 and rng_seed = 413 in
   let events = ref [] in
   let net = Net.Network.of_config (Net.Config.make ()) in
@@ -415,7 +425,10 @@ let test_union_resident_wire_bytes () =
         expected := ("union:decode-return", Bignum.to_hex c) :: !expected)
       decoded;
   Alcotest.(check (list (pair string string)))
-    "wire transcript = scalar chain" (List.rev !expected) transcript
+    "wire transcript = hop-by-hop chain" (List.rev !expected) transcript;
+  Alcotest.(check string) "transcript pin"
+    "ffa192fe1b7de5f37268a56f649d349aa2faac0c351008358cd25f22bb33ddd5"
+    (transcript_digest transcript)
 
 let test_union_cardinality () =
   let net = Net.Network.of_config (Net.Config.make ()) in
@@ -1050,10 +1063,10 @@ let test_stats_accounting () =
   Alcotest.(check int) "reset" 0 (Net.Network.stats net).Net.Network.messages
 
 let test_batch_encryption_byte_identical () =
-  (* Regression guard for the batch ring-encryption rewrite: enc_many /
-     dec_many must be byte-for-byte the same ciphertexts as the scalar
-     enc/dec the ring passes used before — under both schemes, so a
-     future fast path cannot silently change wire bytes. *)
+  (* Regression guard for batch ring encryption: enc_many / dec_many
+     over a list must be byte-for-byte the same ciphertexts as the same
+     calls one element at a time — under both schemes, so a future fast
+     path cannot silently change wire bytes. *)
   List.iter
     (fun (name, scheme) ->
       let open Crypto.Commutative in
@@ -1067,7 +1080,7 @@ let test_batch_encryption_byte_identical () =
         (fun m c ->
           Alcotest.(check string)
             (name ^ ": batch ciphertext bytes")
-            (Bignum.to_hex (kp.enc m))
+            (Bignum.to_hex (List.hd (kp.enc_many [ m ])))
             (Bignum.to_hex c))
         ms batch;
       List.iter2
@@ -1115,8 +1128,8 @@ let () =
         :: Alcotest.test_case "naive exposes all" `Quick
              test_intersection_naive_exposes_everything
         :: Alcotest.test_case "xor scheme" `Quick test_intersection_with_xor_scheme
-        :: Alcotest.test_case "resident wire bytes" `Quick
-             test_intersection_resident_wire_bytes
+        :: Alcotest.test_case "ring wire bytes" `Quick
+             test_intersection_ring_wire_bytes
         :: Alcotest.test_case "validation" `Quick test_intersection_validation
         :: Alcotest.test_case "partition fault" `Quick test_intersection_partition_fault
         :: Alcotest.test_case "cardinality only" `Quick test_intersection_cardinality
@@ -1127,8 +1140,8 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_union_basic;
           Alcotest.test_case "matches naive" `Quick test_union_matches_naive;
           Alcotest.test_case "duplicates collapse" `Quick test_union_duplicates_collapse;
-          Alcotest.test_case "resident wire bytes" `Quick
-            test_union_resident_wire_bytes;
+          Alcotest.test_case "ring wire bytes" `Quick
+            test_union_ring_wire_bytes;
           Alcotest.test_case "cardinality only" `Quick test_union_cardinality
         ] );
       ( "sum",

@@ -906,7 +906,7 @@ let test_schedule_attempt_budget () =
    intersection is {b, c}, so a successful lie visibly changes it. *)
 let byz_sets = [ [ "a"; "b"; "c" ]; [ "b"; "c"; "d" ]; [ "b"; "c"; "e" ] ]
 
-let run_byz_intersection ~seed () =
+let run_byz_intersection ?(scheme = Generators.xor_scheme) ~seed () =
   let nodes = dla 3 in
   let parties =
     List.map2
@@ -915,8 +915,7 @@ let run_byz_intersection ~seed () =
   in
   let net = Net.Network.of_config (Net.Config.make ~seed ()) in
   let result =
-    Smc.Set_intersection.run ~net
-      ~scheme:(Generators.xor_scheme (seed + 17))
+    Smc.Set_intersection.run ~net ~scheme:(scheme (seed + 17))
       ~receiver:(List.hd nodes) parties
   in
   (result, Net.Network.stats net)
@@ -961,12 +960,14 @@ let test_guard_honest_identity () =
 let byz_behaviors =
   Net.Adversary.[ Corrupt; Equivocate; Drop; Replay; Reorder ]
 
-let test_byzantine_detection_sweep () =
-  (* Sweep behaviors × colluder sets × seeds.  Every injected lie must
-     be detected with the lying node named, and after fencing the
-     colluders the re-run must converge byte-identically to the clean
-     run — with the recovery transcript still passing the view
-     auditor. *)
+(* Sweep behaviors × colluder sets × seeds under one cipher.  A lone
+   liar's lie must reach the result (each hop works on the payload that
+   was delivered, not on what was sent); every injected lie must be
+   detected with the lying node named, and after fencing the colluders
+   the re-run must converge byte-identically to the clean run — with
+   the recovery transcript still passing the view auditor. *)
+let byzantine_sweep ~scheme seeds =
+  let run_byz_intersection = run_byz_intersection ~scheme in
   List.iter
     (fun seed ->
       let clean, _ = run_byz_intersection ~seed () in
@@ -991,7 +992,7 @@ let test_byzantine_detection_sweep () =
                      colluders)
               in
               let guard = Smc.Round_guard.create () in
-              let _ =
+              let attacked, _ =
                 Net.Adversary.with_active adv (fun () ->
                     Smc.Round_guard.with_guard guard
                       (run_byz_intersection ~seed))
@@ -1001,6 +1002,13 @@ let test_byzantine_detection_sweep () =
                 (ctx ^ ": adversary injected")
                 true
                 (Net.Adversary.injections adv <> []);
+              (* one liar's lie reaches the result; two can cancel out
+                 (a reorder reversed twice) *)
+              if List.length colluders = 1 then
+                Alcotest.(check bool)
+                  (ctx ^ ": the lie reaches the result")
+                  true
+                  (show_intersection attacked <> expected);
               Alcotest.(check (list string))
                 (ctx ^ ": every lying node named, nobody else")
                 (node_names (Net.Adversary.injected_nodes adv))
@@ -1046,7 +1054,16 @@ let test_byzantine_detection_sweep () =
                    (Spec.View_auditor.audit ~specs transcript)))
             byz_behaviors)
         [ [ Net.Node_id.Dla 1 ]; [ Net.Node_id.Dla 1; Net.Node_id.Dla 2 ] ])
-    Generators.chaos_seeds
+    seeds
+
+let test_byzantine_detection_sweep () =
+  byzantine_sweep ~scheme:Generators.xor_scheme Generators.chaos_seeds
+
+(* The same sweep under a modexp cipher: a tampered ring hop delivers
+   values the next node raises to its Pohlig–Hellman key, so detection
+   and recovery are checked on that path too (one seed). *)
+let test_byzantine_detection_sweep_ph () =
+  byzantine_sweep ~scheme:Generators.fresh_scheme [ 0 ]
 
 let test_byzantine_sum_voting () =
   (* Σₛ share forgery: the over-provisioned reconstruction identifies
@@ -1366,6 +1383,8 @@ let () =
             test_guard_honest_identity;
           Alcotest.test_case "detection sweep" `Slow
             test_byzantine_detection_sweep;
+          Alcotest.test_case "detection sweep (pohlig-hellman)" `Quick
+            test_byzantine_detection_sweep_ph;
           Alcotest.test_case "sum share-forgery voting" `Quick
             test_byzantine_sum_voting;
           Alcotest.test_case "verifier leak flagged" `Quick
