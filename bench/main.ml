@@ -137,7 +137,8 @@ let exp_fig3 () =
   match Auditor_engine.run cluster ~auditor (Auditor_engine.Criteria criteria) with
   | Error e -> Printf.printf "audit error: %s\n" (Audit_error.to_string e)
   | Ok audit ->
-    Printf.printf "%s\n" (Format.asprintf "%a" Auditor_engine.pp_audit audit)
+    Printf.printf "%s\n"
+      (Format.asprintf "%a" (Auditor_engine.pp_audit cluster) audit)
 
 (* ------------------------------------------------------------------ *)
 (* F4: secure set intersection walkthrough                             *)

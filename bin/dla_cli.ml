@@ -83,7 +83,7 @@ let audit_cmd =
         prerr_endline (Audit_error.to_string e);
         exit 1
       | Ok audit ->
-        Format.printf "%a@." Auditor_engine.pp_audit audit;
+        Format.printf "%a@." (Auditor_engine.pp_audit cluster) audit;
         let ledger = Net.Network.ledger (Cluster.net cluster) in
         let plaintext_at_auditor =
           List.length
@@ -528,7 +528,7 @@ let shell_cmd =
                    (Auditor_engine.Text query)
                with
                | Ok audit ->
-                 Format.printf "%a@." Auditor_engine.pp_audit audit
+                 Format.printf "%a@." (Auditor_engine.pp_audit cluster) audit
                | Error e ->
                  Printf.printf "error: %s\n%!" (Audit_error.to_string e));
             loop ()

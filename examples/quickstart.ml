@@ -48,7 +48,7 @@ let () =
   | Error e -> failwith (Audit_error.to_string e)
   | Ok audit ->
     Printf.printf "\naudit %s\n%s\n" criteria
-      (Format.asprintf "%a" Auditor_engine.pp_audit audit));
+      (Format.asprintf "%a" (Auditor_engine.pp_audit cluster) audit));
 
   (* 5. The observation ledger proves the confidentiality claim: the
      auditor never saw a raw attribute value. *)

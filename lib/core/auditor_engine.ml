@@ -3,8 +3,6 @@ type audit = {
   matching : Glsn.t list;
   count : int;
   c_auditing : float;
-  mean_c_store : float;
-  mean_c_query : float;
   coverage : Executor.coverage;
   messages : int;
   bytes : int;
@@ -37,34 +35,32 @@ let run cluster ?ttp ?delivery ?failure_mode ?replication ?cache ~auditor
     | Error _ as e -> e
     | Ok report ->
       let after = Net.Network.stats net in
-      let fragmentation = Cluster.fragmentation cluster in
-      let stores =
-        List.filter_map
-          (fun glsn ->
-            Option.map
-              (Confidentiality.c_store fragmentation)
-              (Cluster.record_of cluster glsn))
-          report.Executor.matching
-      in
-      let mean xs =
-        match xs with
-        | [] -> 0.0
-        | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-      in
-      let mean_c_store = mean stores in
       Ok
         {
           criteria;
           matching = report.Executor.matching;
           count = report.Executor.count;
           c_auditing = report.Executor.c_auditing;
-          mean_c_store;
-          mean_c_query = report.Executor.c_auditing *. mean_c_store;
           coverage = report.Executor.coverage;
           messages = after.Net.Network.messages - before.Net.Network.messages;
           bytes = after.Net.Network.bytes - before.Net.Network.bytes;
           rounds = after.Net.Network.rounds - before.Net.Network.rounds;
         })
+
+let mean_c_store cluster audit =
+  let fragmentation = Cluster.fragmentation cluster in
+  let sum, n =
+    List.fold_left
+      (fun ((sum, n) as acc) glsn ->
+        (* on-read: reassembling a match is a reporting cost, paid only
+           by a caller that prints the score, never by the audit. *)
+        match Cluster.record_of cluster glsn with
+        | Some record ->
+          (sum +. Confidentiality.c_store fragmentation record, n + 1)
+        | None | (exception Invalid_argument _) -> acc)
+      (0.0, 0) audit.matching
+  in
+  if n = 0 then 0.0 else sum /. float_of_int n
 
 let secret_sum cluster ?ttp ~auditor ~attr input =
   match Query.parse input with
@@ -143,11 +139,14 @@ let secret_mean cluster ?ttp ~auditor ~attr input =
       in
       Ok (numerator /. float_of_int count))
 
-let pp_audit fmt a =
+let pp_audit cluster fmt a =
+  let mean_c_store = mean_c_store cluster a in
   Format.fprintf fmt
     "@[<v>criteria: %a@ matches: %d record(s): %s@ C_auditing = %.3f   mean \
      C_store = %.3f   mean C_query = %.3f@ cost: %d messages, %d bytes, %d \
      rounds@]"
     Query.pp a.criteria (List.length a.matching)
     (String.concat ", " (List.map Glsn.to_string a.matching))
-    a.c_auditing a.mean_c_store a.mean_c_query a.messages a.bytes a.rounds
+    a.c_auditing mean_c_store
+    (a.c_auditing *. mean_c_store)
+    a.messages a.bytes a.rounds

@@ -1,8 +1,10 @@
 (** The auditor-engine facade (the AE_i boxes of Figure 2).
 
     One call audits a cluster: parse (or take) the criteria, plan,
-    execute confidentially, and return the result together with the
-    §5 confidentiality scores and the network cost of the audit.
+    execute confidentially, and return the result together with its
+    eq 11 score and the network cost of the audit.  The per-record §5
+    scores (eq 10, eq 12) are computed on read, by {!mean_c_store},
+    only for a caller that prints them.
 
     {!run} is the single entry point: it takes a {!request} (parsed
     criteria or query text) and the delivery/failure knobs of the
@@ -14,8 +16,6 @@ type audit = {
       (** sorted ascending; empty under [Count_only] (see [count]) *)
   count : int;  (** cardinality of the match set *)
   c_auditing : float;  (** eq 11 *)
-  mean_c_store : float;  (** eq 10 averaged over the matching records *)
-  mean_c_query : float;  (** eq 12 averaged over the matching records *)
   coverage : Executor.coverage;
       (** complete on the fault-free path; under [Degrade] it names
           what could not be evaluated *)
@@ -84,4 +84,17 @@ val secret_mean :
     already carry.  [Money] means are in currency units (not cents).
     {!Audit_error.No_matching_records} on an empty match set. *)
 
-val pp_audit : Format.formatter -> audit -> unit
+val mean_c_store : Cluster.t -> audit -> float
+(** Eq 10 averaged over the audit's matching records, each reassembled
+    from every DLA node with {!Cluster.record_of} — a collusion
+    operation, so this is a reporting view for the caller, not part of
+    the audit.  Mean eq 12 is [c_auditing *. mean_c_store].  A match the
+    cluster no longer holds, or cannot reassemble (one attribute stored
+    on two nodes), is skipped; [0.0] when nothing is left, and always
+    under [Count_only].  Read it right after {!run}: later writes to the
+    cluster change what the records reassemble to.
+    @raise nothing *)
+
+val pp_audit : Cluster.t -> Format.formatter -> audit -> unit
+(** Criteria, matches, C_auditing, mean C_store and mean C_query (both
+    from {!mean_c_store} on [cluster]) and the network cost. *)

@@ -1,6 +1,6 @@
 type t = int
 
-let compare = Stdlib.compare
+let compare = Int.compare
 let equal = Int.equal
 let to_string t = Printf.sprintf "%x" t
 

@@ -1,5 +1,5 @@
 type item =
-  | Audit of Auditor_engine.audit
+  | Audit of Auditor_engine.audit * float  (* with its mean C_store *)
   | Count of string * int
   | Rule_findings of string * (Rules.rule * string) list
   | Integrity_sweep of (Glsn.t * Integrity.violation) list
@@ -15,14 +15,16 @@ let create ~title cluster = { title; cluster; items = [] }
 
 let push t item = t.items <- item :: t.items
 
-let add_audit t audit = push t (Audit audit)
+let add_audit t audit =
+  push t (Audit (audit, Auditor_engine.mean_c_store t.cluster audit))
+
 let add_count t ~criteria count = push t (Count (criteria, count))
 let add_rule_findings t ~tid findings = push t (Rule_findings (tid, findings))
 let add_integrity_sweep t violations = push t (Integrity_sweep violations)
 let add_certificate t certificate = push t (Certificate certificate)
 
 let render_item buf = function
-  | Audit audit ->
+  | Audit (audit, mean_c_store) ->
     Buffer.add_string buf
       (Printf.sprintf "AUDIT   %s\n        %d record(s): %s\n"
          (Query.to_string audit.Auditor_engine.criteria)
@@ -32,8 +34,8 @@ let render_item buf = function
     Buffer.add_string buf
       (Printf.sprintf
          "        C_auditing %.3f | mean C_store %.3f | mean C_query %.3f\n"
-         audit.Auditor_engine.c_auditing audit.Auditor_engine.mean_c_store
-         audit.Auditor_engine.mean_c_query);
+         audit.Auditor_engine.c_auditing mean_c_store
+         (audit.Auditor_engine.c_auditing *. mean_c_store));
     Buffer.add_string buf
       (Printf.sprintf "        cost: %d msgs, %d bytes, %d rounds\n"
          audit.Auditor_engine.messages audit.Auditor_engine.bytes

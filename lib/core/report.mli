@@ -12,6 +12,9 @@ type t
 val create : title:string -> Cluster.t -> t
 
 val add_audit : t -> Auditor_engine.audit -> unit
+(** An audit line item.  Its mean C_store ({!Auditor_engine.mean_c_store})
+    is computed here, on the report's cluster, so add the audit right
+    after running it. *)
 
 val add_count : t -> criteria:string -> int -> unit
 (** A secret-counting line item. *)

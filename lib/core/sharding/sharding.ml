@@ -201,27 +201,12 @@ let merge_audits criteria (per_shard : (string * Auditor_engine.audit) list) =
   in
   let count = sum (fun a -> a.Auditor_engine.count) audits in
   (* Every shard shares the fragmentation map, so the plans — and eq
-     11's s, t, q — are identical; C_auditing is any shard's.  The mean
-     C_store is the count-weighted mean: exactly the mean over the
-     union of the matching records. *)
-  let mean_c_store =
-    if count = 0 then 0.0
-    else
-      List.fold_left
-        (fun acc a ->
-          acc
-          +. (a.Auditor_engine.mean_c_store
-             *. float_of_int a.Auditor_engine.count))
-        0.0 audits
-      /. float_of_int count
-  in
+     11's s, t, q — are identical; C_auditing is any shard's. *)
   {
     Auditor_engine.criteria;
     matching;
     count;
     c_auditing = first.Auditor_engine.c_auditing;
-    mean_c_store;
-    mean_c_query = first.Auditor_engine.c_auditing *. mean_c_store;
     coverage =
       Executor.merge_coverage
         (List.map (fun a -> a.Auditor_engine.coverage) audits);

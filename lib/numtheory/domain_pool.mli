@@ -49,7 +49,11 @@ val map_list : t -> min_chunk:int -> ('a list -> 'b list) -> 'a list -> 'b list
     pool) run inline on the caller; farmed batches advance
     [pool.batches] and [pool.jobs], inline ones [pool.inline].
     Exceptions raised by a chunk are re-raised on the caller.
-    {!Modular.pow_many} is its one caller in the library. *)
+    {!Modular.pow_many} is its one caller in the library, and it calls
+    [map_list] only for a batch it will farm (pool wider than 1, at
+    least [2 * min_chunk] elements), so there [pool.inline] stays 0 by
+    construction: the batches [pow_many] keeps on the caller are not
+    counted. *)
 
 val fence : t -> unit
 (** Block until every submitted chunk has completed — the round

@@ -81,6 +81,10 @@ let pretty v =
 
 exception Parse_error of int * string
 
+(* Nesting bound: a hostile document of nested brackets must be an
+   [Error], not a stack overflow.  Metrics documents nest 3 deep. *)
+let max_depth = 512
+
 let parse input =
   let n = String.length input in
   let pos = ref 0 in
@@ -166,7 +170,8 @@ let parse input =
     | Some f -> Num f
     | None -> error "malformed number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
+    if depth > max_depth then error "nesting too deep";
     skip_ws ();
     match peek () with
     | None -> error "unexpected end of input"
@@ -184,7 +189,7 @@ let parse input =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -206,7 +211,7 @@ let parse input =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -225,7 +230,7 @@ let parse input =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then error "trailing content";
     v

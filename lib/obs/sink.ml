@@ -75,23 +75,42 @@ let read_error_to_string = function
   | Missing_file path -> Printf.sprintf "%s: no such file" path
   | Malformed { path; detail } -> Printf.sprintf "%s: %s" path detail
 
+(* A counter is an integer that fits an OCaml int; anything else in a
+   counters object (a fraction, an overflow, a string) is a corrupt
+   document, not a value to round. *)
+let counter_of_json = function
+  | Json.Num n
+    when Float.is_integer n
+         && n >= Float.of_int min_int
+         && n < -.Float.of_int min_int ->
+    Some (int_of_float n)
+  | _ -> None
+
 let read_counters ~path =
   if not (Sys.file_exists path) then Error (Missing_file path)
   else
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.parse text with
-    | Error e -> Error (Malformed { path; detail = e })
-    | Ok doc -> (
-      match Json.member "counters" doc with
-      | Some (Json.Obj fields) ->
-        Ok
-          (List.filter_map
-             (fun (name, v) ->
-               Option.map (fun n -> (name, int_of_float n)) (Json.to_num v))
-             fields)
-      | _ -> Error (Malformed { path; detail = "no counters object" }))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error detail -> Error (Malformed { path; detail })
+    | text -> (
+      match Json.parse text with
+      | Error e -> Error (Malformed { path; detail = e })
+      | Ok doc -> (
+        match Json.member "counters" doc with
+        | Some (Json.Obj fields) ->
+          let rec counters acc = function
+            | [] -> Ok (List.rev acc)
+            | (name, v) :: rest -> (
+              match counter_of_json v with
+              | Some n -> counters ((name, n) :: acc) rest
+              | None ->
+                Error
+                  (Malformed
+                     {
+                       path;
+                       detail =
+                         Printf.sprintf "counter %S is not an integer: %s" name
+                           (Json.to_string v);
+                     }))
+          in
+          counters [] fields
+        | _ -> Error (Malformed { path; detail = "no counters object" })))

@@ -36,7 +36,9 @@ val write_file : path:string -> Json.t -> unit
 type read_error =
   | Missing_file of string  (** the path does not exist *)
   | Malformed of { path : string; detail : string }
-      (** unparseable JSON, or no ["counters"] object *)
+      (** unreadable (a directory, no permission), unparseable JSON,
+          no ["counters"] object, or a counter that is not an integer
+          an [int] holds *)
 
 val read_error_to_string : read_error -> string
 
@@ -45,4 +47,7 @@ val read_counters : path:string -> ((string * int) list, read_error) result
     {!write_file} (or [--metrics-out]).  A missing file is reported as
     {!Missing_file} — distinct from {!Malformed} — so callers like
     bench/diff_metrics can tell "baseline never generated" from
-    "baseline corrupt" instead of dying on a raw [Sys_error]. *)
+    "baseline corrupt" instead of dying on a raw [Sys_error].  Every
+    other failure is {!Malformed}: a counter of [3.7] or [1e300] is
+    rejected, never rounded or wrapped, so a corrupt baseline cannot
+    diff clean.  Raises nothing. *)

@@ -120,7 +120,46 @@ let test_json_rejects_garbage () =
       match Obs.Json.parse text with
       | Ok _ -> Alcotest.failf "accepted %S" text
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "\"open"; "1 2" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "\"open"; "1 2";
+      (* well formed, but nested past the parser's 512-level bound *)
+      String.make 600 '[' ^ String.make 600 ']' ]
+
+(* The parser reads baselines and hand-edited files, so it must be total
+   like the query parser: [Ok] or [Error] on any input, never an
+   exception.  Inputs are arbitrary bytes, and documents [Sink.json_of]
+   writes, truncated or with bytes overwritten or inserted. *)
+let json_of_registry counters samples =
+  let m = Obs.Metrics.create () in
+  List.iter (fun (name, by) -> Obs.Metrics.incr ~m name ~by) counters;
+  List.iter (fun v -> Obs.Metrics.observe ~m "h" v) samples;
+  Obs.Sink.json_of ~experiment:"fuzz" ~m ()
+
+let mutated_sink_doc_gen =
+  let open QCheck.Gen in
+  let* counters =
+    small_list (pair (string_size ~gen:printable (int_range 1 8)) small_nat)
+  in
+  let* samples = small_list (float_range (-1e6) 1e6) in
+  let* render = oneofl [ Obs.Json.to_string; Obs.Json.pretty ] in
+  let text = render (json_of_registry counters samples) in
+  let n = String.length text in
+  let* at = int_bound n in
+  let* bytes = string_size ~gen:char (int_range 1 4) in
+  let from i = String.sub text i (n - i) in
+  oneofl
+    [ String.sub text 0 at;
+      String.sub text 0 at ^ bytes ^ from at;
+      String.sub text 0 at ^ bytes ^ from (min n (at + String.length bytes)) ]
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"Json.parse is total (Result, no exceptions)"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (QCheck.Gen.oneof
+          [ QCheck.Gen.string_size ~gen:QCheck.Gen.char
+              (QCheck.Gen.int_range 0 64);
+            mutated_sink_doc_gen ]))
+    (fun input -> match Obs.Json.parse input with Ok _ | Error _ -> true)
 
 let test_sink_json_shape () =
   let m = Obs.Metrics.create () in
@@ -184,7 +223,29 @@ let test_sink_read_counters () =
     Alcotest.(check string) "detail" "no counters object" detail
   | Error e -> Alcotest.failf "wrong error: %s" (Obs.Sink.read_error_to_string e)
   | Ok _ -> Alcotest.fail "accepted counter-less document");
+  (* A counter that is not an int is rejected, neither rounded nor
+     wrapped, so a corrupt baseline cannot diff clean. *)
+  List.iter
+    (fun value ->
+      let oc = open_out path in
+      output_string oc
+        (Printf.sprintf {|{ "counters": { "net.msgs": 7, "x": %s } }|} value);
+      close_out oc;
+      match Obs.Sink.read_counters ~path with
+      | Error (Obs.Sink.Malformed _) -> ()
+      | Error e ->
+        Alcotest.failf "%s: wrong error: %s" value
+          (Obs.Sink.read_error_to_string e)
+      | Ok _ -> Alcotest.failf "accepted counter %s" value)
+    [ "3.7"; "1e300"; "-1e400"; {|"7"|} ];
   Sys.remove path;
+  (* A directory where the file should be: Malformed, not Sys_error. *)
+  (match Obs.Sink.read_counters ~path:dir with
+  | Error (Obs.Sink.Malformed { path = p; _ }) ->
+    Alcotest.(check string) "directory path echoed" dir p
+  | Error e -> Alcotest.failf "wrong error: %s" (Obs.Sink.read_error_to_string e)
+  | Ok _ -> Alcotest.fail "read a directory as a counters file"
+  | exception Sys_error e -> Alcotest.failf "raised Sys_error %s" e);
   Sys.rmdir dir
 
 let () =
@@ -202,6 +263,7 @@ let () =
       ( "json",
         [ Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
           Alcotest.test_case "sink shape" `Quick test_sink_json_shape;
           Alcotest.test_case "sink read-back + typed errors" `Quick
             test_sink_read_counters

@@ -257,6 +257,24 @@ let oracle_matching cluster query =
       | None -> false)
     (Cluster.all_glsns cluster)
 
+(* Submit [rows] through one ticket; the cluster, for chaining. *)
+let ingest cluster rows =
+  let ticket =
+    Cluster.issue_ticket cluster ~id:"T" ~principal:(Net.Node_id.User 1)
+      ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:86400
+  in
+  List.iter
+    (fun row ->
+      match
+        Cluster.to_result
+          (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
+             ~attributes:row)
+      with
+      | Ok _ -> ()
+      | Error e -> failwith e)
+    rows;
+  cluster
+
 let check_executor_matches_oracle cluster query =
   match Executor.run cluster ~auditor query with
   | Error e ->
@@ -367,21 +385,10 @@ let prop_executor_random_partition =
       let fragmentation =
         Fragmentation.round_robin ~nodes:(Net.Node_id.dla_ring nodes) ~attrs
       in
-      let cluster = Cluster.create ~seed:nodes fragmentation in
-      let ticket =
-        Cluster.issue_ticket cluster ~id:"T" ~principal:(Net.Node_id.User 1)
-          ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:86400
+      let cluster =
+        ingest (Cluster.create ~seed:nodes fragmentation)
+          Workload.Paper_example.rows
       in
-      List.iter
-        (fun row ->
-          match
-            Cluster.to_result
-              (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
-                 ~attributes:row)
-          with
-          | Ok _ -> ()
-          | Error e -> failwith e)
-        Workload.Paper_example.rows;
       match Executor.run cluster ~auditor query with
       | Error _ -> QCheck.assume_fail ()
       | Ok report ->
@@ -435,21 +442,7 @@ let prop_cross_atoms_on_sparse_rows =
                    (fun (a, v) -> Attribute.to_string a ^ "=" ^ Value.to_string v)
                    row))))
     (fun rows ->
-      let cluster = Cluster.create ~seed:7 paper in
-      let ticket =
-        Cluster.issue_ticket cluster ~id:"T" ~principal:(Net.Node_id.User 1)
-          ~rights:[ Ticket.Read; Ticket.Write ] ~ttl:86400
-      in
-      List.iter
-        (fun row ->
-          match
-            Cluster.to_result
-              (Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
-                 ~attributes:row)
-          with
-          | Ok _ -> ()
-          | Error e -> failwith e)
-        rows;
+      let cluster = ingest (Cluster.create ~seed:7 paper) rows in
       List.for_all
         (fun query ->
           match Executor.run cluster ~auditor query with
@@ -476,12 +469,20 @@ let test_executor_count_only () =
     Alcotest.(check bool) "auditor saw the count" true
       (Net.Ledger.saw ledger ~node:auditor ~sensitivity:Net.Ledger.Aggregate "3")
 
+(* Four paper-example audits covering cross atoms, local clauses,
+   secret counting and a disjunction. *)
+let paper_audits =
+  [ (Executor.Glsns, "C2 = C3 && time >= 0");
+    (Executor.Glsns, {|protocl = "UDP" && C1 > 30|});
+    (Executor.Count_only, "C1 > 20 && C2 < 400");
+    (Executor.Glsns, "id != tid || C1 > 50")
+  ]
+
 (* Ledger golden pin: the rendered observations of every node after a
-   fixed paper-example scenario — four audits covering cross atoms,
-   local clauses, secret counting and a disjunction, then a
-   Pohlig–Hellman session — hashed line by line.  Typed payloads are
-   rendered only when read; this pins that what is read is exactly the
-   strings an eagerly rendering ledger stored. *)
+   fixed paper-example scenario — [paper_audits], then a Pohlig–Hellman
+   session — hashed line by line.  Typed payloads are rendered only when
+   read; this pins that what is read is exactly the strings an eagerly
+   rendering ledger stored. *)
 let test_ledger_golden () =
   let cluster, _ = Workload.Paper_example.build () in
   List.iter
@@ -491,11 +492,7 @@ let test_ledger_golden () =
       with
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Audit_error.to_string e))
-    [ (Executor.Glsns, "C2 = C3 && time >= 0");
-      (Executor.Glsns, {|protocl = "UDP" && C1 > 30|});
-      (Executor.Count_only, "C1 > 20 && C2 < 400");
-      (Executor.Glsns, "id != tid || C1 > 50")
-    ];
+    paper_audits;
   let conjunction rng =
     Crypto.Commutative.pohlig_hellman rng
       (Crypto.Pohlig_hellman.generate_params
@@ -524,6 +521,148 @@ let test_ledger_golden () =
   Alcotest.(check string) "rendered ledger digest"
     "d6bb003e20acd7f6383eb7f8b17c692872bb7d518836ed667a8a6e88ffcc59d1"
     (Crypto.Sha256.digest_hex (String.concat "\n" lines))
+
+(* Audit text golden: what [pp_audit] and [Report.render] print for
+   [paper_audits], mean C_store and mean C_query included. *)
+let expected_pp_audits =
+  {|criteria: (C2 = C3 && time >= 0)
+matches: 0 record(s): 
+C_auditing = 0.667   mean C_store = 0.000   mean C_query = 0.000
+cost: 8 messages, 401 bytes, 6 rounds
+criteria: (protocl = "UDP" && C1 > 30)
+matches: 2 record(s): 139aef79, 139aef7a
+C_auditing = 0.333   mean C_store = 1.714   mean C_query = 0.571
+cost: 1 messages, 16 bytes, 1 rounds
+criteria: (C1 > 20 && C2 < 400)
+matches: 0 record(s): 
+C_auditing = 0.333   mean C_store = 0.000   mean C_query = 0.000
+cost: 4 messages, 200 bytes, 3 rounds
+criteria: (id != tid || C1 > 50)
+matches: 5 record(s): 139aef78, 139aef79, 139aef7a, 139aef7b, 139aef7c
+C_auditing = 0.500   mean C_store = 1.714   mean C_query = 0.857
+cost: 6 messages, 354 bytes, 5 rounds|}
+
+let expected_report =
+  {|====================================================================
+AUDIT REPORT: paper example
+cluster: 4 DLA node(s), 5 record(s); layout P0:time,C4; P1:eid,id,C2,C5; P2:tid,C3,C6; P3:ip,protocl,C1
+====================================================================
+AUDIT   (C2 = C3 && time >= 0)
+        0 record(s): 
+        C_auditing 0.667 | mean C_store 0.000 | mean C_query 0.000
+        cost: 8 msgs, 401 bytes, 6 rounds
+AUDIT   (protocl = "UDP" && C1 > 30)
+        2 record(s): 139aef79, 139aef7a
+        C_auditing 0.333 | mean C_store 1.714 | mean C_query 0.571
+        cost: 1 msgs, 16 bytes, 1 rounds
+AUDIT   (C1 > 20 && C2 < 400)
+        0 record(s): 
+        C_auditing 0.333 | mean C_store 0.000 | mean C_query 0.000
+        cost: 4 msgs, 200 bytes, 3 rounds
+AUDIT   (id != tid || C1 > 50)
+        5 record(s): 139aef78, 139aef79, 139aef7a, 139aef7b, 139aef7c
+        C_auditing 0.500 | mean C_store 1.714 | mean C_query 0.857
+        cost: 6 msgs, 354 bytes, 5 rounds
+====================================================================
+auditor observations: 8 aggregate, 3 metadata, 0 share, 0 blinded, 0 plaintext
+====================================================================
+|}
+
+let test_audit_text_golden () =
+  let cluster, _ = Workload.Paper_example.build () in
+  let report = Report.create ~title:"paper example" cluster in
+  let printed =
+    List.map
+      (fun (delivery, text) ->
+        match
+          Auditor_engine.run cluster ~delivery ~auditor
+            (Auditor_engine.Text text)
+        with
+        | Ok a ->
+          Report.add_audit report a;
+          Format.asprintf "%a" (Auditor_engine.pp_audit cluster) a
+        | Error e -> Alcotest.fail (Audit_error.to_string e))
+      paper_audits
+  in
+  Alcotest.(check string) "pp_audit" expected_pp_audits
+    (String.concat "\n" printed);
+  Alcotest.(check string) "Report.render" expected_report
+    (Report.render report)
+
+(* Reference for the on-read score: eq 10 over the matches as a
+   filter_map and a plain mean, which [Auditor_engine.mean_c_store] must
+   match bit for bit. *)
+let reference_mean_c_store cluster (audit : Auditor_engine.audit) =
+  let fragmentation = Cluster.fragmentation cluster in
+  let stores =
+    List.filter_map
+      (fun glsn ->
+        Option.map
+          (Confidentiality.c_store fragmentation)
+          (Cluster.record_of cluster glsn))
+      audit.Auditor_engine.matching
+  in
+  let mean xs =
+    match xs with
+    | [] -> 0.0
+    | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+  in
+  mean stores
+
+let prop_mean_c_store_is_reference =
+  QCheck.Test.make ~name:"on-read mean C_store = the audit loop it replaced"
+    ~count:100
+    (QCheck.pair
+       (QCheck.make Generators.paper_population_gen)
+       arbitrary_query)
+    (fun (rows, query) ->
+      let cluster = ingest (Cluster.create ~seed:7 paper) rows in
+      match
+        Auditor_engine.run cluster ~auditor (Auditor_engine.Criteria query)
+      with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok a ->
+        Float.equal
+          (Auditor_engine.mean_c_store cluster a)
+          (reference_mean_c_store cluster a))
+
+(* One attribute stored on two nodes: the record no longer reassembles
+   ([Log_record.make] rejects the duplicate).  The audit reassembles no
+   record, so it still answers; the on-read score skips the one record
+   it cannot rebuild instead of raising. *)
+let test_audit_with_unassemblable_match () =
+  let cluster, glsns = Workload.Paper_example.build () in
+  let tampered = List.hd glsns in
+  Alcotest.(check bool) "id planted on P0" true
+    (Storage.tamper_set
+       (Cluster.store_of cluster (Net.Node_id.Dla 0))
+       ~glsn:tampered ~attr:(d "id") (Value.Str "U1"));
+  Alcotest.check_raises "the record no longer reassembles"
+    (Invalid_argument "Log_record.make: duplicate attribute") (fun () ->
+      ignore (Cluster.record_of cluster tampered));
+  let audit delivery =
+    match
+      Auditor_engine.run cluster ~delivery ~auditor
+        (Auditor_engine.Text "time >= 0")
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.fail (Audit_error.to_string e)
+  in
+  Alcotest.(check int) "count-only count" 5
+    (audit Executor.Count_only).Auditor_engine.count;
+  let a = audit Executor.Glsns in
+  Alcotest.(check (list string)) "every glsn delivered"
+    (List.map Glsn.to_string glsns)
+    (List.map Glsn.to_string a.Auditor_engine.matching);
+  let intact = List.filter_map (Cluster.record_of cluster) (List.tl glsns) in
+  let expected =
+    List.fold_left
+      (fun acc r -> acc +. Confidentiality.c_store paper r)
+      0.0 intact
+    /. float_of_int (List.length intact)
+  in
+  Alcotest.(check (float 0.0)) "mean over the four that reassemble" expected
+    (Auditor_engine.mean_c_store cluster a)
 
 (* ------------------------------------------------------------------ *)
 (* Confidentiality metrics                                             *)
@@ -631,10 +770,14 @@ let () =
         :: Alcotest.test_case "c_auditing" `Quick test_executor_c_auditing
         :: Alcotest.test_case "count only" `Quick test_executor_count_only
         :: Alcotest.test_case "ledger golden" `Quick test_ledger_golden
+        :: Alcotest.test_case "audit text golden" `Quick test_audit_text_golden
+        :: Alcotest.test_case "match that does not reassemble" `Quick
+             test_audit_with_unassemblable_match
         :: qt
              [ prop_executor_matches_oracle; prop_parse_print_roundtrip;
                prop_executor_random_partition;
-               prop_cross_atoms_on_sparse_rows ] );
+               prop_cross_atoms_on_sparse_rows; prop_mean_c_store_is_reference
+             ] );
       ( "confidentiality",
         [ Alcotest.test_case "paper rows (eq 10)" `Quick test_c_store_paper_rows;
           Alcotest.test_case "monotone in nodes" `Quick test_c_store_monotone_in_nodes;
