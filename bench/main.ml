@@ -1078,12 +1078,14 @@ let exp_shared_column () =
   let homed_exposure =
     let ledger = Net.Network.ledger (Cluster.net homed_cluster) in
     let store = Cluster.store_of homed_cluster (Net.Node_id.Dla 1) in
-    List.length
-      (List.filter
-         (fun (_, v) ->
-           Net.Ledger.saw_plaintext ledger ~node:(Net.Node_id.Dla 1)
-             (Printf.sprintf "C2=%s" (Value.to_string v)))
-         (Storage.column store (Attribute.undefined 2)))
+    Storage.fold_column store (Attribute.undefined 2)
+      (fun n _ v ->
+        if
+          Net.Ledger.saw_plaintext ledger ~node:(Net.Node_id.Dla 1)
+            (Printf.sprintf "C2=%s" (Value.to_string v))
+        then n + 1
+        else n)
+      0
   in
   Net.Network.reset_stats (Cluster.net homed_cluster);
   let _ =

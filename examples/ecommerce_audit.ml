@@ -24,9 +24,10 @@ let () =
      reconstructs only the grand total. *)
   let store = Cluster.store_of cluster (Net.Node_id.Dla 1) in
   let amounts =
-    List.filter_map
-      (fun (_, v) -> match v with Value.Money c -> Some c | _ -> None)
-      (Storage.column store (Attribute.undefined 2))
+    List.rev
+      (Storage.fold_column store (Attribute.undefined 2)
+         (fun acc _ v -> match v with Value.Money c -> c :: acc | _ -> acc)
+         [])
   in
   let nodes = Cluster.nodes cluster in
   let stripes = Array.make (List.length nodes) 0 in

@@ -57,7 +57,7 @@ let mean_c_store cluster audit =
         match Cluster.record_of cluster glsn with
         | Some record ->
           (sum +. Confidentiality.c_store fragmentation record, n + 1)
-        | None | (exception Invalid_argument _) -> acc)
+        | None -> acc)
       (0.0, 0) audit.matching
   in
   if n = 0 then 0.0 else sum /. float_of_int n

@@ -421,7 +421,11 @@ let record_of t glsn =
       Option.value ~default:Net.Node_id.Auditor
         (Glsn.Map.find_opt glsn t.origins)
     in
-    Some (Log_record.make ~glsn ~origin ~attributes)
+    (* Only a tampered store holds one attribute on two nodes; such
+       cells form no record ([Log_record.make] rejects the duplicate). *)
+    (match Log_record.make ~glsn ~origin ~attributes with
+    | record -> Some record
+    | exception Invalid_argument _ -> None)
 
 (* Undo every trace of a placement — committed rows, ACL grants, parked
    hints, origin bookkeeping.  Used by submit_transaction so a rejected

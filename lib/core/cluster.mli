@@ -152,7 +152,11 @@ val record_of : t -> Glsn.t -> Log_record.t option
 (** Reassemble a full record from all fragments — a *cluster-collusion*
     operation used by tests and the centralized baseline; it is exactly
     what no single node can do alone.  A record with parked (not yet
-    drained) fragments reassembles partially. *)
+    drained) fragments reassembles partially.  [None] when no node holds
+    a cell of the glsn, or when its cells do not form one record (one
+    attribute stored on two nodes, which only tampering produces;
+    {!Integrity.check_all} reports such a row as a violation).
+    @raise nothing *)
 
 val all_glsns : t -> Glsn.t list
 val record_count : t -> int

@@ -66,11 +66,12 @@ let embed ~pad value =
     let padded = s ^ String.make (max 0 (pad - String.length s)) '\000' in
     Bignum.of_bytes_be padded
 
-let value_pad values =
-  List.fold_left
-    (fun acc v ->
+(* The widest string of a column, the batch width its strings pad to. *)
+let value_pad store attr =
+  Storage.fold_column store attr
+    (fun acc _ v ->
       match v with Value.Str s -> max acc (String.length s) | _ -> acc)
-    0 values
+    0
 
 let glsn_set_bytes set = 8 * Glsn.Set.cardinal set
 
@@ -81,34 +82,44 @@ let send_glsn_set net ~src ~dst ~label set =
     ~tag:label
     (Net.Ledger.Joined (Glsn.to_string, Glsn.Set.elements set))
 
-(* A local atom evaluated entirely at its home node. *)
+(* A local atom evaluated entirely at its home node: one pass over its
+   column, or one merge-scan of its two, with the matches made into the
+   set at once. *)
 let eval_local_atom store (atom : Query.atom) =
-  match atom.Query.rhs with
-  | Query.Const c ->
-    List.fold_left
-      (fun acc (glsn, v) ->
-        if Value.comparable v c
-           && Query.apply_comparison atom.Query.op (Value.compare_semantic v c)
-        then Glsn.Set.add glsn acc
-        else acc)
-      Glsn.Set.empty
-      (Storage.column store atom.Query.attr)
-  | Query.Attr b ->
-    List.fold_left
-      (fun acc glsn ->
-        match Storage.fragment_of store glsn with
-        | None -> acc
-        | Some fragment -> (
-          match
-            (List.assoc_opt atom.Query.attr fragment, List.assoc_opt b fragment)
-          with
-          | Some va, Some vb
-            when Value.comparable va vb
-                 && Query.apply_comparison atom.Query.op
-                      (Value.compare_semantic va vb)
-            -> Glsn.Set.add glsn acc
-          | _ -> acc))
-      Glsn.Set.empty (Storage.glsns store)
+  let holds va vb =
+    Value.comparable va vb
+    && Query.apply_comparison atom.Query.op (Value.compare_semantic va vb)
+  in
+  Glsn.Set.of_list
+    (match atom.Query.rhs with
+    | Query.Const c ->
+      Storage.fold_column store atom.Query.attr
+        (fun acc glsn v -> if holds v c then glsn :: acc else acc)
+        []
+    | Query.Attr b ->
+      Storage.fold_column_pair store atom.Query.attr b
+        (fun acc glsn va vb -> if holds va vb then glsn :: acc else acc)
+        [])
+
+(* The TTP's join of two blinded columns, both glsn-ascending: one
+   merge pass, keeping each glsn whose two values are of one comparison
+   class and satisfy [op].  The result is glsn-descending. *)
+let rec merge_join op acc left right =
+  match (left, right) with
+  | [], _ | _, [] -> acc
+  | (gl, kind_l, wl) :: left', (gr, kind_r, wr) :: right' ->
+    let c = Glsn.compare gl gr in
+    if c < 0 then merge_join op acc left' right
+    else if c > 0 then merge_join op acc left right'
+    else
+      let acc =
+        if
+          String.equal kind_l kind_r
+          && Query.apply_comparison op (Bignum.compare wl wr)
+        then gl :: acc
+        else acc
+      in
+      merge_join op acc left' right'
 
 (* A cross atom: both homes blind their columns with a shared secret
    monotone transform and ship them to the blind TTP, which filters by
@@ -119,24 +130,25 @@ let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
   let net = Cluster.net cluster in
   let left_store = Cluster.store_of cluster left in
   let right_store = Cluster.store_of cluster right in
-  let left_col = Storage.column left_store atom.Query.attr in
-  let right_col = Storage.column right_store rhs_attr in
   (* Homes agree on the secret transform (one negotiation message). *)
   Net.Network.send_exn net ~src:left ~dst:right ~label:"query:negotiate"
     ~bytes:16;
   Net.Network.round ~label:"query" net;
   let blind = Crypto.Blinding.generate_monotone (Cluster.rng cluster) ~bits:64 in
   let pad =
-    max (value_pad (List.map snd left_col)) (value_pad (List.map snd right_col))
+    max (value_pad left_store atom.Query.attr) (value_pad right_store rhs_attr)
   in
-  let blind_column src col =
+  (* Each home blinds its column in column order. *)
+  let blind_column src store attr =
     let blinded =
-      List.map
-        (fun (glsn, v) ->
-          ( glsn,
-            Value.comparison_class v,
-            Crypto.Blinding.apply_monotone blind (embed ~pad v) ))
-        col
+      List.rev
+        (Storage.fold_column store attr
+           (fun acc glsn v ->
+             ( glsn,
+               Value.comparison_class v,
+               Crypto.Blinding.apply_monotone blind (embed ~pad v) )
+             :: acc)
+           [])
     in
     let bytes =
       List.fold_left
@@ -150,26 +162,11 @@ let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
          (Bignum.to_string, List.map (fun (_, _, w) -> w) blinded));
     blinded
   in
-  let left_blinded = blind_column left left_col in
-  let right_blinded = blind_column right right_col in
+  let left_blinded = blind_column left left_store atom.Query.attr in
+  let right_blinded = blind_column right right_store rhs_attr in
   Net.Network.round ~label:"query" net;
-  (* The TTP joins the two columns on glsn: one pass over each. *)
-  let right_by_glsn = Hashtbl.create (List.length right_blinded) in
-  List.iter
-    (fun (glsn, kind, w) ->
-      if not (Hashtbl.mem right_by_glsn glsn) then
-        Hashtbl.add right_by_glsn glsn (kind, w))
-    right_blinded;
   let satisfied =
-    List.fold_left
-      (fun acc (glsn, kind_l, wl) ->
-        match Hashtbl.find_opt right_by_glsn glsn with
-        | Some (kind_r, wr)
-          when String.equal kind_l kind_r
-               && Query.apply_comparison atom.Query.op (Bignum.compare wl wr)
-          -> Glsn.Set.add glsn acc
-        | Some _ | None -> acc)
-      Glsn.Set.empty left_blinded
+    Glsn.Set.of_list (merge_join atom.Query.op [] left_blinded right_blinded)
   in
   send_glsn_set net ~src:ttp ~dst:clause_home ~label:"query:cross-result"
     satisfied;

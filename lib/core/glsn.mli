@@ -5,7 +5,8 @@
     hex style (139aef78, 139aef79, …).  The allocator models the
     cluster-wide assignment service. *)
 
-type t
+type t [@@immediate]
+(** Immediate, so a glsn array holds its glsns unboxed. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -4,7 +4,24 @@
     supports, plus the user-deposited integrity digest for the whole
     record (§4.1).  Tampering entry points simulate a compromised node
     for the integrity-check tests ("when a DLA node is compromised, its
-    access control tables and log records could be modified"). *)
+    access control tables and log records could be modified").
+
+    {1 Representation}
+
+    A node keeps its rows as columns, the layout the paper's audits
+    scan (§2): one glsn-ascending index of the stored rows (a row whose
+    fragment is empty is in it too), and per attribute a glsn array
+    beside a value array, both glsn-ascending.  A row's fragment is the
+    cells its glsn holds across the columns, so {!fragment_of} returns
+    them in {!Attribute.compare} order, whatever order {!store} was
+    given them in.
+
+    Glsns are allocated in ascending order, so a commit appends: one
+    comparison with the newest entry, then amortized O(1) per cell.  An
+    out-of-order store (replica repair, a drained hint), a rollback or
+    a tamper finds its place by binary search and shifts the later
+    entries of the index and of each column it touches: O(n) in the
+    rows after it.  {!fragment_of} costs a binary search per column. *)
 
 open Numtheory
 
@@ -17,8 +34,9 @@ val supported : t -> Attribute.Set.t
 
 val store :
   t -> glsn:Glsn.t -> fragment:(Attribute.t * Value.t) list -> unit
-(** @raise Invalid_argument if the fragment contains an unsupported
-    attribute or the glsn is already present. *)
+(** Store one row; an empty fragment stores a row with no cells.
+    @raise Invalid_argument if the fragment contains an unsupported
+    attribute or one attribute twice, or the glsn is already present. *)
 
 val store_digest : t -> glsn:Glsn.t -> Bignum.t -> unit
 (** Deposit the record-level accumulator value sent by the user. *)
@@ -35,6 +53,9 @@ val remove : t -> glsn:Glsn.t -> bool
     the caller, which knows the ticket id. *)
 
 val fragment_of : t -> Glsn.t -> (Attribute.t * Value.t) list option
+(** The row's cells in {!Attribute.compare} order; [None] if the glsn
+    has no row. *)
+
 val digest_of : t -> Glsn.t -> Bignum.t option
 val witness_of : t -> Glsn.t -> Bignum.t option
 
@@ -43,8 +64,22 @@ val glsns : t -> Glsn.t list
 
 val record_count : t -> int
 
-val column : t -> Attribute.t -> (Glsn.t * Value.t) list
-(** All stored values of one attribute, by ascending glsn. *)
+val fold_column :
+  t -> Attribute.t -> ('acc -> Glsn.t -> Value.t -> 'acc) -> 'acc -> 'acc
+(** [fold_column t attr f init] folds [f] over every stored cell of one
+    attribute, by ascending glsn: one pass over the column, which stays
+    private to the node. *)
+
+val fold_column_pair :
+  t ->
+  Attribute.t ->
+  Attribute.t ->
+  ('acc -> Glsn.t -> Value.t -> Value.t -> 'acc) ->
+  'acc ->
+  'acc
+(** [fold_column_pair t a b f init] folds [f] over every glsn that holds
+    a cell of [a] and a cell of [b], by ascending glsn, passing both
+    values: one merge-scan of the two columns. *)
 
 val acl : t -> Access_control.t
 (** This node's copy of the cluster access-control table. *)
@@ -101,7 +136,9 @@ val drop_hints : t -> glsn:Glsn.t -> unit
 
 val tamper_set :
   t -> glsn:Glsn.t -> attr:Attribute.t -> Value.t -> bool
-(** Overwrite a stored cell, bypassing all checks; [false] if absent. *)
+(** Overwrite a cell of a stored row, or add one, bypassing all checks
+    (the attribute need not be supported); [false] if the row is
+    absent. *)
 
 val tamper_delete : t -> glsn:Glsn.t -> bool
 (** Drop a whole fragment row; [false] if absent. *)

@@ -44,7 +44,12 @@ let audit_leaking_column cluster ?delivery ~auditor ~attr request =
   | Some home ->
     Smc.Proto_util.span net "spec.leaky-audit" (fun () ->
         let column =
-          Dla.Storage.column (Dla.Cluster.store_of cluster home) attr
+          List.rev
+            (Dla.Storage.fold_column
+               (Dla.Cluster.store_of cluster home)
+               attr
+               (fun acc _ v -> v :: acc)
+               [])
         in
         Net.Network.send_exn net ~src:home ~dst:ttp ~label:"leaky:column"
           ~bytes:(16 * List.length column);
@@ -53,7 +58,7 @@ let audit_leaking_column cluster ?delivery ~auditor ~attr request =
         Smc.Proto_util.observe net ~node:ttp ~sensitivity:Net.Ledger.Plaintext
           ~tag:"leaky:column"
           (Net.Ledger.Batch
-             ( (fun (_, v) -> Dla.Log_record.cell_to_string (attr, v)),
+             ( (fun v -> Dla.Log_record.cell_to_string (attr, v)),
                column ));
         Net.Network.round ~label:"query" net));
   Dla.Auditor_engine.run cluster ~ttp ?delivery ~auditor request

@@ -254,7 +254,8 @@ let test_storage () =
   Storage.store store ~glsn:g
     ~fragment:[ (d "time", Value.Time 5); (u 1, Value.Int 9) ];
   Alcotest.(check int) "count" 1 (Storage.record_count store);
-  Alcotest.(check int) "column" 1 (List.length (Storage.column store (u 1)));
+  Alcotest.(check int) "column" 1
+    (Storage.fold_column store (u 1) (fun n _ _ -> n + 1) 0);
   Alcotest.check_raises "duplicate glsn"
     (Invalid_argument "Storage.store: glsn already stored") (fun () ->
       Storage.store store ~glsn:g ~fragment:[]);
@@ -271,6 +272,265 @@ let test_storage () =
     | None -> false);
   Alcotest.(check bool) "tamper delete" true (Storage.tamper_delete store ~glsn:g);
   Alcotest.(check int) "deleted" 0 (Storage.record_count store)
+
+(* The row-map store that columnar [Storage] replaced, kept verbatim as
+   the reference: a map from glsn to the fragment's association list. *)
+module Row_map_model = struct
+  type t = {
+    supported : Attribute.Set.t;
+    mutable rows : (Attribute.t * Value.t) list Glsn.Map.t;
+    mutable digests : Numtheory.Bignum.t Glsn.Map.t;
+    mutable witnesses : Numtheory.Bignum.t Glsn.Map.t;
+  }
+
+  let create ~supported =
+    {
+      supported;
+      rows = Glsn.Map.empty;
+      digests = Glsn.Map.empty;
+      witnesses = Glsn.Map.empty;
+    }
+
+  let store t ~glsn ~fragment =
+    List.iter
+      (fun (attr, _) ->
+        if not (Attribute.Set.mem attr t.supported) then
+          invalid_arg "Storage.store: unsupported attribute in fragment")
+      fragment;
+    if Glsn.Map.mem glsn t.rows then
+      invalid_arg "Storage.store: glsn already stored";
+    t.rows <- Glsn.Map.add glsn fragment t.rows
+
+  let store_digest t ~glsn digest =
+    t.digests <- Glsn.Map.add glsn digest t.digests
+
+  let store_witness t ~glsn witness =
+    t.witnesses <- Glsn.Map.add glsn witness t.witnesses
+
+  let remove t ~glsn =
+    let present = Glsn.Map.mem glsn t.rows || Glsn.Map.mem glsn t.digests in
+    t.rows <- Glsn.Map.remove glsn t.rows;
+    t.digests <- Glsn.Map.remove glsn t.digests;
+    t.witnesses <- Glsn.Map.remove glsn t.witnesses;
+    present
+
+  let fragment_of t glsn = Glsn.Map.find_opt glsn t.rows
+  let digest_of t glsn = Glsn.Map.find_opt glsn t.digests
+  let witness_of t glsn = Glsn.Map.find_opt glsn t.witnesses
+  let glsns t = List.map fst (Glsn.Map.bindings t.rows)
+  let record_count t = Glsn.Map.cardinal t.rows
+
+  let column t attr =
+    Glsn.Map.fold
+      (fun glsn fragment acc ->
+        match List.assoc_opt attr fragment with
+        | Some v -> (glsn, v) :: acc
+        | None -> acc)
+      t.rows []
+    |> List.rev
+
+  let tamper_set t ~glsn ~attr value =
+    match Glsn.Map.find_opt glsn t.rows with
+    | None -> false
+    | Some fragment ->
+      let replaced = ref false in
+      let fragment' =
+        List.map
+          (fun (a, v) ->
+            if Attribute.equal a attr then begin
+              replaced := true;
+              (a, value)
+            end
+            else (a, v))
+          fragment
+      in
+      let fragment' =
+        if !replaced then fragment' else (attr, value) :: fragment'
+      in
+      t.rows <- Glsn.Map.add glsn fragment' t.rows;
+      true
+
+  let tamper_delete t ~glsn =
+    if Glsn.Map.mem glsn t.rows then begin
+      t.rows <- Glsn.Map.remove glsn t.rows;
+      true
+    end
+    else false
+end
+
+type storage_op =
+  | Append of (Attribute.t * Value.t) list  (** just above the newest row *)
+  | Store_at of int * (Attribute.t * Value.t) list  (** any slot, maybe taken *)
+  | Store_unsupported of int
+  | Remove_newest
+  | Remove_middle
+  | Tamper_set of int * Attribute.t * Value.t
+  | Tamper_delete of int
+
+let model_supported = [ d "time"; u 1; u 2 ]
+let model_planted = u 9 (* supported by no node: only a tamper writes it *)
+let model_attrs = model_supported @ [ model_planted ]
+let model_slots = 24
+let model_base = 0x139aef78
+let model_glsn k = Glsn.of_string (Printf.sprintf "%x" (model_base + k))
+
+let storage_op_to_string op =
+  let fragment cells =
+    String.concat "," (List.map Log_record.cell_to_string cells)
+  in
+  match op with
+  | Append cells -> Printf.sprintf "append[%s]" (fragment cells)
+  | Store_at (k, cells) -> Printf.sprintf "store %d [%s]" k (fragment cells)
+  | Store_unsupported k -> Printf.sprintf "store-unsupported %d" k
+  | Remove_newest -> "remove-newest"
+  | Remove_middle -> "remove-middle"
+  | Tamper_set (k, a, v) ->
+    Printf.sprintf "tamper-set %d %s" k (Log_record.cell_to_string (a, v))
+  | Tamper_delete k -> Printf.sprintf "tamper-delete %d" k
+
+let storage_ops_gen =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ map (fun i -> Value.Int i) (int_range 0 9);
+        map (fun c -> Value.Money c) (int_range 0 999);
+        map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "U1" ]) ]
+  in
+  (* A subset of the supported attributes (maybe none), in any order. *)
+  let fragment =
+    let* cells =
+      flatten_l
+        (List.map
+           (fun attr ->
+             let* keep = bool in
+             if keep then map (fun v -> [ (attr, v) ]) value else return [])
+           model_supported)
+    in
+    shuffle_l (List.concat cells)
+  in
+  let slot = int_range 0 (model_slots - 1) in
+  let op =
+    frequency
+      [ (4, map (fun f -> Append f) fragment);
+        (4, map2 (fun k f -> Store_at (k, f)) slot fragment);
+        (1, map (fun k -> Store_unsupported k) slot);
+        (1, return Remove_newest);
+        (1, return Remove_middle);
+        ( 2,
+          map3
+            (fun k a v -> Tamper_set (k, a, v))
+            slot (oneofl model_attrs) value );
+        (1, map (fun k -> Tamper_delete k) slot) ]
+  in
+  list_size (int_range 1 40) op
+
+let prop_storage_matches_row_map =
+  QCheck.Test.make ~name:"columnar storage = the row map it replaced"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; " (List.map storage_op_to_string ops))
+       storage_ops_gen)
+    (fun ops ->
+      let supported = Attribute.Set.of_list model_supported in
+      let store = Storage.create ~node:(Net.Node_id.Dla 0) ~supported in
+      let model = Row_map_model.create ~supported in
+      (* A row with the record-level deposits a commit makes; the
+         [Invalid_argument] message if the store refuses it. *)
+      let commit store_row store_digest store_witness glsn fragment =
+        match
+          store_row ~glsn ~fragment;
+          store_digest ~glsn (Numtheory.Bignum.of_int (Glsn.to_int glsn));
+          store_witness ~glsn (Numtheory.Bignum.of_int (2 * Glsn.to_int glsn))
+        with
+        | () -> Ok ()
+        | exception Invalid_argument m -> Error m
+      in
+      let store_commit =
+        commit (Storage.store store) (Storage.store_digest store)
+          (Storage.store_witness store)
+      and model_commit =
+        commit (Row_map_model.store model) (Row_map_model.store_digest model)
+          (Row_map_model.store_witness model)
+      in
+      let both_store glsn fragment =
+        store_commit glsn fragment = model_commit glsn fragment
+      in
+      let both_remove glsn =
+        Storage.remove store ~glsn = Row_map_model.remove model ~glsn
+      in
+      let step = function
+        | Append fragment ->
+          let next =
+            match List.rev (Row_map_model.glsns model) with
+            | newest :: _ -> Glsn.to_int newest - model_base + 1
+            | [] -> 0
+          in
+          both_store (model_glsn next) fragment
+        | Store_at (k, fragment) -> both_store (model_glsn k) fragment
+        | Store_unsupported k ->
+          let fragment = [ (model_planted, Value.Int 1) ] in
+          let got = store_commit (model_glsn k) fragment in
+          Result.is_error got && got = model_commit (model_glsn k) fragment
+        | Remove_newest -> (
+          match List.rev (Row_map_model.glsns model) with
+          | newest :: _ -> both_remove newest
+          | [] -> both_remove (model_glsn 0))
+        | Remove_middle -> (
+          match Row_map_model.glsns model with
+          | [] -> both_remove (model_glsn 0)
+          | rows -> both_remove (List.nth rows (List.length rows / 2)))
+        | Tamper_set (k, attr, v) ->
+          Storage.tamper_set store ~glsn:(model_glsn k) ~attr v
+          = Row_map_model.tamper_set model ~glsn:(model_glsn k) ~attr v
+        | Tamper_delete k ->
+          Storage.tamper_delete store ~glsn:(model_glsn k)
+          = Row_map_model.tamper_delete model ~glsn:(model_glsn k)
+      in
+      let by_attr cells =
+        List.stable_sort (fun (a, _) (b, _) -> Attribute.compare a b) cells
+      in
+      let agree () =
+        let column attr =
+          List.rev
+            (Storage.fold_column store attr (fun acc g v -> (g, v) :: acc) [])
+        in
+        let pair a b =
+          List.rev
+            (Storage.fold_column_pair store a b
+               (fun acc g va vb -> (g, va, vb) :: acc)
+               [])
+        in
+        let model_pair a b =
+          List.filter_map
+            (fun (g, fragment) ->
+              match (List.assoc_opt a fragment, List.assoc_opt b fragment) with
+              | Some va, Some vb -> Some (g, va, vb)
+              | _ -> None)
+            (Glsn.Map.bindings model.Row_map_model.rows)
+        in
+        let slots = List.init (model_slots + 45) model_glsn in
+        Storage.glsns store = Row_map_model.glsns model
+        && Storage.record_count store = Row_map_model.record_count model
+        && List.for_all
+             (fun a -> column a = Row_map_model.column model a)
+             model_attrs
+        && List.for_all
+             (fun a ->
+               List.for_all (fun b -> pair a b = model_pair a b) model_attrs)
+             model_attrs
+        && List.for_all
+             (fun g ->
+               Storage.fragment_of store g
+               = Option.map by_attr (Row_map_model.fragment_of model g)
+               && Option.equal Numtheory.Bignum.equal (Storage.digest_of store g)
+                    (Row_map_model.digest_of model g)
+               && Option.equal Numtheory.Bignum.equal (Storage.witness_of store g)
+                    (Row_map_model.witness_of model g))
+             slots
+      in
+      List.for_all (fun op -> step op && agree ()) ops)
+
 
 (* ------------------------------------------------------------------ *)
 (* Cluster logging flow                                                *)
@@ -1086,7 +1346,9 @@ let () =
           Alcotest.test_case "forgery detected" `Quick test_ticket_forgery_detected
         ] );
       ("acl", [ Alcotest.test_case "grant/revoke/tamper" `Quick test_access_control ]);
-      ("storage", [ Alcotest.test_case "store/tamper" `Quick test_storage ]);
+      ( "storage",
+        [ Alcotest.test_case "store/tamper" `Quick test_storage;
+          QCheck_alcotest.to_alcotest prop_storage_matches_row_map ] );
       ( "cluster",
         [ Alcotest.test_case "submit/reassemble" `Quick test_cluster_submit_and_reassemble;
           Alcotest.test_case "rejects bad tickets" `Quick test_cluster_rejects_bad_tickets;

@@ -165,10 +165,11 @@ let test_ecommerce_secure_volume_audit () =
      records it is *responsible* for in the stripe. *)
   let store = Cluster.store_of cluster (Net.Node_id.Dla 1) in
   let amounts =
-    List.map
-      (fun (_, v) ->
-        match v with Value.Money cents -> cents | _ -> 0)
-      (Storage.column store (Attribute.undefined 2))
+    List.rev
+      (Storage.fold_column store (Attribute.undefined 2)
+         (fun acc _ v ->
+           (match v with Value.Money cents -> cents | _ -> 0) :: acc)
+         [])
   in
   let nodes = Cluster.nodes cluster in
   let stripes = Array.make (List.length nodes) 0 in
