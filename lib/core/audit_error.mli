@@ -35,7 +35,7 @@ type t =
           nodes exceeded the collusion tolerance or the retry budget
           was exhausted; [accused] names every node caught lying *)
   | Shard_layout of { detail : string }
-      (** the shard ranges handed to {!Planner.plan_sharded} (or
+      (** the shard ranges handed to {!Planner.validate_layout} (by
           {!Sharding.create}) do not partition the glsn space: empty
           layout, duplicate shard name, overlapping or non-contiguous
           ranges *)

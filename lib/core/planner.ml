@@ -158,6 +158,44 @@ type multi = {
   dedup_clauses : int;
 }
 
+let plan_many fragmentation normalized_list =
+  let rec plan_all acc = function
+    | [] -> Ok (List.rev acc)
+    | normalized :: rest -> (
+      match plan fragmentation normalized with
+      | Ok p -> plan_all (p :: acc) rest
+      | Error _ as e -> e)
+  in
+  match plan_all [] normalized_list with
+  | Error _ as e -> e
+  | Ok plans ->
+    let atom_keys = Hashtbl.create 32 and clause_keys = Hashtbl.create 16 in
+    let atom_occurrences = ref 0 and clause_occurrences = ref 0 in
+    List.iter
+      (fun plan ->
+        List.iter
+          (fun clause ->
+            incr clause_occurrences;
+            let bare = List.map (fun { atom; _ } -> atom) clause.atoms in
+            Hashtbl.replace clause_keys (clause_key bare) ();
+            List.iter
+              (fun atom ->
+                incr atom_occurrences;
+                Hashtbl.replace atom_keys (atom_key atom) ())
+              bare)
+          plan.clauses)
+      plans;
+    let unique_atoms = Hashtbl.length atom_keys in
+    let unique_clauses = Hashtbl.length clause_keys in
+    Ok
+      {
+        plans;
+        unique_atoms;
+        unique_clauses;
+        dedup_atoms = !atom_occurrences - unique_atoms;
+        dedup_clauses = !clause_occurrences - unique_clauses;
+      }
+
 (* ------------------------------------------------------------------ *)
 (* Shard layout                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -216,109 +254,3 @@ let validate_layout ranges =
           | _ -> check (r.shard :: seen) rest)
     in
     match check [] sorted with Error _ as e -> e | Ok () -> Ok sorted)
-
-let owner_of_glsn ranges glsn =
-  List.find_opt (fun r -> glsn >= r.glsn_lo && glsn < r.glsn_hi) ranges
-
-(* FNV-1a over the canonical clause key: stable across process runs
-   (unlike [Hashtbl.hash] it is specified here, byte for byte), and a
-   pure function of the clause's structure — so the assignment is
-   invariant under query permutation and, because the layout is
-   normalized first, under shard-list rotation. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0xffffffff)
-    s;
-  !h
-
-let shard_home ranges key =
-  let n = List.length ranges in
-  let i = fnv1a key mod n in
-  (List.nth ranges i).shard
-
-type sharded = {
-  layout : shard_range list;
-  shard_multis : (shard_range * multi) list;
-  clause_shard_homes : (string * string) list;
-}
-
-let plan_many fragmentation normalized_list =
-  let rec plan_all acc = function
-    | [] -> Ok (List.rev acc)
-    | normalized :: rest -> (
-      match plan fragmentation normalized with
-      | Ok p -> plan_all (p :: acc) rest
-      | Error _ as e -> e)
-  in
-  match plan_all [] normalized_list with
-  | Error _ as e -> e
-  | Ok plans ->
-    let atom_keys = Hashtbl.create 32 and clause_keys = Hashtbl.create 16 in
-    let atom_occurrences = ref 0 and clause_occurrences = ref 0 in
-    List.iter
-      (fun plan ->
-        List.iter
-          (fun clause ->
-            incr clause_occurrences;
-            let bare = List.map (fun { atom; _ } -> atom) clause.atoms in
-            Hashtbl.replace clause_keys (clause_key bare) ();
-            List.iter
-              (fun atom ->
-                incr atom_occurrences;
-                Hashtbl.replace atom_keys (atom_key atom) ())
-              bare)
-          plan.clauses)
-      plans;
-    let unique_atoms = Hashtbl.length atom_keys in
-    let unique_clauses = Hashtbl.length clause_keys in
-    Ok
-      {
-        plans;
-        unique_atoms;
-        unique_clauses;
-        dedup_atoms = !atom_occurrences - unique_atoms;
-        dedup_clauses = !clause_occurrences - unique_clauses;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded planning                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let plan_sharded ~shards normalized_list =
-  match validate_layout (List.map fst shards) with
-  | Error _ as e -> e
-  | Ok layout -> (
-    (* Re-pair each normalized range with its fragmentation map. *)
-    let frag_of name =
-      let r, f = List.find (fun (r, _) -> String.equal r.shard name) shards in
-      ignore r;
-      f
-    in
-    let rec plan_shards acc = function
-      | [] -> Ok (List.rev acc)
-      | range :: rest -> (
-        match plan_many (frag_of range.shard) normalized_list with
-        | Ok m -> plan_shards ((range, m) :: acc) rest
-        | Error _ as e -> e)
-    in
-    match plan_shards [] layout with
-    | Error _ as e -> e
-    | Ok shard_multis ->
-      (* Distinct clauses across the batch, keyed canonically; sorted so
-         the home listing is independent of query order. *)
-      let keys = Hashtbl.create 16 in
-      List.iter
-        (fun normalized ->
-          List.iter
-            (fun clause -> Hashtbl.replace keys (clause_key clause) ())
-            normalized)
-        normalized_list;
-      let clause_shard_homes =
-        Hashtbl.fold (fun k () acc -> k :: acc) keys []
-        |> List.sort compare
-        |> List.map (fun k -> (k, shard_home layout k))
-      in
-      Ok { layout; shard_multis; clause_shard_homes })

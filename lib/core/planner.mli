@@ -77,16 +77,12 @@ val plan_many :
 (** Plan a batch jointly.  Fails on the first unknown attribute, like
     {!plan} on each query in order. *)
 
-(** {1 Sharded planning}
+(** {1 Shard layout}
 
-    A sharded deployment splits the global log by glsn range across
-    several DLA clusters.  {!plan_sharded} plans a batch against every
-    shard's fragmentation map and assigns each distinct clause a *shard
-    home* — the shard responsible for assembling that clause's
-    cross-shard union during the gather phase.  The assignment hashes
-    the canonical {!clause_key} over the normalized layout, so it is a
-    pure function of clause structure and layout: permuting the queries
-    or rotating the shard list cannot move a clause's home. *)
+    A sharded deployment ({!Sharding}) splits the global log by glsn
+    range across several DLA clusters.  Every shard evaluates every
+    clause against its own rows, so the layout is the only sharded
+    input the planner checks. *)
 
 type shard_range = {
   shard : string;  (** shard name, unique within a layout *)
@@ -100,27 +96,3 @@ val validate_layout :
     {!Audit_error.Shard_layout} when the ranges do not partition a
     contiguous glsn interval: empty layout, empty range, duplicate
     name, overlap, or gap. *)
-
-val owner_of_glsn : shard_range list -> int -> shard_range option
-(** Owning range for a glsn, if any; expects a validated layout. *)
-
-val shard_home : shard_range list -> string -> string
-(** Shard name that assembles the clause with the given
-    {!clause_key}, over a validated (canonically ordered) layout. *)
-
-type sharded = {
-  layout : shard_range list;  (** validated, canonical ascending order *)
-  shard_multis : (shard_range * multi) list;
-      (** one joint batch plan per shard, in layout order *)
-  clause_shard_homes : (string * string) list;
-      (** [clause_key → shard name] for every distinct clause in the
-          batch, sorted by key *)
-}
-
-val plan_sharded :
-  shards:(shard_range * Fragmentation.t) list ->
-  Query.normalized list ->
-  (sharded, Audit_error.t) result
-(** Validate the layout, plan the batch against every shard, and assign
-    clause shard homes.  Fails like {!validate_layout} on a bad layout
-    and like {!plan_many} on an unknown attribute. *)

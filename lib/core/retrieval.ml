@@ -61,8 +61,15 @@ let fetch_record cluster ~ticket ~requester glsn =
     Net.Network.round (Cluster.net cluster);
     (match List.concat fragments with
     | [] -> Error "no fragments stored under this glsn"
-    | attributes ->
-      Ok (Log_record.make ~glsn ~origin:requester ~attributes))
+    | attributes -> (
+      (* Only a tampered store holds one attribute on two nodes; such
+         cells form no record ([Log_record.make] rejects the duplicate). *)
+      match Log_record.make ~glsn ~origin:requester ~attributes with
+      | record -> Ok record
+      | exception Invalid_argument _ ->
+        Error
+          (Printf.sprintf "fragments stored under %s do not form one record"
+             (Glsn.to_string glsn))))
 
 let fetch_projection cluster ~ticket ~requester ~attrs glsn =
   match authorize cluster ~ticket ~requester glsn with

@@ -18,7 +18,9 @@ val fetch_record :
   requester:Net.Node_id.t ->
   Glsn.t ->
   (Log_record.t, string) result
-(** Reassemble the full record for an authorized owner. *)
+(** Reassemble the full record for an authorized owner.  Fails, naming
+    the glsn, when the stored fragments do not form one record (one
+    attribute on two nodes, as only a tampered store holds). *)
 
 val fetch_projection :
   Cluster.t ->

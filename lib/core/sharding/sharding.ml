@@ -14,9 +14,9 @@ type t = {
   tickets : (int * string, Ticket.t) Hashtbl.t;
 }
 
-(* Same FNV-1a the planner uses for clause homes; duplicated here (it is
-   8 lines) so user routing does not leak a hash helper through the
-   planner's interface. *)
+(* 32-bit FNV-1a over the principal's identity: specified here byte for
+   byte (unlike [Hashtbl.hash]), so a user's home shard is stable across
+   process runs. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
   String.iter
@@ -146,43 +146,55 @@ let all_glsns t =
 (* Scatter-gather fabric                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One scatter-gather exchange: the coordinator fans [work shard] out
-   to every shard and collects the replies, accounted as one Scatter
-   and one Gather fabric message per shard.  Shards run in layout
-   order, and every shard runs even when an earlier one fails; [collect]
-   then keeps the first error in layout order.  The fabric carries
+(* The one fleet fan-out, shared by every fleet audit.  The coordinator
+   fans [work shard] out to every shard and collects the replies,
+   accounted as one Scatter and one Gather fabric message per shard.
+   Shards run in layout order, and every shard runs even when an
+   earlier one fails; the first error in layout order wins.  Otherwise
+   [merge] combines the [(name, reply)] list, in layout order, with the
+   fabric messages charged.  One shard is the unsharded call: no
+   fabric message, no [shard.*] span or counter.  The fabric carries
    criteria out and verdict metadata back, never record data. *)
-let scatter_gather t work =
-  Obs.Trace.with_span "shard.scatter" (fun () ->
-      Obs.Metrics.incr ~by:(Array.length t.shards) "audit.cross_shard_msgs");
-  let results =
-    Array.map
+let scatter_gather t work merge =
+  match t.shards with
+  | [| shard |] ->
+    Result.map
+      (fun reply -> merge [ (shard.name, reply) ] ~cross_shard_msgs:0)
+      (work shard)
+  | shards -> (
+    Obs.Trace.with_span "shard.scatter" (fun () ->
+        Obs.Metrics.incr ~by:(Array.length shards) "audit.cross_shard_msgs");
+    let replies =
+      Array.map
+        (fun shard ->
+          Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
+          let reply =
+            Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
+              (fun () -> work shard)
+          in
+          Obs.Metrics.incr "audit.cross_shard_msgs";
+          reply)
+        shards
+    in
+    Array.iter
       (fun shard ->
-        Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
-        let result =
-          Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
-            (fun () -> work shard)
-        in
-        Obs.Metrics.incr "audit.cross_shard_msgs";
-        result)
-      t.shards
-  in
-  Array.iter
-    (fun shard ->
-      Obs.Metrics.incr (Printf.sprintf "shard.gather.%s" shard.name))
-    t.shards;
-  results
-
-(* Collect scatter-gather results in layout order, first error wins. *)
-let collect results =
-  let rec go acc i =
-    if i >= Array.length results then Ok (List.rev acc)
-    else
-      match results.(i) with
-      | Error _ as e -> e
-      | Ok r -> go (r :: acc) (i + 1)
-  in
-  go [] 0
+        Obs.Metrics.incr (Printf.sprintf "shard.gather.%s" shard.name))
+      shards;
+    let rec collect i =
+      if i = Array.length shards then Ok []
+      else
+        match replies.(i) with
+        | Error e -> Error e
+        | Ok reply ->
+          Result.map
+            (fun rest -> (shards.(i).name, reply) :: rest)
+            (collect (i + 1))
+    in
+    Result.map
+      (fun per_shard ->
+        Obs.Trace.with_span "shard.gather" (fun () ->
+            merge per_shard ~cross_shard_msgs:(2 * Array.length shards)))
+      (collect 0))
 
 (* ------------------------------------------------------------------ *)
 (* Merging                                                             *)
@@ -190,15 +202,12 @@ let collect results =
 
 let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
 
-let merge_matching per_shard =
-  List.sort Glsn.compare (List.concat_map (fun (_, m) -> m) per_shard)
+let merge_matching f xs = List.sort Glsn.compare (List.concat_map f xs)
 
 let merge_audits criteria (per_shard : (string * Auditor_engine.audit) list) =
   let audits = List.map snd per_shard in
   let first = List.hd audits in
-  let matching =
-    merge_matching (List.map (fun a -> (a, a.Auditor_engine.matching)) audits)
-  in
+  let matching = merge_matching (fun a -> a.Auditor_engine.matching) audits in
   let count = sum (fun a -> a.Auditor_engine.count) audits in
   (* Every shard shares the fragmentation map, so the plans — and eq
      11's s, t, q — are identical; C_auditing is any shard's. *)
@@ -228,44 +237,17 @@ type audit = {
 let audit t ?ttp ?delivery ?failure_mode ~auditor request =
   match Auditor_engine.criteria_of_request request with
   | Error _ as e -> e
-  | Ok criteria -> (
-    if Array.length t.shards = 1 then
-      (* Single-shard bypass: no fabric, no coordinator — the exact
-         unsharded call, so the transcript is byte-identical. *)
-      let shard = t.shards.(0) in
-      match
+  | Ok criteria ->
+    scatter_gather t
+      (fun shard ->
         Auditor_engine.run shard.cluster ?ttp ?delivery ?failure_mode
-          ?replication:shard.replication ~auditor (Criteria criteria)
-      with
-      | Error _ as e -> e
-      | Ok a ->
-        Ok { merged = a; per_shard = [ (shard.name, a) ]; cross_shard_msgs = 0 }
-    else
-      let before = Obs.Metrics.get "audit.cross_shard_msgs" in
-      let results =
-        scatter_gather t (fun shard ->
-            Auditor_engine.run shard.cluster ?ttp ?delivery ?failure_mode
-              ?replication:shard.replication ~auditor (Criteria criteria))
-      in
-      match collect results with
-      | Error _ as e -> e
-      | Ok audits ->
-        let per_shard =
-          List.map2
-            (fun s a -> (s.name, a))
-            (Array.to_list t.shards) audits
-        in
-        let merged =
-          Obs.Trace.with_span "shard.gather" (fun () ->
-              merge_audits criteria per_shard)
-        in
-        Ok
-          {
-            merged;
-            per_shard;
-            cross_shard_msgs =
-              Obs.Metrics.get "audit.cross_shard_msgs" - before;
-          })
+          ?replication:shard.replication ~auditor (Criteria criteria))
+      (fun per_shard ~cross_shard_msgs ->
+        {
+          merged = merge_audits criteria per_shard;
+          per_shard;
+          cross_shard_msgs;
+        })
 
 (* ------------------------------------------------------------------ *)
 (* Batched sessions                                                    *)
@@ -274,7 +256,6 @@ let audit t ?ttp ?delivery ?failure_mode ~auditor request =
 type session = {
   merged : Audit_session.summary;
   per_shard : (string * Audit_session.summary) list;
-  clause_shard_homes : (string * string) list;
   cross_shard_msgs : int;
 }
 
@@ -282,9 +263,7 @@ let merge_entries (entries : Audit_session.entry list) =
   let first = List.hd entries in
   {
     Audit_session.criteria = first.Audit_session.criteria;
-    matching =
-      merge_matching
-        (List.map (fun e -> (e, e.Audit_session.matching)) entries);
+    matching = merge_matching (fun e -> e.Audit_session.matching) entries;
     count = sum (fun e -> e.Audit_session.count) entries;
     c_auditing = first.Audit_session.c_auditing;
     coverage =
@@ -346,59 +325,14 @@ let merge_summaries (per_shard : (string * Audit_session.summary) list) =
   }
 
 let run_session t ?ttp ?delivery ?failure_mode ~auditor queries =
-  let normalized = List.map Query.normalize queries in
-  let planner_shards =
-    List.map
-      (fun s -> (s.range, Cluster.fragmentation s.cluster))
-      (Array.to_list t.shards)
-  in
-  match Planner.plan_sharded ~shards:planner_shards normalized with
-  | Error _ as e -> e
-  | Ok sharded -> (
-    if Array.length t.shards = 1 then
-      let shard = t.shards.(0) in
-      match
-        Audit_session.run shard.cluster ?ttp ?delivery ?failure_mode ~auditor
-          queries
-      with
-      | Error _ as e -> e
-      | Ok summary ->
-        Ok
-          {
-            merged = summary;
-            per_shard = [ (shard.name, summary) ];
-            clause_shard_homes = sharded.Planner.clause_shard_homes;
-            cross_shard_msgs = 0;
-          }
-    else
-      let before = Obs.Metrics.get "audit.cross_shard_msgs" in
-      let results =
-        scatter_gather t (fun shard ->
-            (* Each shard's session gets its own fresh per-session
-               cache, exactly as the unsharded session would. *)
-            Audit_session.run shard.cluster ?ttp ?delivery ?failure_mode
-              ~cache:(Executor.cache_create ()) ~auditor queries)
-      in
-      match collect results with
-      | Error _ as e -> e
-      | Ok summaries ->
-        let per_shard =
-          List.map2
-            (fun s summary -> (s.name, summary))
-            (Array.to_list t.shards) summaries
-        in
-        let merged =
-          Obs.Trace.with_span "shard.gather" (fun () ->
-              merge_summaries per_shard)
-        in
-        Ok
-          {
-            merged;
-            per_shard;
-            clause_shard_homes = sharded.Planner.clause_shard_homes;
-            cross_shard_msgs =
-              Obs.Metrics.get "audit.cross_shard_msgs" - before;
-          })
+  scatter_gather t
+    (fun shard ->
+      (* Each shard's session makes its own fresh per-session cache,
+         exactly as the unsharded session would. *)
+      Audit_session.run shard.cluster ?ttp ?delivery ?failure_mode ~auditor
+        queries)
+    (fun per_shard ~cross_shard_msgs ->
+      { merged = merge_summaries per_shard; per_shard; cross_shard_msgs })
 
 (* ------------------------------------------------------------------ *)
 (* Fleet aggregates                                                    *)
@@ -509,31 +443,21 @@ type byzantine = {
   quarantined : (string * Net.Node_id.t) list;
   verify_msgs : int;
   verify_bytes : int;
+  cross_shard_msgs : int;
 }
 
 let byzantine_audit t ?ttp ?delivery ?recovery ?tolerance ?max_attempts
     ~auditor query =
-  let rec run_shards acc = function
-    | [] -> Ok (List.rev acc)
-    | shard :: rest -> (
-      match
-        Byzantine.audit shard.cluster ?ttp ?delivery ?recovery ?tolerance
-          ?max_attempts ?replication:shard.replication ~auditor query
-      with
-      | Error _ as e -> e
-      | Ok outcome -> run_shards ((shard.name, outcome) :: acc) rest)
-  in
-  match run_shards [] (Array.to_list t.shards) with
-  | Error _ as e -> e
-  | Ok outcomes ->
-    let os = List.map snd outcomes in
-    let reports = List.map (fun o -> o.Byzantine.report) os in
-    Ok
+  scatter_gather t
+    (fun shard ->
+      Byzantine.audit shard.cluster ?ttp ?delivery ?recovery ?tolerance
+        ?max_attempts ?replication:shard.replication ~auditor query)
+    (fun outcomes ~cross_shard_msgs ->
+      let os = List.map snd outcomes in
+      let reports = List.map (fun o -> o.Byzantine.report) os in
       {
         outcomes;
-        matching =
-          merge_matching
-            (List.map (fun r -> (r, r.Executor.matching)) reports);
+        matching = merge_matching (fun r -> r.Executor.matching) reports;
         count = sum (fun r -> r.Executor.count) reports;
         coverage =
           Executor.merge_coverage
@@ -547,4 +471,5 @@ let byzantine_audit t ?ttp ?delivery ?recovery ?tolerance ?max_attempts
             outcomes;
         verify_msgs = sum (fun o -> o.Byzantine.verify_msgs) os;
         verify_bytes = sum (fun o -> o.Byzantine.verify_bytes) os;
-      }
+        cross_shard_msgs;
+      })

@@ -9,23 +9,27 @@
     principal, so every record lands on exactly one shard and every
     glsn has exactly one owner.
 
-    Audits run {e scatter-gather}: the coordinator fans the criteria
-    out to every shard in layout order, each shard evaluates
-    confidentially inside its own cluster (its own fragmentation, keys,
-    tickets and per-session {!Executor.cache}), and the verdicts come
-    back for a deterministic merge — matching glsn lists concatenate in
-    glsn order because the ranges are disjoint, coverage merges with
-    {!Executor.merge_coverage}, and the first error in layout order
-    wins.  A single-shard deployment bypasses the fabric entirely and
-    is byte-identical to the unsharded path.
+    Fleet audits ({!audit}, {!run_session}, {!byzantine_audit}) share
+    one {e scatter-gather} fan-out: the coordinator sends the criteria
+    to every shard in layout order, each shard evaluates confidentially
+    inside its own cluster (its own fragmentation, keys, tickets and
+    per-session {!Executor.cache}), and the verdicts come back for a
+    deterministic merge — matching glsn lists concatenate in glsn order
+    because the ranges are disjoint, coverage merges with
+    {!Executor.merge_coverage}.  Every shard runs even when an earlier
+    one fails, and the first error in layout order wins.  A
+    single-shard deployment bypasses the fabric entirely and is
+    byte-identical to the unsharded path.
 
     Cross-shard traffic is accounted separately from the shards'
     internal SMC traffic: [audit.cross_shard_msgs] counts fabric
     messages (2·S per scatter-gather when S > 1, 0 when S = 1), and
     per-shard [shard.scatter.<name>] / [shard.gather.<name>] counters
     plus [shard.scatter] / [shard.gather] / [shard.audit.<name>] spans
-    expose the fan-out in the telemetry, so the §3 cost model for the
-    intra-shard work stays pinned. *)
+    expose the fan-out in the telemetry (none of them when S = 1), so
+    the §3 cost model for the intra-shard work stays pinned.  Each
+    result's [cross_shard_msgs] field holds the fabric messages its
+    call charged. *)
 
 type shard = {
   index : int;
@@ -126,16 +130,24 @@ val audit :
   (audit, Audit_error.t) result
 (** Fan the criteria out to every shard and merge.  With one shard this
     is exactly {!Auditor_engine.run} — same bytes on the wire, same
-    report.  Errors: parse/planner errors surface before any scatter;
-    a shard-side error (in layout order) wins over later shards'. *)
+    report.
+
+    A [Count_only] delivery gives the auditor each shard's count:
+    every shard's executor delivers its own, and [per_shard] returns
+    them beside the merged total.  {!secret_count_total} is the path
+    that releases only the fleet total.
+
+    Errors: a parse error in a [Text] request returns before the
+    scatter, with no fabric traffic.  Every other error — an unknown
+    attribute from a shard's planner, say — comes back from the shards
+    after the scatter, which is then charged; the first in layout order
+    wins. *)
 
 type session = {
   merged : Audit_session.summary;
       (** entry-wise merge of the shards' summaries, in request order *)
   per_shard : (string * Audit_session.summary) list;
-  clause_shard_homes : (string * string) list;
-      (** {!Planner.plan_sharded}'s [clause_key → shard] assignment *)
-  cross_shard_msgs : int;
+  cross_shard_msgs : int;  (** as {!audit}'s *)
 }
 
 val run_session :
@@ -146,12 +158,15 @@ val run_session :
   auditor:Net.Node_id.t ->
   Query.t list ->
   (session, Audit_error.t) result
-(** Batched scatter-gather: plan the batch with {!Planner.plan_sharded}
-    (validating the layout and assigning every distinct clause a shard
-    home), then run one {!Audit_session} inside each shard — each with
-    its own fresh per-session {!Executor.cache} — and merge the
-    summaries entry-wise.  Single-shard fleets bypass the fabric and
-    match {!Audit_session.run} byte for byte. *)
+(** Batched scatter-gather: run one {!Audit_session} inside each shard —
+    each with its own fresh per-session {!Executor.cache} — and merge
+    the summaries entry-wise.  Single-shard fleets bypass the fabric
+    and match {!Audit_session.run} byte for byte.
+
+    Errors: nothing is checked before the scatter.  Each shard plans
+    the batch itself, so an unknown attribute, like any other error,
+    comes back from the shards after the scatter; the first in layout
+    order wins. *)
 
 (** {1 Fleet aggregates} *)
 
@@ -202,6 +217,7 @@ type byzantine = {
           lied; other shards never fence anything *)
   verify_msgs : int;  (** summed commitment-exchange traffic *)
   verify_bytes : int;
+  cross_shard_msgs : int;  (** as {!audit}'s *)
 }
 
 val byzantine_audit :
@@ -218,4 +234,7 @@ val byzantine_audit :
     {!Net.Adversary} hook: detection, quarantine and re-run all happen
     within the accused node's own shard (each shard uses its own
     replication for {!Byzantine.Rehost}-style repair when configured).
-    The first shard-side error (layout order) aborts the fleet audit. *)
+
+    Errors: as {!run_session}'s.  Every shard runs, also after an
+    earlier one has failed (with a {!Audit_error.Byzantine_fault} past
+    its tolerance, say), and the first error in layout order wins. *)

@@ -5,8 +5,6 @@ type t = {
   queue : task Queue.t;
   lock : Mutex.t;
   nonempty : Condition.t;
-  drained : Condition.t;
-  mutable outstanding : int;  (* chunks submitted, not yet completed *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
 }
@@ -23,10 +21,6 @@ let rec worker_loop t =
     let task = Queue.pop t.queue in
     Mutex.unlock t.lock;
     task ();
-    Mutex.lock t.lock;
-    t.outstanding <- t.outstanding - 1;
-    if t.outstanding = 0 then Condition.broadcast t.drained;
-    Mutex.unlock t.lock;
     worker_loop t
   end
 
@@ -38,8 +32,6 @@ let create ~domains =
       queue = Queue.create ();
       lock = Mutex.create ();
       nonempty = Condition.create ();
-      drained = Condition.create ();
-      outstanding = 0;
       stop = false;
       workers = [];
     }
@@ -59,8 +51,8 @@ let with_pool t f =
   Fun.protect ~finally:(fun () -> active := previous) f
 
 (* A one-shot cell filled by a worker; the submitter blocks on [await].
-   Exceptions cross the domain boundary as values and re-raise at the
-   join, so a failing chunk behaves like the inline path. *)
+   Exceptions cross the domain boundary as values and re-raise after
+   the join, so a failing chunk behaves like the inline path. *)
 type 'a cell = {
   cell_lock : Mutex.t;
   cell_filled : Condition.t;
@@ -79,7 +71,6 @@ let submit t f =
     Mutex.unlock cell.cell_lock
   in
   Mutex.lock t.lock;
-  t.outstanding <- t.outstanding + 1;
   Queue.push task t.queue;
   Condition.signal t.nonempty;
   Mutex.unlock t.lock;
@@ -91,10 +82,7 @@ let await cell =
     Condition.wait cell.cell_filled cell.cell_lock
   done;
   Mutex.unlock cell.cell_lock;
-  match cell.cell with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> assert false
+  Option.get cell.cell
 
 (* Contiguous chunks with sizes that depend only on (length, width):
    the first [len mod width] chunks get one extra element. *)
@@ -135,25 +123,19 @@ let map_list t ~min_chunk f xs =
       Obs.Metrics.incr ~by:(List.length rest) "pool.jobs";
       Obs.Metrics.set_max "pool.domains.max" t.width;
       let cells = List.map (fun chunk -> submit t (fun () -> f chunk)) rest in
-      (* The submitter takes the first chunk itself, then joins the
-         farmed tails in submission order — result order is that of
-         [xs] regardless of worker interleaving. *)
-      let head = f first in
-      head :: List.map await cells |> List.concat
+      (* The submitter takes the first chunk itself, then joins every
+         farmed tail in submission order — result order is that of [xs]
+         regardless of worker interleaving.  It joins them all before
+         re-raising the first failure, so no chunk outlives the call. *)
+      let head = try Ok (f first) with e -> Error e in
+      head :: List.map await cells
+      |> List.concat_map (function Ok v -> v | Error e -> raise e)
   end
 
-let fence t =
-  if t.width > 1 then begin
-    Mutex.lock t.lock;
-    while t.outstanding > 0 do
-      Condition.wait t.drained t.lock
-    done;
-    Mutex.unlock t.lock
-  end
-
+(* Workers drain the queue before they stop, so joining them leaves no
+   chunk running. *)
 let shutdown t =
   if t.width > 1 then begin
-    fence t;
     Mutex.lock t.lock;
     t.stop <- true;
     Condition.broadcast t.nonempty;

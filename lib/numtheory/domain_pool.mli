@@ -48,19 +48,15 @@ val map_list : t -> min_chunk:int -> ('a list -> 'b list) -> 'a list -> 'b list
     Batches shorter than [2 * min_chunk] (and any batch on a width-1
     pool) run inline on the caller; farmed batches advance
     [pool.batches] and [pool.jobs], inline ones [pool.inline].
-    Exceptions raised by a chunk are re-raised on the caller.
+    Every chunk has finished when [map_list] returns, so no compute
+    outlives the call: a chunk's exception is re-raised on the caller
+    after the join (the first in chunk order).
     {!Modular.pow_many} is its one caller in the library, and it calls
     [map_list] only for a batch it will farm (pool wider than 1, at
     least [2 * min_chunk] elements), so there [pool.inline] stays 0 by
     construction: the batches [pow_many] keeps on the caller are not
     counted. *)
 
-val fence : t -> unit
-(** Block until every submitted chunk has completed — the round
-    barrier: {!Smc.Proto_util.round} fences the ambient pool before
-    advancing virtual time, so no compute outlives the round that
-    scheduled it.  No-op on an idle or width-1 pool. *)
-
 val shutdown : t -> unit
-(** Fence, then stop and join the worker domains.  The pool must not
-    be used afterwards; idempotent. *)
+(** Stop and join the worker domains.  The pool must not be used
+    afterwards; idempotent. *)

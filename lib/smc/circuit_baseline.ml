@@ -50,7 +50,7 @@ let and_gate net rng dealer nodes x y =
   let sa, sb, sc = deal_triple net rng dealer nodes in
   let d = open_bit net nodes (xor_shares x sa) in
   let e = open_bit net nodes (xor_shares y sb) in
-  Proto_util.round net;
+  Net.Network.round net;
   List.mapi
     (fun i ((ai, bi), ci) ->
       let z = ci <> (d && bi) <> (e && ai) in
@@ -94,7 +94,7 @@ let secure_sum ~net ~rng ~dealer ~receiver ~width parties =
           share_bit rng n (Bignum.test_bit party.value bit)))
       parties
   in
-  Proto_util.round net;
+  Net.Network.round net;
   let zero_bits = List.init width (fun _ -> List.init n (fun _ -> false)) in
   (* Ripple-carry accumulation of all inputs. *)
   let add_words acc word =
@@ -111,7 +111,7 @@ let secure_sum ~net ~rng ~dealer ~receiver ~width parties =
   let total_shared = List.fold_left add_words zero_bits shared_inputs in
   (* Output phase: open each sum bit toward the receiver. *)
   let bits = List.map (fun b -> open_bit net nodes b) total_shared in
-  Proto_util.round net;
+  Net.Network.round net;
   let total =
     List.fold_left
       (fun (acc, i) b ->

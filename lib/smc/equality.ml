@@ -20,7 +20,7 @@ let via_ttp ~net ~rng ~p ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
             Net.Network.send_exn net ~src:lnode ~dst:rnode
               ~label:"equality:negotiate"
               ~bytes:(2 * Proto_util.bignum_wire_size p);
-            Proto_util.round ~label:"equality" net;
+            Net.Network.round ~label:"equality" net;
             (* Both values blind under the one agreed map in a single
                batch pass. *)
             match Crypto.Blinding.apply_affine_many blind [ lval; rval ] with
@@ -34,14 +34,14 @@ let via_ttp ~net ~rng ~p ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
             ~bytes:(Proto_util.bignum_wire_size wr);
           record_blinded net ttp wl;
           record_blinded net ttp wr;
-          Proto_util.round ~label:"equality" net;
+          Net.Network.round ~label:"equality" net;
           let verdict = Bignum.equal wl wr in
           (* TTP returns the one-bit verdict to both holders. *)
           Net.Network.send_exn net ~src:ttp ~dst:lnode ~label:"equality:verdict"
             ~bytes:1;
           Net.Network.send_exn net ~src:ttp ~dst:rnode ~label:"equality:verdict"
             ~bytes:1;
-          Proto_util.round ~label:"equality" net;
+          Net.Network.round ~label:"equality" net;
           verdict))
 
 let via_intersection ~net ~scheme ~left:(lnode, lval) ~right:(rnode, rval) =
@@ -74,7 +74,7 @@ let via_mapping_table ~net ~rng ~ttp ~domain ~left:(lnode, lval)
   in
   Net.Network.send_exn net ~src:lnode ~dst:rnode ~label:"equality:table"
     ~bytes:table_bytes;
-  Proto_util.round ~label:"equality" net;
+  Net.Network.round ~label:"equality" net;
   (* From here it is the affine-blind TTP comparison on the mapped
      numbers; the TTP sees indices of a secret permutation. *)
   let p = Bignum.of_int (max 2 (2 * List.length domain)) in
@@ -91,13 +91,13 @@ let via_mapping_table ~net ~rng ~ttp ~domain ~left:(lnode, lval)
         ~bytes:(Proto_util.bignum_wire_size w);
       record_blinded net ttp w)
     [ (lnode, wl); (rnode, wr) ];
-  Proto_util.round ~label:"equality" net;
+  Net.Network.round ~label:"equality" net;
   let verdict = Bignum.equal wl wr in
   Net.Network.send_exn net ~src:ttp ~dst:lnode ~label:"equality:verdict"
     ~bytes:1;
   Net.Network.send_exn net ~src:ttp ~dst:rnode ~label:"equality:verdict"
     ~bytes:1;
-  Proto_util.round ~label:"equality" net;
+  Net.Network.round ~label:"equality" net;
   verdict
 
 let naive ~net ~coordinator ~left:(lnode, lval) ~right:(rnode, rval) =
@@ -110,5 +110,5 @@ let naive ~net ~coordinator ~left:(lnode, lval) ~right:(rnode, rval) =
         ~sensitivity:Net.Ledger.Plaintext ~tag:"equality:naive"
         (Net.Ledger.Text (Bignum.to_string v)))
     [ (lnode, lval); (rnode, rval) ];
-  Proto_util.round ~label:"equality" net;
+  Net.Network.round ~label:"equality" net;
   Bignum.equal lval rval

@@ -41,7 +41,7 @@ let run ~net ~rng ~votes ?(cheaters = []) () =
         (node, vote, commitment, opening))
       votes
   in
-  Proto_util.round net;
+  Net.Network.round net;
   (* Phase 2: openings.  A cheater reveals a switched vote, which cannot
      open its own commitment. *)
   let opened =
@@ -68,7 +68,7 @@ let run ~net ~rng ~votes ?(cheaters = []) () =
         (node, vote, commitment, opening))
       committed
   in
-  Proto_util.round net;
+  Net.Network.round net;
   (* Every node verifies every opening; failures are flagged and their
      votes discarded. *)
   let valid, flagged =

@@ -21,7 +21,7 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
     ~label:"millionaire:blinded" ~bytes:(Proto_util.bignum_wire_size m);
   Proto_util.observe net ~node:alice_node ~sensitivity:Net.Ledger.Ciphertext
     ~tag:"millionaire:blinded" (Net.Ledger.Text (Bignum.to_hex m));
-  Proto_util.round net;
+  Net.Network.round net;
   (* 2. Alice decrypts all domain candidates; y_j recovers Bob's x. *)
   let ys =
     Array.init domain (fun u ->
@@ -69,10 +69,10 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
   Proto_util.observe net ~node:bob_node ~sensitivity:Net.Ledger.Blinded
     ~tag:"millionaire:residues"
     (Net.Ledger.Batch (Bignum.to_string, Array.to_list ws));
-  Proto_util.round net;
+  Net.Network.round net;
   (* 5. Bob tests his own position: unmarked iff j <= i. *)
   let verdict = Bignum.equal ws.(j - 1) (Bignum.erem x p) in
   Net.Network.send_exn net ~src:bob_node ~dst:alice_node
     ~label:"millionaire:verdict" ~bytes:1;
-  Proto_util.round net;
+  Net.Network.round net;
   verdict

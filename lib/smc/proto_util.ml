@@ -31,16 +31,6 @@ let span net name f =
   Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net);
   Obs.Trace.with_span name f
 
-(* Round submission: every protocol's synchronization points go through
-   here rather than calling [Network.round] directly.  The reactor farms
-   modexp batches to an ambient domain pool; fencing the pool before
-   virtual time advances guarantees no compute outlives the round that
-   scheduled it, so a round barrier means the same thing under a
-   width-4 pool as it does inline. *)
-let round ?label net =
-  Numtheory.Domain_pool.(fence (current ()));
-  Net.Network.round ?label net
-
 type wire_event = {
   node : Net.Node_id.t;
   sensitivity : Net.Ledger.sensitivity;

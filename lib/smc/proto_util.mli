@@ -20,14 +20,6 @@ val span : Net.Network.t -> string -> (unit -> 'a) -> 'a
     the network's virtual time (so span durations are simulated
     protocol latency). *)
 
-val round : ?label:string -> Net.Network.t -> unit
-(** Protocol round barrier: fence the ambient
-    {!Numtheory.Domain_pool} (joining any farmed modexp chunks still in
-    flight), then {!Net.Network.round}.  All SMC protocol modules mark
-    their synchronization points through this, so the §3 round counters
-    are unchanged while compute is guaranteed quiescent whenever
-    virtual time advances. *)
-
 type wire_event = {
   node : Net.Node_id.t;  (** who observed the value *)
   sensitivity : Net.Ledger.sensitivity;

@@ -41,7 +41,7 @@ let broadcast_negotiation net nodes =
     | _ -> ()
   in
   go nodes;
-  Proto_util.round ~label:"ranking" net
+  Net.Network.round ~label:"ranking" net
 
 let run ~net ~rng ~ttp parties =
   if List.length parties < 2 then
@@ -77,7 +77,7 @@ let run ~net ~rng ~ttp parties =
                   (party.node, w))
                 parties ws
             in
-            Proto_util.round ~label:"ranking" net;
+            Net.Network.round ~label:"ranking" net;
             blinded)
       in
       Proto_util.span net "smc.ranking.reveal" (fun () ->
@@ -92,13 +92,13 @@ let run ~net ~rng ~ttp parties =
                 ~tag:"ranking:verdict"
                 (Net.Ledger.Text (Net.Node_id.to_string verdict.max_holder)))
             nodes;
-          Proto_util.round ~label:"ranking" net;
+          Net.Network.round ~label:"ranking" net;
           verdict))
 
 let comparisons ~net ~rng ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
   Net.Network.send_exn net ~src:lnode ~dst:rnode ~label:"compare:negotiate"
     ~bytes:16;
-  Proto_util.round ~label:"compare" net;
+  Net.Network.round ~label:"compare" net;
   let blind = Crypto.Blinding.generate_monotone rng ~bits:64 in
   let wl, wr =
     match Crypto.Blinding.apply_monotone_many blind [ lval; rval ] with
@@ -112,13 +112,13 @@ let comparisons ~net ~rng ~ttp ~left:(lnode, lval) ~right:(rnode, rval) =
       Proto_util.observe net ~node:ttp ~sensitivity:Net.Ledger.Blinded
         ~tag:"compare:submit" (Net.Ledger.Text (Bignum.to_string w)))
     [ (lnode, wl); (rnode, wr) ];
-  Proto_util.round ~label:"compare" net;
+  Net.Network.round ~label:"compare" net;
   let verdict = Bignum.compare wl wr in
   List.iter
     (fun dst ->
       Net.Network.send_exn net ~src:ttp ~dst ~label:"compare:verdict" ~bytes:1)
     [ lnode; rnode ];
-  Proto_util.round ~label:"compare" net;
+  Net.Network.round ~label:"compare" net;
   verdict
 
 let naive ~net ~coordinator parties =
@@ -132,5 +132,5 @@ let naive ~net ~coordinator parties =
         ~sensitivity:Net.Ledger.Plaintext ~tag:"ranking:naive"
         (Net.Ledger.Text (Bignum.to_string party.value)))
     parties;
-  Proto_util.round ~label:"ranking" net;
+  Net.Network.round ~label:"ranking" net;
   verdict_of_values (List.map (fun party -> (party.node, party.value)) parties)

@@ -63,7 +63,7 @@ let ring_encrypt ~net ~scheme ~receiver parties =
             (origin, next, kp.Crypto.Commutative.enc_many cts))
           state
       in
-      Proto_util.round ~label:"intersection" net;
+      Net.Network.round ~label:"intersection" net;
       hops state (hop + 1)
     end
   in
@@ -85,7 +85,7 @@ let ring_encrypt ~net ~scheme ~receiver parties =
               (origin, cts))
             final
         in
-        Proto_util.round ~label:"intersection" net;
+        Net.Network.round ~label:"intersection" net;
         encrypted)
   in
   (own_sets, encrypted_by_all)
@@ -174,7 +174,7 @@ let naive ~net ~coordinator parties =
         String_set.of_list set)
       parties
   in
-  Proto_util.round net;
+  Net.Network.round net;
   match sets with
   | [] -> []
   | first :: rest ->

@@ -51,7 +51,7 @@ let ring_collect ~net ~scheme ~receiver parties =
             (next, kp.Crypto.Commutative.enc_many cts))
           state
       in
-      Proto_util.round ~label:"union" net;
+      Net.Network.round ~label:"union" net;
       hops state (hop + 1)
     end
   in
@@ -70,7 +70,7 @@ let ring_collect ~net ~scheme ~receiver parties =
                   ~label:"union:collect" cts)
             final
         in
-        Proto_util.round ~label:"union" net;
+        Net.Network.round ~label:"union" net;
         cts)
   in
   let distinct =
@@ -104,7 +104,7 @@ let run ~net ~scheme ~rng ~receiver parties =
                       Proto_util.send_bignums net ~src:holder ~dst:next
                         ~label:"union:decode" cts
                     in
-                    Proto_util.round ~label:"union" net;
+                    Net.Network.round ~label:"union" net;
                     cts
                   end
                 in
@@ -119,7 +119,7 @@ let run ~net ~scheme ~rng ~receiver parties =
                 Proto_util.send_bignums net ~src:holder ~dst:receiver
                   ~label:"union:decode-return" group_elements
               in
-              Proto_util.round ~label:"union" net;
+              Net.Network.round ~label:"union" net;
               delivered
             end
           in
@@ -178,5 +178,5 @@ let naive ~net ~coordinator parties =
         String_set.union acc (String_set.of_list set))
       String_set.empty parties
   in
-  Proto_util.round net;
+  Net.Network.round net;
   String_set.elements union

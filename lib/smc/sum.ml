@@ -64,7 +64,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
                     nodes shares)
                 parties dealt
             in
-            Proto_util.round ~label:"sum" net;
+            Net.Network.round ~label:"sum" net;
             delivered)
       in
       Proto_util.span net "smc.sum.reveal" (fun () ->
@@ -103,7 +103,7 @@ let run_general ~net ~rng ~p ~k ~receiver ~weight_of parties =
                 share)
               selected
           in
-          Proto_util.round ~label:"sum" net;
+          Net.Network.round ~label:"sum" net;
           let total =
             match Round_guard.current () with
             | None -> Crypto.Shamir.reconstruct ~p collected
@@ -191,7 +191,7 @@ let run_ttp_coordinated ~net ~rng ~public ~secret ~coordinator ~receiver
         c)
       parties
   in
-  Proto_util.round ~label:"sum" net;
+  Net.Network.round ~label:"sum" net;
   (* The blind coordinator folds homomorphically — one multiplication per
      party, no key material. *)
   let folded =
@@ -201,7 +201,7 @@ let run_ttp_coordinated ~net ~rng ~public ~secret ~coordinator ~receiver
   in
   Net.Network.send_exn net ~src:coordinator ~dst:receiver
     ~label:"sum:paillier-total" ~bytes:(Proto_util.bignum_wire_size folded);
-  Proto_util.round ~label:"sum" net;
+  Net.Network.round ~label:"sum" net;
   let total = Crypto.Paillier.decrypt public secret folded in
   Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
     ~tag:"sum:result" (Net.Ledger.Text (Bignum.to_string total));
@@ -221,5 +221,5 @@ let naive ~net ~coordinator parties =
         Bignum.add acc party.value)
       Bignum.zero parties
   in
-  Proto_util.round ~label:"sum" net;
+  Net.Network.round ~label:"sum" net;
   total

@@ -445,9 +445,10 @@ let fanout_spans () =
 let test_scatter_gather_closed_form () =
   (* One scatter-gather costs exactly one Scatter and one Gather fabric
      message per shard: audit.cross_shard_msgs = 2·S, and every shard's
-     scatter/gather counter ticks exactly once — for a single audit and
-     for a batched session alike.  The spans pin the fan-out order:
-     scatter, each shard's audit in layout order, then the gather. *)
+     scatter/gather counter ticks exactly once — for a single audit, a
+     batched session and a Byzantine-tolerant audit alike.  The spans
+     pin the fan-out order: scatter, each shard's audit in layout order,
+     then the gather. *)
   let check_fanout label shards =
     check label (2 * shards) "audit.cross_shard_msgs";
     for i = 0 to shards - 1 do
@@ -508,6 +509,28 @@ let test_scatter_gather_closed_form () =
         ("shard.scatter"
          :: per_shard shards (fun i ->
                 [ "session.audit"; Printf.sprintf "shard.audit.shard%d" i ])
+        @ [ "shard.gather" ])
+        (fanout_spans ());
+      let label = Printf.sprintf "scatter-gather byzantine S=%d" shards in
+      Obs.Metrics.reset ();
+      Obs.Trace.reset ();
+      let byzantine =
+        match
+          Dla.Sharding.byzantine_audit fleet ~auditor:Net.Node_id.Auditor
+            (List.hd batch)
+        with
+        | Ok b -> b
+        | Error e ->
+          Alcotest.failf "byzantine_audit: %s" (Dla.Audit_error.to_string e)
+      in
+      Alcotest.(check int)
+        (label ^ " result field")
+        (2 * shards) byzantine.Dla.Sharding.cross_shard_msgs;
+      check_fanout label shards;
+      Alcotest.(check (list string))
+        (label ^ " spans")
+        ("shard.scatter"
+         :: per_shard shards (fun i -> [ Printf.sprintf "shard.audit.shard%d" i ])
         @ [ "shard.gather" ])
         (fanout_spans ()))
     [ 2; 3; 4 ]
@@ -589,6 +612,45 @@ let test_single_shard_batch_zero_extra_smc () =
        (fun acc e -> acc + e.Dla.Audit_session.count)
        0 merged.Dla.Audit_session.entries)
 
+(* Every fleet operation on a 1-shard fleet is the unsharded call: no
+   fabric message, and no shard.* counter or span — the gather span
+   included. *)
+let test_single_shard_no_fanout () =
+  let fleet = fleet_with_rows ~seed:21 ~shards:1 in
+  let q =
+    match Dla.Query.parse {|C1 > 30|} with
+    | Ok q -> q
+    | Error e -> Alcotest.fail e
+  in
+  let no_fanout label run =
+    Obs.Metrics.reset ();
+    Obs.Trace.reset ();
+    match run () with
+    | Error e -> Alcotest.failf "%s: %s" label (Dla.Audit_error.to_string e)
+    | Ok cross_shard_msgs ->
+      Alcotest.(check int) (label ^ " result field") 0 cross_shard_msgs;
+      check label 0 "audit.cross_shard_msgs";
+      Alcotest.(check (list string))
+        (label ^ " shard counters") []
+        (List.map fst (Obs.Metrics.counters_prefixed ~prefix:"shard." ()));
+      Alcotest.(check (list string))
+        (label ^ " shard spans") []
+        (List.filter (String.starts_with ~prefix:"shard.") (fanout_spans ()))
+  in
+  let auditor = Net.Node_id.Auditor in
+  no_fanout "audit" (fun () ->
+      Result.map
+        (fun (a : Dla.Sharding.audit) -> a.Dla.Sharding.cross_shard_msgs)
+        (Dla.Sharding.audit fleet ~auditor (Dla.Auditor_engine.Criteria q)));
+  no_fanout "run_session" (fun () ->
+      Result.map
+        (fun (s : Dla.Sharding.session) -> s.Dla.Sharding.cross_shard_msgs)
+        (Dla.Sharding.run_session fleet ~auditor [ q ]));
+  no_fanout "byzantine_audit" (fun () ->
+      Result.map
+        (fun (b : Dla.Sharding.byzantine) -> b.Dla.Sharding.cross_shard_msgs)
+        (Dla.Sharding.byzantine_audit fleet ~auditor q))
+
 let () =
   Alcotest.run "cost_model"
     [ ( "intersection",
@@ -634,6 +696,8 @@ let () =
         [ Alcotest.test_case "scatter-gather costs 2S fabric messages"
             `Quick test_scatter_gather_closed_form;
           Alcotest.test_case "single-shard batch adds zero SMC messages"
-            `Quick test_single_shard_batch_zero_extra_smc
+            `Quick test_single_shard_batch_zero_extra_smc;
+          Alcotest.test_case "single shard opens no fan-out" `Quick
+            test_single_shard_no_fanout
         ] )
     ]

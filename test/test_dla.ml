@@ -938,6 +938,34 @@ let test_retrieval_denied () =
   | Ok _ -> Alcotest.fail "expired ticket must be denied"
   | Error e -> Alcotest.(check string) "expired" "ticket rejected: expired" e
 
+(* One attribute stored on two nodes: the fragments form no record, and
+   the owner's fetch says so instead of raising. *)
+let test_retrieval_unassemblable () =
+  let cluster, glsns = Workload.Paper_example.build () in
+  let tampered = List.hd glsns in
+  Alcotest.(check bool) "id planted on P0" true
+    (Storage.tamper_set
+       (Cluster.store_of cluster (Net.Node_id.Dla 0))
+       ~glsn:tampered ~attr:(d "id") (Value.Str "U1"));
+  let ticket =
+    Cluster.issue_ticket cluster ~id:"T1" ~principal:(Net.Node_id.User 1)
+      ~rights:[ Ticket.Read ] ~ttl:3600
+  in
+  let fetch glsn =
+    Retrieval.fetch_record cluster ~ticket ~requester:(Net.Node_id.User 1) glsn
+  in
+  (match fetch tampered with
+  | Ok _ -> Alcotest.fail "duplicate cells must not reassemble"
+  | Error e ->
+    Alcotest.(check string) "names the glsn"
+      (Printf.sprintf "fragments stored under %s do not form one record"
+         (Glsn.to_string tampered))
+      e);
+  match fetch (List.nth glsns 2) with
+  | Ok record ->
+    Alcotest.(check int) "T1's other row intact" 7 (Log_record.width record)
+  | Error e -> Alcotest.fail e
+
 
 
 let test_acl_sync_reconcile () =
@@ -1384,7 +1412,9 @@ let () =
       ( "retrieval",
         [ Alcotest.test_case "owner fetch" `Quick test_retrieval_owner_can_fetch;
           Alcotest.test_case "projection" `Quick test_retrieval_projection;
-          Alcotest.test_case "denied paths" `Quick test_retrieval_denied
+          Alcotest.test_case "denied paths" `Quick test_retrieval_denied;
+          Alcotest.test_case "unassemblable record" `Quick
+            test_retrieval_unassemblable
         ] );
       ( "membership",
         Alcotest.test_case "growth+verify" `Quick test_membership_growth_and_verification

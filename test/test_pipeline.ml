@@ -448,7 +448,33 @@ let test_pool_exception_propagates () =
                  if List.exists (fun x -> x > 40) chunk then
                    failwith "chunk blew up"
                  else chunk)
-               xs)))
+               xs));
+      (* The caller's own chunk fails while the farmed ones still run:
+         the caller joins them all before it re-raises, so no chunk
+         outlives the call. *)
+      let head_failed = Atomic.make false and finished = Atomic.make 0 in
+      Alcotest.check_raises "caller's chunk re-raised after the join"
+        (Failure "head blew up") (fun () ->
+          ignore
+            (Domain_pool.map_list pool ~min_chunk:4
+               (fun chunk ->
+                 if List.mem 0 chunk then begin
+                   Atomic.set head_failed true;
+                   failwith "head blew up"
+                 end
+                 else begin
+                   while not (Atomic.get head_failed) do
+                     Domain.cpu_relax ()
+                   done;
+                   for _ = 1 to 200_000 do
+                     Domain.cpu_relax ()
+                   done;
+                   Atomic.incr finished;
+                   chunk
+                 end)
+               xs));
+      Alcotest.(check int) "both farmed chunks finished" 2
+        (Atomic.get finished))
 
 let test_pool_validation () =
   Alcotest.check_raises "width 0"

@@ -431,6 +431,29 @@ let test_byzantine_honest_path () =
       "nothing quarantined" 0
       (List.length outcome.Sharding.quarantined)
 
+(* An unknown attribute is a planner error inside every shard: each
+   fleet operation returns it typed, at one shard and at three. *)
+let test_unknown_attribute () =
+  let q = parse {|nonexistent = 1|} in
+  let expect what = function
+    | Ok _ -> Alcotest.failf "%s: must fail" what
+    | Error (Audit_error.Unknown_attribute { attr }) ->
+      Alcotest.(check string) (what ^ ": attribute named") "nonexistent" attr
+    | Error e ->
+      Alcotest.failf "%s: wrong error %s" what (Audit_error.to_string e)
+  in
+  List.iter
+    (fun shards ->
+      let fleet, _ = build_sharded ~shards () in
+      let what op = Printf.sprintf "%s, %d shard(s)" op shards in
+      expect (what "audit")
+        (Sharding.audit fleet ~auditor (Auditor_engine.Criteria q));
+      expect (what "run_session")
+        (Sharding.run_session fleet ~auditor [ parse {|C1 > 30|}; q ]);
+      expect (what "byzantine_audit")
+        (Sharding.byzantine_audit fleet ~auditor q))
+    [ 1; 3 ]
+
 let () =
   Alcotest.run "sharding"
     [ ( "differential",
@@ -451,6 +474,8 @@ let () =
           Alcotest.test_case "continuous shard-aware" `Quick
             test_continuous_shard_aware;
           Alcotest.test_case "byzantine honest path" `Quick
-            test_byzantine_honest_path
+            test_byzantine_honest_path;
+          Alcotest.test_case "unknown attribute typed" `Quick
+            test_unknown_attribute
         ] )
     ]

@@ -1214,19 +1214,17 @@ let prop_homes_clause_order_invariant =
         show plan = show reversed && show plan = show rotated)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded planning: home assignment determinism and layout partition  *)
+(* Shard layout partition                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* A random contiguous layout (random start, random per-shard widths),
-   plus a rotation amount and a query batch — the raw material for the
-   invariance properties below. *)
-let sharded_case_gen =
+   plus a rotation amount for the list handed to validation. *)
+let layout_case_gen =
   let open QCheck.Gen in
   let* shard_count = int_range 1 6 in
   let* start = int_range 0 1_000_000 in
   let* widths = list_repeat shard_count (int_range 1 100) in
   let* rot = int_range 0 (shard_count - 1) in
-  let* queries = list_size (int_range 1 4) Generators.paper_query_gen in
   let ranges =
     List.rev
       (snd
@@ -1242,7 +1240,7 @@ let sharded_case_gen =
               (lo + width, r :: acc))
             (start, []) widths))
   in
-  return (ranges, rot, queries)
+  return (ranges, rot)
 
 let rotate n xs =
   let len = List.length xs in
@@ -1251,52 +1249,21 @@ let rotate n xs =
     let n = n mod len in
     List.filteri (fun i _ -> i >= n) xs @ List.filteri (fun i _ -> i < n) xs
 
-let plan_sharded_homes ranges queries =
-  let open Dla in
-  let shards =
-    List.map (fun r -> (r, Fragmentation.paper_partition)) ranges
-  in
-  match
-    Planner.plan_sharded ~shards (List.map Query.normalize queries)
-  with
-  | Ok sharded -> Ok sharded.Planner.clause_shard_homes
-  | Error e -> Error (Dla.Audit_error.to_string e)
-
-(* Shard-home assignment is a pure function of clause structure and
-   layout: permuting the query batch and rotating the shard list must
-   not move any clause's home. *)
-let prop_shard_homes_invariant =
-  QCheck.Test.make
-    ~name:"plan_sharded homes invariant under permutation and rotation"
-    ~count:150
-    (QCheck.make
-       ~print:(fun (ranges, rot, queries) ->
-         Printf.sprintf "shards=%d rot=%d queries=[%s]" (List.length ranges)
-           rot
-           (String.concat " ; " (List.map Dla.Query.to_string queries)))
-       sharded_case_gen)
-    (fun (ranges, rot, queries) ->
-      match plan_sharded_homes ranges queries with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok homes ->
-        plan_sharded_homes (rotate rot ranges) (List.rev queries) = Ok homes
-        && plan_sharded_homes (List.rev ranges) (rotate 1 queries) = Ok homes)
-
 (* The validated layout partitions its glsn interval: every glsn inside
    has exactly one owner, the edges have none. *)
 let prop_layout_partitions =
   QCheck.Test.make ~name:"validated layout: every glsn has one home shard"
     ~count:200
     (QCheck.make
-       ~print:(fun (ranges, _, _) ->
+       ~print:(fun (ranges, _) ->
          String.concat ";"
            (List.map
               (fun r ->
                 Printf.sprintf "%s:[%d,%d)" r.Dla.Planner.shard
                   r.Dla.Planner.glsn_lo r.Dla.Planner.glsn_hi)
               ranges))
-       sharded_case_gen)
-    (fun (ranges, rot, _) ->
+       layout_case_gen)
+    (fun (ranges, rot) ->
       let open Dla in
       match Planner.validate_layout (rotate rot ranges) with
       | Error _ -> false
@@ -1317,8 +1284,8 @@ let prop_layout_partitions =
         List.for_all
           (fun g -> g < lo || g >= hi || owners g = 1)
           samples
-        && Planner.owner_of_glsn layout (lo - 1) = None
-        && Planner.owner_of_glsn layout hi = None)
+        && owners (lo - 1) = 0
+        && owners hi = 0)
 
 (* Bad layouts are typed rejections, not silent misplans. *)
 let test_layout_rejections () =
@@ -1394,7 +1361,6 @@ let () =
         ] );
       ( "planner",
         [ QCheck_alcotest.to_alcotest prop_homes_clause_order_invariant;
-          QCheck_alcotest.to_alcotest prop_shard_homes_invariant;
           QCheck_alcotest.to_alcotest prop_layout_partitions;
           Alcotest.test_case "layout rejections typed" `Quick
             test_layout_rejections
