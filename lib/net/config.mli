@@ -6,28 +6,35 @@
     a schedule that wants the same seed, latency profile and loss rate
     on both engines states them once.
 
-    The reactor additions: [domains] sizes the {!Numtheory.Domain_pool}
-    that modexp batches are farmed to, [max_pipeline_depth] caps how
-    many independent SMC clause evaluations a batched audit session may
-    keep in flight, and [coalesce] turns on wire-frame coalescing of
-    same-destination messages scheduled at the same virtual time.
-    None of the three may change results: transcripts and verdicts are
-    byte-identical at any setting (the differential pipeline suite
-    enforces this); only wall-clock and the [net.frame.*] accounting
-    move. *)
+    Which code reads which field:
+    - [Runtime] reads [seed], [latency_ms] and [loss_rate];
+    - [Network] reads those three and [coalesce], which turns on its
+      wire-frame accounting of same-(src, dst) messages in one round
+      window;
+    - [Audit_session] reads [max_pipeline_depth] from its network's
+      config: how many independent SMC clause evaluations its
+      virtual-time pipeline keeps in flight;
+    - no library code reads [domains].  It stays because [bench/perf]
+      records the defaults; a caller that wants a compute pool creates
+      a {!Numtheory.Domain_pool} and installs it itself.
+
+    Neither [coalesce] nor [max_pipeline_depth] may change results:
+    transcripts and verdicts are byte-identical at any setting (the
+    differential pipeline suite enforces this); only the [net.frame.*]
+    and [audit.pipeline.*] accounting move. *)
 
 type t = {
   seed : int;
   latency_ms : Node_id.t -> Node_id.t -> float;
   loss_rate : float;  (** in [\[0, 1)] *)
-  domains : int;  (** compute-pool width, >= 1; 1 = fully inline *)
+  domains : int;  (** >= 1; read by no library code *)
   max_pipeline_depth : int;  (** clause evaluations in flight, >= 1 *)
   coalesce : bool;  (** batch same-(src, dst, time) messages into frames *)
 }
 
 val default : t
-(** Seed 0, uniform 1.0 ms latency, no loss, width-1 pool,
-    depth 4, no coalescing — the seed-state behaviour of every engine. *)
+(** Seed 0, uniform 1.0 ms latency, no loss, [domains = 1], depth 4,
+    no coalescing — the seed-state behaviour of every engine. *)
 
 val make :
   ?seed:int ->

@@ -46,10 +46,11 @@ val frame_header_bytes : int
     paid once per frame however many messages coalesce into it. *)
 
 val of_config : Config.t -> t
-(** The constructor: [domains] and [max_pipeline_depth] are carried for
-    the layers above (batched sessions read the pipeline depth from
-    here); the network itself uses seed, latency, loss and
-    [coalesce]. *)
+(** The constructor.  The network itself reads seed, latency, loss and
+    [coalesce] (this module is the one implementation of frame
+    coalescing).  [max_pipeline_depth] is carried for
+    [Audit_session], which reads it through {!config}; no library code
+    reads [domains]. *)
 
 val config : t -> Config.t
 (** The configuration this network was built from. *)

@@ -1,29 +1,17 @@
 open Numtheory
 
 type 'msg event =
-  | Frame of {
-      src : Node_id.t;
-      dst : Node_id.t;
-      mutable msgs : 'msg list;  (* reverse submission order *)
-    }
+  | Deliver of { src : Node_id.t; dst : Node_id.t; msg : 'msg }
   | Timer of (unit -> unit)
-
-type frame_key = { fk_src : string; fk_dst : string; fk_time : float }
 
 type 'msg t = {
   config : Config.t;
   rng : Prng.t;
   queue : 'msg event Event_queue.t;
-  pool : Domain_pool.t;
-  open_frames : (frame_key, 'msg event) Hashtbl.t;
-      (* frames scheduled but not yet delivered, by (src, dst, time) —
-         a later send that resolves to the same slot rides along *)
   mutable handlers : (src:Node_id.t -> 'msg -> unit) Node_id.Map.t;
   mutable down : Node_id.Set.t;
   mutable clock : float;
   mutable delivered : int;
-  mutable frames : int;
-  mutable coalesced : int;
   mutable drop_counts : (Delivery_error.t * int) list;
 }
 
@@ -32,21 +20,14 @@ let create (config : Config.t) =
     config;
     rng = Prng.create ~seed:config.Config.seed;
     queue = Event_queue.create ();
-    pool = Domain_pool.create ~domains:config.Config.domains;
-    open_frames = Hashtbl.create 16;
     handlers = Node_id.Map.empty;
     down = Node_id.Set.empty;
     clock = 0.0;
     delivered = 0;
-    frames = 0;
-    coalesced = 0;
     drop_counts = [];
   }
 
 let config t = t.config
-let pool t = t.pool
-let with_compute t f = Domain_pool.with_pool t.pool f
-let shutdown t = Domain_pool.shutdown t.pool
 let now t = t.clock
 
 let on_message t node handler =
@@ -65,32 +46,10 @@ let send t ~src ~dst msg =
   else if
     config.Config.loss_rate > 0.0 && Prng.float t.rng < config.Config.loss_rate
   then drop t Delivery_error.Loss
-  else begin
-    let time = t.clock +. config.Config.latency_ms src dst in
-    let key =
-      {
-        fk_src = Node_id.to_string src;
-        fk_dst = Node_id.to_string dst;
-        fk_time = time;
-      }
-    in
-    match
-      if config.Config.coalesce then Hashtbl.find_opt t.open_frames key
-      else None
-    with
-    | Some (Frame frame) ->
-      (* Same source, destination and delivery instant: the message
-         rides the already-scheduled wire frame — one more payload in
-         the batch, no new event, no extra header. *)
-      frame.msgs <- msg :: frame.msgs;
-      t.coalesced <- t.coalesced + 1
-    | Some (Timer _) -> assert false (* only frames are keyed *)
-    | None ->
-      let event = Frame { src; dst; msgs = [ msg ] } in
-      t.frames <- t.frames + 1;
-      if config.Config.coalesce then Hashtbl.replace t.open_frames key event;
-      Event_queue.push t.queue ~time event
-  end
+  else
+    Event_queue.push t.queue
+      ~time:(t.clock +. config.Config.latency_ms src dst)
+      (Deliver { src; dst; msg })
 
 let set_timer t ~delay_ms callback =
   if delay_ms < 0.0 then invalid_arg "Runtime.set_timer: negative delay";
@@ -125,24 +84,11 @@ let run ?until_ms t =
         incr processed;
         (match event with
         | Timer callback -> callback ()
-        | Frame ({ src; dst; _ } as frame) ->
-          (* Close the coalescing window first: a zero-latency send
-             from inside a handler must open a fresh frame, never
-             append to one already on the wire. *)
-          if t.config.Config.coalesce then
-            Hashtbl.remove t.open_frames
-              {
-                fk_src = Node_id.to_string src;
-                fk_dst = Node_id.to_string dst;
-                fk_time = time;
-              };
-          List.iter (deliver t ~src ~dst) (List.rev frame.msgs)))
+        | Deliver { src; dst; msg } -> deliver t ~src ~dst msg))
   done;
   !processed
 
 let delivered t = t.delivered
-let frames t = t.frames
-let coalesced t = t.coalesced
 
 let dropped t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.drop_counts
 

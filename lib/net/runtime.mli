@@ -1,28 +1,22 @@
 (** Reactor runtime: the discrete-event engine, for the protocols whose
     outcome depends on timing (the §4.1 asynchronous integrity
-    circulation, with its timeouts), plus wire-frame coalescing, a
-    compute-domain pool, and the virtual-time pipeline scheduler that
-    batched audit sessions use to overlap independent SMC clause
-    evaluations.  The synchronous §3 protocols need none of this:
-    {!Network} accounts them round by round.
+    circulation, with its timeouts), plus the virtual-time pipeline
+    scheduler that batched audit sessions use to model overlapping
+    independent SMC clause evaluations.  The synchronous §3 protocols
+    need none of this: {!Network} accounts them round by round.
 
-    One {!Config.t} configures everything.  Determinism contract: at
-    any [domains], [max_pipeline_depth] and [coalesce] setting, message
-    payloads, handler invocation order within a frame, verdicts and
-    transcripts are byte-identical to the width-1, depth-1,
-    frame-per-message engine — the knobs move wall-clock and the
-    [net.frame.*] accounting, never results.  (Coalescing merges
-    same-slot events, which can reorder deliveries {e between
-    different destinations} at one instant; engines that require the
-    legacy global FIFO order leave [coalesce] off, as {!Config.default}
-    does.) *)
+    The engine reads [seed], [latency_ms] and [loss_rate] from its
+    {!Config.t}, and nothing else.  Every send is its own event: the
+    engine coalesces no messages into frames ({!Network} keeps the one
+    frame accounting, under [coalesce]) and owns no compute pool.
+    Events at the same virtual instant run in the order they were
+    scheduled. *)
 
 type 'msg t
 
 val create : Config.t -> 'msg t
-(** A fresh reactor; spawns [config.domains - 1] worker domains (none
-    at the default width 1).  Call {!shutdown} on pools wider than 1
-    when done. *)
+(** A fresh reactor at virtual time 0, with no handlers and no node
+    down. *)
 
 val config : 'msg t -> Config.t
 
@@ -36,10 +30,7 @@ val on_message :
     {!Delivery_error.No_handler}. *)
 
 val send : 'msg t -> src:Node_id.t -> dst:Node_id.t -> 'msg -> unit
-(** Schedule a delivery after the link latency; may be lost.
-    With [coalesce] on, a send resolving to the same (src, dst,
-    delivery instant) as an already-scheduled frame rides that frame
-    instead of opening a new one. *)
+(** Schedule a delivery after the link latency; may be lost. *)
 
 val set_timer : 'msg t -> delay_ms:float -> (unit -> unit) -> unit
 (** Schedule a callback at [now + delay_ms]. *)
@@ -51,7 +42,7 @@ val bring_up : 'msg t -> Node_id.t -> unit
 
 val run : ?until_ms:float -> 'msg t -> int
 (** Process events until the queue drains (or virtual time passes
-    [until_ms]); returns the number of events processed (frames +
+    [until_ms]); returns the number of events processed (messages +
     timers). *)
 
 val delivered : 'msg t -> int
@@ -63,25 +54,6 @@ val dropped : 'msg t -> int
 val drops : 'msg t -> (Delivery_error.t * int) list
 (** Typed breakdown of {!dropped}, in {!Delivery_error.all} order;
     causes with a zero count are omitted. *)
-
-val frames : 'msg t -> int
-(** Wire frames scheduled.  Equals sends accepted when [coalesce] is
-    off; at most that when on. *)
-
-val coalesced : 'msg t -> int
-(** Messages that rode an already-scheduled frame (0 with [coalesce]
-    off). *)
-
-val pool : 'msg t -> Numtheory.Domain_pool.t
-(** The reactor's compute pool, sized by [config.domains]. *)
-
-val with_compute : 'msg t -> (unit -> 'a) -> 'a
-(** Run a thunk with the reactor's pool installed as the ambient
-    {!Numtheory.Domain_pool.current}, so {!Numtheory.Modular.pow_many}
-    batches (every ∩ₛ/∪ₛ ring hop) farm to it. *)
-
-val shutdown : 'msg t -> unit
-(** Fence and join the worker domains; idempotent, no-op at width 1. *)
 
 (** Virtual-time pipeline scheduler.
 

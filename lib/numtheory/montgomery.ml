@@ -145,7 +145,7 @@ let to_array ctx x =
   out
 
 (* Domain entry into a fresh array, x·R mod m: the long-lived operands
-   of the base tables, [pow2] and [multi_pow]. *)
+   of the base tables and [multi_pow]. *)
 let to_mont ctx x =
   let out = to_array ctx x in
   mont_mul ctx out out ctx.r2;
@@ -312,43 +312,8 @@ let pow_base t e =
 (* ---- Simultaneous multi-exponentiation (Shamir's trick) ----------
    Joint windowing over several exponents shares the squaring chain:
    one squaring per bit position regardless of how many bases ride
-   along.  [pow2] specializes the 2-base case with 2-bit joint windows
-   (16-entry a^i·b^j table); [multi_pow] interleaves 1-bit subset-
-   product tables in chunks of up to 6 bases. *)
-
-let pow2 ctx a e1 b e2 =
-  if Bignum.sign e1 < 0 || Bignum.sign e2 < 0 then
-    invalid_arg "Montgomery.pow2: negative exponent";
-  let k = ctx.k in
-  let a_m = to_mont ctx a and b_m = to_mont ctx b in
-  (* table.(j*4+i) = a^i · b^j · R *)
-  let table = Array.init 16 (fun _ -> Array.make k 0) in
-  Array.blit ctx.one_mont 0 table.(0) 0 k;
-  Array.blit a_m 0 table.(1) 0 k;
-  mont_mul ctx table.(2) table.(1) a_m;
-  mont_mul ctx table.(3) table.(2) a_m;
-  for j = 1 to 3 do
-    mont_mul ctx table.(4 * j) table.(4 * (j - 1)) b_m;
-    for i = 1 to 3 do
-      mont_mul ctx table.((4 * j) + i) table.((4 * j) + i - 1) a_m
-    done
-  done;
-  let nbits = max (Bignum.num_bits e1) (Bignum.num_bits e2) in
-  let nwindows = (nbits + 1) / 2 in
-  let acc = Array.copy ctx.one_mont in
-  let bit e i = if Bignum.test_bit e i then 1 else 0 in
-  for w = nwindows - 1 downto 0 do
-    if w < nwindows - 1 then begin
-      mont_mul ctx acc acc acc;
-      mont_mul ctx acc acc acc
-    end;
-    let i = (bit e1 ((2 * w) + 1) lsl 1) lor bit e1 (2 * w) in
-    let j = (bit e2 ((2 * w) + 1) lsl 1) lor bit e2 (2 * w) in
-    let idx = (j lsl 2) lor i in
-    if idx <> 0 then mont_mul ctx acc acc table.(idx)
-  done;
-  mont_mul ctx acc acc ctx.one_plain;
-  Bignum.of_limbs acc
+   along.  [multi_pow] interleaves 1-bit subset-product tables in
+   chunks of up to 6 bases. *)
 
 (* At 6 bases per chunk the subset table is 63 products — past that,
    table construction dominates the shared-squaring savings. *)

@@ -101,11 +101,6 @@ val table_windows : base_table -> int
     exponentiation.  Used by accumulator witness verification and
     threshold-RSA share combination. *)
 
-val pow2 : ctx -> Bignum.t -> Bignum.t -> Bignum.t -> Bignum.t -> Bignum.t
-(** [pow2 ctx a e1 b e2] is [a^e1 · b^e2 mod m] via 2-bit joint
-    windows over a 16-entry [a^i·b^j] table.
-    @raise Invalid_argument on negative exponents. *)
-
 val multi_pow : ctx -> (Bignum.t * Bignum.t) list -> Bignum.t
 (** [multi_pow ctx \[(b1, e1); ...\]] is [Π bi^ei mod m], interleaving
     subset-product tables in chunks of up to 6 bases over a single

@@ -26,7 +26,10 @@ val via_intersection :
   bool
 (** The paper's alternative: secure set intersection on singleton sets
     ("when the set size of S_i = 1 ... could be used for secure equality
-    comparison"). *)
+    comparison").  The two nodes must differ: each is one party of the
+    ∩ₛ ring.
+    @raise Invalid_argument when [left] and [right] name the same
+    node. *)
 
 val via_mapping_table :
   net:Net.Network.t ->

@@ -7,15 +7,31 @@ type result = {
   encrypted_by_all : (Net.Node_id.t * Bignum.t list) list;
 }
 
+type ring = {
+  own_sets : (Net.Node_id.t * string list) list;
+  fully_encrypted : (Net.Node_id.t * Bignum.t list) list;
+  keypair_of : Net.Node_id.t -> Crypto.Commutative.keypair;
+}
+
 module String_set = Set.Make (String)
 
 let dedupe items = String_set.elements (String_set.of_list items)
 
-(* The shared ring-encryption pass: every set ends up encrypted under
-   every party's key and collected at the receiver.  Returns the
-   parties' deduplicated plaintexts (for owner-side resolution) and the
-   fully-encrypted sets keyed by origin. *)
-let ring_encrypt ~net ~scheme ~receiver parties =
+(* The one ring-encryption pass, shared with ∪ₛ: every set ends up
+   encrypted under every party's key and collected at the receiver.
+   [protocol] spells the spans, labels and tags. *)
+let ring_pass ~protocol ~net ~scheme ~receiver parties =
+  (* A node listed twice would add its layer twice to some sets and
+     once to others, so equal elements would stop matching. *)
+  ignore
+    (List.fold_left
+       (fun seen p ->
+         if Net.Node_id.Set.mem p.node seen then
+           invalid_arg
+             ("Set_intersection.ring_pass: " ^ Net.Node_id.to_string p.node
+            ^ " listed twice");
+         Net.Node_id.Set.add p.node seen)
+       Net.Node_id.Set.empty parties);
   let ring = List.map (fun p -> p.node) parties in
   let keypairs =
     List.map (fun p -> (p.node, scheme.Crypto.Commutative.fresh_keypair ())) parties
@@ -23,19 +39,22 @@ let ring_encrypt ~net ~scheme ~receiver parties =
   let keypair_of node =
     snd (List.find (fun (n, _) -> Net.Node_id.equal n node) keypairs)
   in
+  let span phase f = Proto_util.span net ("smc." ^ protocol ^ "." ^ phase) f in
+  let relay_label = protocol ^ ":relay"
+  and collect_label = protocol ^ ":collect" in
   (* Each party owns its (deduplicated) plaintext set and records it. *)
   let own_sets =
     List.map
       (fun p ->
         let set = dedupe p.set in
         Proto_util.observe net ~node:p.node ~sensitivity:Net.Ledger.Plaintext
-          ~tag:"intersection:own-set" (Net.Ledger.Batch (Fun.id, set));
+          ~tag:(protocol ^ ":own-set") (Net.Ledger.Batch (Fun.id, set));
         (p.node, set))
       parties
   in
   (* First encryption layer is local: origin encrypts its own encoding. *)
   let initial =
-    Proto_util.span net "smc.intersection.transform" (fun () ->
+    span "transform" (fun () ->
         List.map
           (fun (node, set) ->
             let kp = keypair_of node in
@@ -57,22 +76,20 @@ let ring_encrypt ~net ~scheme ~receiver parties =
             let next = Proto_util.ring_next ring holder in
             let cts =
               Proto_util.send_bignums net ~src:holder ~dst:next
-                ~label:"intersection:relay" cts
+                ~label:relay_label cts
             in
             let kp = keypair_of next in
             (origin, next, kp.Crypto.Commutative.enc_many cts))
           state
       in
-      Net.Network.round ~label:"intersection" net;
+      Net.Network.round ~label:protocol net;
       hops state (hop + 1)
     end
   in
-  let final = Proto_util.span net "smc.intersection.exchange" (fun () ->
-      hops initial 1)
-  in
+  let final = span "exchange" (fun () -> hops initial 1) in
   (* Ship every fully-encrypted set to the receiver. *)
-  let encrypted_by_all =
-    Proto_util.span net "smc.intersection.collect" (fun () ->
+  let fully_encrypted =
+    span "collect" (fun () ->
         let encrypted =
           List.map
             (fun (origin, holder, cts) ->
@@ -80,15 +97,15 @@ let ring_encrypt ~net ~scheme ~receiver parties =
                 if Net.Node_id.equal holder receiver then cts
                 else
                   Proto_util.send_bignums net ~src:holder ~dst:receiver
-                    ~label:"intersection:collect" cts
+                    ~label:collect_label cts
               in
               (origin, cts))
             final
         in
-        Net.Network.round ~label:"intersection" net;
+        Net.Network.round ~label:protocol net;
         encrypted)
   in
-  (own_sets, encrypted_by_all)
+  { own_sets; fully_encrypted; keypair_of }
 
 (* Equal fully-encrypted values <=> equal plaintexts (commutativity +
    injectivity, eqs 6-7): intersect on hex images. *)
@@ -108,8 +125,8 @@ let run ~net ~scheme ~receiver parties =
   if not (List.exists (fun p -> Net.Node_id.equal p.node receiver) parties)
   then invalid_arg "Set_intersection.run: receiver must be a party";
   Proto_util.span net "smc.intersection" (fun () ->
-      let own_sets, encrypted_by_all =
-        ring_encrypt ~net ~scheme ~receiver parties
+      let { own_sets; fully_encrypted = encrypted_by_all; _ } =
+        ring_pass ~protocol:"intersection" ~net ~scheme ~receiver parties
       in
       Proto_util.span net "smc.intersection.reveal" (fun () ->
           let common = common_ciphertexts encrypted_by_all in
@@ -152,8 +169,10 @@ let cardinality ~net ~scheme ~receiver parties =
   if List.length parties < 2 then
     invalid_arg "Set_intersection.cardinality: need at least 2 parties";
   Proto_util.span net "smc.intersection" (fun () ->
-      let _, encrypted_by_all = ring_encrypt ~net ~scheme ~receiver parties in
-      let count = String_set.cardinal (common_ciphertexts encrypted_by_all) in
+      let ring =
+        ring_pass ~protocol:"intersection" ~net ~scheme ~receiver parties
+      in
+      let count = String_set.cardinal (common_ciphertexts ring.fully_encrypted) in
       Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
         ~tag:"intersection:cardinality" (Net.Ledger.Text (string_of_int count));
       count)

@@ -12,7 +12,10 @@
     ciphertexts back to plaintext through the correspondence with its own
     set (it knows its own elements); this mirrors the paper's "P_w gets
     to know which items are in the intersection set, if nodes in P_w have
-    access to the raw log data". *)
+    access to the raw log data".
+
+    The ring pass is the one in the library: secure union ({!Set_union},
+    §3.4) runs it too, under its own protocol name. *)
 
 open Numtheory
 
@@ -27,15 +30,44 @@ type result = {
           final state in Figure 4. *)
 }
 
+type ring = {
+  own_sets : (Net.Node_id.t * string list) list;
+      (** Per party, in party order, its deduplicated plaintext set. *)
+  fully_encrypted : (Net.Node_id.t * Bignum.t list) list;
+      (** Per origin party, in party order, its set under every
+          party's layer, as delivered to the receiver. *)
+  keypair_of : Net.Node_id.t -> Crypto.Commutative.keypair;
+      (** Each party's key for this pass (∪ₛ's decode ring peels with
+          it). *)
+}
+
+val ring_pass :
+  protocol:string ->
+  net:Net.Network.t ->
+  scheme:Crypto.Commutative.scheme ->
+  receiver:Net.Node_id.t ->
+  party list ->
+  ring
+(** The ring-encryption pass of Figure 4, written for [protocol] ([p]
+    below): each party records its own set ([Plaintext], tag
+    [p:own-set]) and encrypts it (span [smc.p.transform]); [n-1] relay
+    hops add the other layers (span [smc.p.exchange], label [p:relay]);
+    every fully-encrypted set goes to [receiver] (span [smc.p.collect],
+    label [p:collect]).  Each hop and the collect end a round labelled
+    [p].  The caller opens the enclosing [smc.p] span.
+    @raise Invalid_argument naming the node when a node is listed
+    twice: its layer would go on some sets twice, and equal elements
+    would stop matching. *)
+
 val run :
   net:Net.Network.t ->
   scheme:Crypto.Commutative.scheme ->
   receiver:Net.Node_id.t ->
   party list ->
   result
-(** @raise Invalid_argument with fewer than 2 parties, or when the
+(** @raise Invalid_argument with fewer than 2 parties, when the
     [receiver] is not among the parties (it needs raw data for plaintext
-    resolution). *)
+    resolution), or when a node is listed twice. *)
 
 val cardinality :
   net:Net.Network.t ->
@@ -47,7 +79,9 @@ val cardinality :
     intersection", the very use-case §3 cites from ref [20].  Identical
     ring pass, but the receiver only counts matching ciphertexts and
     never resolves plaintexts, so it may be an outside observer (it need
-    not be a party, unlike {!run}). *)
+    not be a party, unlike {!run}).
+    @raise Invalid_argument with fewer than 2 parties or when a node is
+    listed twice. *)
 
 val naive :
   net:Net.Network.t ->

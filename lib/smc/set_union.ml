@@ -1,93 +1,32 @@
 open Numtheory
 
-type party = { node : Net.Node_id.t; set : string list }
+type party = Set_intersection.party = { node : Net.Node_id.t; set : string list }
 
 module String_set = Set.Make (String)
 module String_map = Map.Make (String)
 
 let dedupe items = String_set.elements (String_set.of_list items)
 
-(* Ring pass shared by the full and size-only variants: returns the
-   distinct fully-encrypted elements at the receiver plus the keypair
-   lookup (needed by the decode ring). *)
+(* ∩ₛ's ring pass under the union's names, then one copy of each
+   distinct fully-encrypted element at the receiver. *)
 let ring_collect ~net ~scheme ~receiver parties =
-  let ring = List.map (fun p -> p.node) parties in
-  let keypairs =
-    List.map (fun p -> (p.node, scheme.Crypto.Commutative.fresh_keypair ())) parties
-  in
-  let keypair_of node =
-    snd (List.find (fun (n, _) -> Net.Node_id.equal n node) keypairs)
-  in
-  (* Ring-encrypt every local set under every key, as in intersection. *)
-  let initial =
-    Proto_util.span net "smc.union.transform" (fun () ->
-        List.map
-          (fun p ->
-            let set = dedupe p.set in
-            Proto_util.observe net ~node:p.node
-              ~sensitivity:Net.Ledger.Plaintext ~tag:"union:own-set"
-              (Net.Ledger.Batch (Fun.id, set));
-            let kp = keypair_of p.node in
-            (* Remember plaintext alongside, so the receiver can later verify
-               nothing: the mapping never leaves the origin. *)
-            ( p.node,
-              kp.Crypto.Commutative.enc_many
-                (List.map scheme.Crypto.Commutative.encode set) ))
-          parties)
-  in
-  let n = List.length parties in
-  let rec hops state hop =
-    if hop >= n then state
-    else begin
-      let state =
-        List.map
-          (fun (holder, cts) ->
-            let next = Proto_util.ring_next ring holder in
-            let cts =
-              Proto_util.send_bignums net ~src:holder ~dst:next
-                ~label:"union:relay" cts
-            in
-            let kp = keypair_of next in
-            (next, kp.Crypto.Commutative.enc_many cts))
-          state
-      in
-      Net.Network.round ~label:"union" net;
-      hops state (hop + 1)
-    end
-  in
-  let final =
-    Proto_util.span net "smc.union.exchange" (fun () -> hops initial 1)
-  in
-  (* Collect at the receiver; keep one copy of each distinct ciphertext. *)
-  let all_cts =
-    Proto_util.span net "smc.union.collect" (fun () ->
-        let cts =
-          List.concat_map
-            (fun (holder, cts) ->
-              if Net.Node_id.equal holder receiver then cts
-              else
-                Proto_util.send_bignums net ~src:holder ~dst:receiver
-                  ~label:"union:collect" cts)
-            final
-        in
-        Net.Network.round ~label:"union" net;
-        cts)
+  let ring =
+    Set_intersection.ring_pass ~protocol:"union" ~net ~scheme ~receiver parties
   in
   let distinct =
     List.fold_left
       (fun acc ct -> String_map.add (Bignum.to_hex ct) ct acc)
-      String_map.empty all_cts
+      String_map.empty
+      (List.concat_map snd ring.Set_intersection.fully_encrypted)
     |> String_map.bindings |> List.map snd
   in
-  (distinct, keypair_of, ring)
+  (distinct, ring)
 
 let run ~net ~scheme ~rng ~receiver parties =
   if List.length parties < 2 then
     invalid_arg "Set_union.run: need at least 2 parties";
   Proto_util.span net "smc.union" (fun () ->
-      let distinct, keypair_of, ring =
-        ring_collect ~net ~scheme ~receiver parties
-      in
+      let distinct, ring = ring_collect ~net ~scheme ~receiver parties in
       Proto_util.span net "smc.union.reveal" (fun () ->
           (* Shuffle before the decode ring so positions stop identifying
              owners. *)
@@ -108,9 +47,10 @@ let run ~net ~scheme ~rng ~receiver parties =
                     cts
                   end
                 in
-                let kp = keypair_of next in
+                let kp = ring.Set_intersection.keypair_of next in
                 (next, kp.Crypto.Commutative.dec_many cts))
-              (receiver, shuffled) ring
+              (receiver, shuffled)
+              (List.map (fun p -> p.node) parties)
           in
           let group_elements =
             if Net.Node_id.equal holder receiver then group_elements
@@ -132,14 +72,14 @@ let run ~net ~scheme ~rng ~receiver parties =
              elements from owners. *)
           let encode_table =
             List.fold_left
-              (fun acc p ->
+              (fun acc (_, set) ->
                 List.fold_left
                   (fun acc e ->
                     String_map.add
                       (Bignum.to_hex (scheme.Crypto.Commutative.encode e))
                       e acc)
-                  acc (dedupe p.set))
-              String_map.empty parties
+                  acc set)
+              String_map.empty ring.Set_intersection.own_sets
           in
           let union =
             List.filter_map
@@ -156,7 +96,7 @@ let cardinality ~net ~scheme ~receiver parties =
   if List.length parties < 2 then
     invalid_arg "Set_union.cardinality: need at least 2 parties";
   Proto_util.span net "smc.union" (fun () ->
-      let distinct, _, _ = ring_collect ~net ~scheme ~receiver parties in
+      let distinct, _ = ring_collect ~net ~scheme ~receiver parties in
       let count = List.length distinct in
       Proto_util.observe net ~node:receiver ~sensitivity:Net.Ledger.Aggregate
         ~tag:"union:cardinality" (Net.Ledger.Text (string_of_int count));

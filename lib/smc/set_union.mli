@@ -1,6 +1,8 @@
 (** Secure set union ∪ₛ (paper §3.4).
 
-    Same ring-encryption pass as intersection; the receiver then keeps
+    The ring-encryption pass is intersection's own: ∪ₛ calls
+    {!Set_intersection.ring_pass} under the protocol name [union]
+    (spans [smc.union.*], labels [union:*]).  The receiver then keeps
     one copy of each distinct fully-encrypted element and has each kept
     ciphertext peeled by every party in turn (a decode ring).  The
     receiver ends up with the plaintext union but — because the kept
@@ -8,7 +10,7 @@
     party contributed which element ("without revealing the owner(s) of
     each of the items"). *)
 
-type party = { node : Net.Node_id.t; set : string list }
+type party = Set_intersection.party = { node : Net.Node_id.t; set : string list }
 
 val run :
   net:Net.Network.t ->
@@ -18,7 +20,8 @@ val run :
   party list ->
   string list
 (** Sorted plaintext union, delivered to [receiver].
-    @raise Invalid_argument with fewer than 2 parties. *)
+    @raise Invalid_argument with fewer than 2 parties or when a node is
+    listed twice. *)
 
 val cardinality :
   net:Net.Network.t ->
@@ -28,7 +31,9 @@ val cardinality :
   int
 (** Size-only variant (ref [20]): the ring pass runs as usual but the
     decode ring is skipped entirely — the receiver just counts distinct
-    fully-encrypted elements, learning |S1 ∪ … ∪ Sn| and nothing else. *)
+    fully-encrypted elements, learning |S1 ∪ … ∪ Sn| and nothing else.
+    @raise Invalid_argument with fewer than 2 parties or when a node is
+    listed twice. *)
 
 val naive :
   net:Net.Network.t -> coordinator:Net.Node_id.t -> party list -> string list

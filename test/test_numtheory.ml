@@ -581,44 +581,6 @@ let prop_pow_base_equals_classic =
       let e = Bignum.abs e in
       Bignum.equal (Modular.pow_classic base e ~m) (Modular.pow_base ~base e ~m))
 
-let test_pow2_known () =
-  let p = bs "170141183460469231731687303715884105727" in
-  let ctx = Montgomery.create p in
-  let check a e1 b e2 =
-    check_bn
-      (Printf.sprintf "%d^%d * %d^%d" a e1 b e2)
-      (Modular.mul
-         (Modular.pow_classic (bn a) (bn e1) ~m:p)
-         (Modular.pow_classic (bn b) (bn e2) ~m:p)
-         ~m:p)
-      (Montgomery.pow2 ctx (bn a) (bn e1) (bn b) (bn e2))
-  in
-  check 2 10 3 7;
-  check 0 5 3 7;
-  check 1 0 1 0;
-  check 7 0 9 65537;
-  check 123456 99999 654321 3;
-  Alcotest.check_raises "negative exponent"
-    (Invalid_argument "Montgomery.pow2: negative exponent") (fun () ->
-      ignore (Montgomery.pow2 ctx (bn 2) (bn (-1)) (bn 3) (bn 1)))
-
-let prop_pow2_equals_product =
-  QCheck.Test.make ~name:"pow2 = product of pows" ~count:100
-    (QCheck.triple
-       (QCheck.pair arbitrary_bignum arbitrary_bignum)
-       (QCheck.pair arbitrary_bignum arbitrary_bignum)
-       arbitrary_bignum)
-    (fun ((a, e1), (b, e2), m) ->
-      let m = mont_modulus_of m in
-      let e1 = Bignum.abs e1 and e2 = Bignum.abs e2 in
-      let ctx = Montgomery.create m in
-      Bignum.equal
-        (Modular.mul
-           (Modular.pow_classic a e1 ~m)
-           (Modular.pow_classic b e2 ~m)
-           ~m)
-        (Montgomery.pow2 ctx a e1 b e2))
-
 let test_multi_pow_edges () =
   let p = bs "170141183460469231731687303715884105727" in
   check_bn "empty product" Bignum.one (Modular.multi_pow [] ~m:p);
@@ -746,15 +708,6 @@ let prop_kernel_edges =
       let nb = Array.length bases and ne = Array.length exps in
       let term i = (bases.(i mod nb), exps.(i mod ne)) in
       let term_ref i = expected.(i mod nb).(i mod ne) in
-      let pow2_ok =
-        List.for_all
-          (fun i ->
-            let a, ea = term i and b, eb = term (i + 1) in
-            Bignum.equal
-              (mulm (term_ref i) (term_ref (i + 1)))
-              (Montgomery.pow2 ctx a ea b eb))
-          (List.init nb Fun.id)
-      in
       let multi_pow_ok =
         let idx = List.init nb Fun.id in
         Bignum.equal
@@ -769,8 +722,8 @@ let prop_kernel_edges =
               bases)
           bases
       in
-      pow_ok && pow_many_ok && chain_ok && pow_base_ok && pow2_ok
-      && multi_pow_ok && mul_ok)
+      pow_ok && pow_many_ok && chain_ok && pow_base_ok && multi_pow_ok
+      && mul_ok)
 
 (* The kernel allocates nothing.  This exponent (255 one-bits) costs 332
    kernel multiplications per call: 14 to fill the window table, 252
@@ -1051,9 +1004,8 @@ let () =
              test_base_table_cache_counters
         :: qt [ prop_pow_base_equals_classic ] );
       ( "montgomery:multi-exp",
-        Alcotest.test_case "pow2 known" `Quick test_pow2_known
-        :: Alcotest.test_case "multi_pow edges" `Quick test_multi_pow_edges
-        :: qt [ prop_pow2_equals_product; prop_multi_pow_equals_product ] );
+        Alcotest.test_case "multi_pow edges" `Quick test_multi_pow_edges
+        :: qt [ prop_multi_pow_equals_product ] );
       ( "montgomery:kernel",
         Alcotest.test_case "allocation-free" `Quick test_pow_with_allocation
         :: Alcotest.test_case "width bound" `Quick test_width_bound

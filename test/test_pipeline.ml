@@ -281,27 +281,8 @@ let test_frames_do_coalesce () =
   Alcotest.(check int) "stats frame bytes" 41 stats.Net.Network.frame_bytes
 
 (* ------------------------------------------------------------------ *)
-(* Runtime engine: frame merging at the event layer                    *)
+(* Runtime engine: typed drops                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_runtime_coalesces_events () =
-  let run coalesce =
-    let rt = Net.Runtime.create (Net.Config.make ~coalesce ()) in
-    let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-    let got = ref [] in
-    Net.Runtime.on_message rt b (fun ~src:_ n -> got := n :: !got);
-    List.iter (fun n -> Net.Runtime.send rt ~src:a ~dst:b n) [ 1; 2; 3 ];
-    ignore (Net.Runtime.run rt);
-    (List.rev !got, Net.Runtime.frames rt, Net.Runtime.coalesced rt)
-  in
-  let plain_msgs, plain_frames, plain_coalesced = run false in
-  let co_msgs, co_frames, co_coalesced = run true in
-  Alcotest.(check (list int)) "same deliveries, same order" plain_msgs co_msgs;
-  Alcotest.(check int) "frame per message when off" 3 plain_frames;
-  Alcotest.(check int) "nothing rides when off" 0 plain_coalesced;
-  (* Same src, same dst, same instant: one frame carries all three. *)
-  Alcotest.(check int) "one frame when on" 1 co_frames;
-  Alcotest.(check int) "two messages rode it" 2 co_coalesced
 
 let test_runtime_typed_drops () =
   let rt = Net.Runtime.create (Net.Config.make ()) in
@@ -525,8 +506,6 @@ let () =
         [ Alcotest.test_case "accounting pins" `Quick test_frame_pins;
           Alcotest.test_case "coalescing engages" `Quick
             test_frames_do_coalesce;
-          Alcotest.test_case "runtime event merge" `Quick
-            test_runtime_coalesces_events;
           Alcotest.test_case "typed drops" `Quick test_runtime_typed_drops
         ] );
       ( "pipeline",

@@ -447,6 +447,80 @@ let test_union_cardinality () =
            ~sensitivity:Net.Ledger.Aggregate e))
     [ "c"; "d"; "e"; "f"; "g" ]
 
+(* A node listed twice would get two turns in the ring: its layer would
+   go on some sets twice and on others once, so equal elements stop
+   matching.  With the XOR pad, [P1 {x,y}; P2 {y,z}; P1 {y,w}] used to
+   intersect to [] instead of [y], and [P1 {x}; P2 {y}; P1 {z}] to
+   unite to [x; z] instead of [x; y; z].  Every entry point refuses the
+   list before any key is drawn, any value observed or any message
+   sent. *)
+let test_duplicate_party_rejected () =
+  let dup_intersection =
+    [ { Smc.Set_intersection.node = p1; set = [ "x"; "y" ] };
+      { Smc.Set_intersection.node = p2; set = [ "y"; "z" ] };
+      { Smc.Set_intersection.node = p1; set = [ "y"; "w" ] }
+    ]
+  and dup_union =
+    [ { Smc.Set_union.node = p1; set = [ "x" ] };
+      { Smc.Set_union.node = p2; set = [ "y" ] };
+      { Smc.Set_union.node = p1; set = [ "z" ] }
+    ]
+  in
+  let rejected name f =
+    let net = Net.Network.of_config (Net.Config.make ()) in
+    Alcotest.check_raises name
+      (Invalid_argument "Set_intersection.ring_pass: P1 listed twice")
+      (fun () -> ignore (f net));
+    Alcotest.(check int) (name ^ ": nothing observed") 0
+      (Net.Ledger.size (Net.Network.ledger net));
+    Alcotest.(check int) (name ^ ": nothing sent") 0
+      (Net.Network.stats net).Net.Network.messages
+  in
+  rejected "intersection run" (fun net ->
+      Smc.Set_intersection.run ~net ~scheme:(xor_scheme 68) ~receiver:p2
+        dup_intersection);
+  rejected "intersection cardinality" (fun net ->
+      Smc.Set_intersection.cardinality ~net ~scheme:(xor_scheme 69)
+        ~receiver:p2 dup_intersection);
+  rejected "union run" (fun net ->
+      Smc.Set_union.run ~net ~scheme:(xor_scheme 70)
+        ~rng:(Prng.create ~seed:70) ~receiver:p2 dup_union);
+  rejected "union cardinality" (fun net ->
+      Smc.Set_union.cardinality ~net ~scheme:(xor_scheme 71) ~receiver:p2
+        dup_union)
+
+(* Both protocols record each party's own set in the one ring pass,
+   before its transform span opens: the phase is the protocol span
+   alone. *)
+let test_own_set_phase () =
+  let events = ref [] in
+  Smc.Proto_util.with_transcript_hook
+    (fun e -> events := e :: !events)
+    (fun () ->
+      let net = Net.Network.of_config (Net.Config.make ()) in
+      ignore
+        (Smc.Set_intersection.run ~net ~scheme:(xor_scheme 72) ~receiver:p1
+           figure4_parties);
+      let net = Net.Network.of_config (Net.Config.make ()) in
+      ignore
+        (Smc.Set_union.run ~net ~scheme:(xor_scheme 73)
+           ~rng:(Prng.create ~seed:73) ~receiver:p1 union_parties));
+  List.iter
+    (fun protocol ->
+      let tag = protocol ^ ":own-set" in
+      let phases =
+        List.filter_map
+          (fun e ->
+            if e.Smc.Proto_util.tag = tag then Some e.Smc.Proto_util.phase
+            else None)
+          !events
+      in
+      Alcotest.(check int) (tag ^ " events") 9 (List.length phases);
+      List.iter
+        (Alcotest.(check (list string)) (tag ^ " phase") [ "smc." ^ protocol ])
+        phases)
+    [ "intersection"; "union" ]
+
 (* ------------------------------------------------------------------ *)
 (* Secure sum                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1142,7 +1216,10 @@ let () =
           Alcotest.test_case "duplicates collapse" `Quick test_union_duplicates_collapse;
           Alcotest.test_case "ring wire bytes" `Quick
             test_union_ring_wire_bytes;
-          Alcotest.test_case "cardinality only" `Quick test_union_cardinality
+          Alcotest.test_case "cardinality only" `Quick test_union_cardinality;
+          Alcotest.test_case "duplicate party rejected" `Quick
+            test_duplicate_party_rejected;
+          Alcotest.test_case "own-set phase" `Quick test_own_set_phase
         ] );
       ( "sum",
         Alcotest.test_case "basic" `Quick test_sum_basic
