@@ -8,9 +8,6 @@
     digest wins, minority nodes adopt the majority entry, and the
     overruled nodes are reported (they are the §4.1 suspects). *)
 
-val entry_digest : Cluster.t -> node:Net.Node_id.t -> ticket_id:string -> string
-(** Canonical digest of one node's ACL entry for a ticket. *)
-
 val diverged : Cluster.t -> ticket_id:string -> Net.Node_id.t list
 (** Nodes whose entry digest differs from the (strict-majority) digest;
     empty when consistent.  Purely local inspection, no repair. *)

@@ -20,8 +20,8 @@ type message = {
   hops : int;  (* nodes that have already folded their fragment *)
 }
 
-let check_record cluster ?(seed = 0) ?(latency_ms = 1.0) ?(timeout_ms = 100.0)
-    ?(down = []) ~initiator glsn =
+let check_record cluster ?(latency_ms = 1.0) ?(timeout_ms = 100.0) ?(down = [])
+    ~initiator glsn =
   let nodes = Cluster.nodes cluster in
   let n = List.length nodes in
   let params = Cluster.accumulator_params cluster in
@@ -30,8 +30,7 @@ let check_record cluster ?(seed = 0) ?(latency_ms = 1.0) ?(timeout_ms = 100.0)
   | None -> (No_digest, 0.0)
   | Some deposited ->
     let rt =
-      Net.Runtime.create
-        (Net.Config.make ~seed ~latency_ms:(fun _ _ -> latency_ms) ())
+      Net.Runtime.create (Net.Config.make ~latency_ms:(fun _ _ -> latency_ms) ())
     in
     List.iter (Net.Runtime.take_down rt) down;
     let verdict = ref (Timed_out None) in

@@ -22,7 +22,6 @@ val verdict_to_string : verdict -> string
 
 val check_record :
   Cluster.t ->
-  ?seed:int ->
   ?latency_ms:float ->
   ?timeout_ms:float ->
   ?down:Net.Node_id.t list ->

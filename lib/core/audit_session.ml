@@ -30,9 +30,8 @@ let clause_cost (clause : Planner.planned_clause) =
       match home with Planner.Local _ -> acc +. 1.0 | Planner.Cross _ -> acc +. 8.0)
     0.0 clause.Planner.atoms
 
-let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
-    ?(failure_mode = Executor.Fail) ?cache ?conjunction ~auditor criteria_list
-    =
+let run cluster ?(delivery = Executor.Glsns) ?(failure_mode = Executor.Fail)
+    ?conjunction ~auditor criteria_list =
   let net = Cluster.net cluster in
   let before = Net.Network.stats net in
   let normalized = List.map Query.normalize criteria_list in
@@ -43,10 +42,7 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
     Obs.Metrics.incr ~by:multi.Planner.dedup_clauses "audit.dedup_clauses";
     Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net);
     Obs.Trace.with_span "session.audit" @@ fun () ->
-    let cache =
-      match cache with Some c -> c | None -> Executor.cache_create ()
-    in
-    let hits_before = Executor.cache_hits cache in
+    let cache = Executor.cache_create () in
     (* Phase 1 — pipeline the batch's unique clauses.  Every distinct
        SQ_i across all criteria is taken once, stably sorted by estimated
        cost, and evaluated into the session cache.  Execution itself
@@ -72,8 +68,7 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
     List.iter
       (fun clause ->
         let vt_before = Net.Network.virtual_time_ms net in
-        Executor.warm_clause cluster ~ttp ~on_failure:failure_mode ~cache
-          clause;
+        Executor.warm_clause cluster ~on_failure:failure_mode ~cache clause;
         let vt_after = Net.Network.virtual_time_ms net in
         Net.Runtime.Pipeline.submit pipeline
           ~resources:
@@ -105,7 +100,7 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
       | [] -> Ok (List.rev acc)
       | criteria :: rest -> (
         match
-          Executor.run cluster ~ttp ~delivery ~on_failure:failure_mode ~cache
+          Executor.run cluster ~delivery ~on_failure:failure_mode ~cache
             ?conjunction ~auditor criteria
         with
         | Error _ as e -> e
@@ -132,15 +127,14 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Executor.Glsns)
           unique_clauses = multi.Planner.unique_clauses;
           dedup_atoms = multi.Planner.dedup_atoms;
           dedup_clauses = multi.Planner.dedup_clauses;
-          cache_hits = Executor.cache_hits cache - hits_before;
+          cache_hits = Executor.cache_hits cache;
           messages = after.Net.Network.messages - before.Net.Network.messages;
           bytes = after.Net.Network.bytes - before.Net.Network.bytes;
           rounds = after.Net.Network.rounds - before.Net.Network.rounds;
           pipeline = preport;
         })
 
-let run_strings cluster ?ttp ?delivery ?failure_mode ?cache ?conjunction
-    ~auditor inputs =
+let run_strings cluster ?delivery ?failure_mode ?conjunction ~auditor inputs =
   let rec parse acc = function
     | [] -> Ok (List.rev acc)
     | input :: rest -> (
@@ -151,8 +145,7 @@ let run_strings cluster ?ttp ?delivery ?failure_mode ?cache ?conjunction
   match parse [] inputs with
   | Error _ as e -> e
   | Ok criteria_list ->
-    run cluster ?ttp ?delivery ?failure_mode ?cache ?conjunction ~auditor
-      criteria_list
+    run cluster ?delivery ?failure_mode ?conjunction ~auditor criteria_list
 
 let pp_summary fmt s =
   Format.fprintf fmt

@@ -56,10 +56,8 @@ type summary = {
 
 val run :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   ?delivery:Executor.delivery ->
   ?failure_mode:Executor.failure_mode ->
-  ?cache:Executor.cache ->
   ?conjunction:(Numtheory.Prng.t -> Crypto.Commutative.scheme) ->
   auditor:Net.Node_id.t ->
   Query.t list ->
@@ -68,13 +66,8 @@ val run :
     {!Auditor_engine.run} on the first planner error; under the default
     [Fail] mode a partition raises {!Net.Network.Partitioned} exactly as
     the sequential path does.  The empty batch yields an empty summary
-    without touching the network.
-
-    [cache] (default: a fresh per-session cache) lets a session warm a
-    long-lived cache instead — in particular the continuous engine's
-    ({!Continuous_incremental.cache}), so a one-off batch pre-pays SMC
-    work the standing criteria then keep current; [cache_hits] reports
-    only the hits this session served.
+    without touching the network.  Every session warms a fresh cache of
+    its own.
 
     [conjunction] is forwarded to every phase-2 {!Executor.run}
     (default: the XOR pad, the exact historical behaviour) — see
@@ -83,10 +76,8 @@ val run :
 
 val run_strings :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   ?delivery:Executor.delivery ->
   ?failure_mode:Executor.failure_mode ->
-  ?cache:Executor.cache ->
   ?conjunction:(Numtheory.Prng.t -> Crypto.Commutative.scheme) ->
   auditor:Net.Node_id.t ->
   string list ->

@@ -21,17 +21,13 @@ let criteria_of_request request =
     | Ok criteria -> Ok criteria
     | Error message -> Error (Audit_error.Parse_error { input; message }))
 
-let run cluster ?ttp ?delivery ?failure_mode ?replication ?cache ~auditor
-    request =
+let run cluster ?delivery ~auditor request =
   match criteria_of_request request with
   | Error _ as e -> e
   | Ok criteria -> (
     let net = Cluster.net cluster in
     let before = Net.Network.stats net in
-    match
-      Executor.run cluster ?ttp ?delivery ?on_failure:failure_mode ?replication
-        ?cache ~auditor criteria
-    with
+    match Executor.run cluster ?delivery ~auditor criteria with
     | Error _ as e -> e
     | Ok report ->
       let after = Net.Network.stats net in
@@ -62,7 +58,7 @@ let mean_c_store cluster audit =
   in
   if n = 0 then 0.0 else sum /. float_of_int n
 
-let secret_sum cluster ?ttp ~auditor ~attr input =
+let secret_sum cluster ~auditor ~attr input =
   match Query.parse input with
   | Error message -> Error (Audit_error.Parse_error { input; message })
   | Ok criteria -> (
@@ -74,7 +70,7 @@ let secret_sum cluster ?ttp ~auditor ~attr input =
     | Some home -> (
       (* The matching glsn set is metadata; deliver it to the attribute's
          home node, which sums its own column and releases the total. *)
-      match Executor.run cluster ?ttp ~auditor:home criteria with
+      match Executor.run cluster ~auditor:home criteria with
       | Error _ as e -> e
       | Ok report ->
         let store = Cluster.store_of cluster home in
@@ -121,13 +117,11 @@ let secret_sum cluster ?ttp ~auditor ~attr input =
           Net.Network.round net;
           Ok sum)))
 
-let secret_mean cluster ?ttp ~auditor ~attr input =
-  match secret_sum cluster ?ttp ~auditor ~attr input with
+let secret_mean cluster ~auditor ~attr input =
+  match secret_sum cluster ~auditor ~attr input with
   | Error _ as e -> e
   | Ok sum -> (
-    match
-      run cluster ?ttp ~delivery:Executor.Count_only ~auditor (Text input)
-    with
+    match run cluster ~delivery:Executor.Count_only ~auditor (Text input) with
     | Error _ as e -> e
     | Ok { count = 0; _ } -> Error Audit_error.No_matching_records
     | Ok { count; _ } ->

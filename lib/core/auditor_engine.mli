@@ -7,8 +7,9 @@
     only for a caller that prints them.
 
     {!run} is the single entry point: it takes a {!request} (parsed
-    criteria or query text) and the delivery/failure knobs of the
-    executor.  Batches of criteria belong in an {!Audit_session}. *)
+    criteria or query text) and a delivery mode, and runs the executor
+    under its defaults.  Batches of criteria belong in an
+    {!Audit_session}. *)
 
 type audit = {
   criteria : Query.t;
@@ -36,29 +37,22 @@ val criteria_of_request : request -> (Query.t, Audit_error.t) result
 
 val run :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   ?delivery:Executor.delivery ->
-  ?failure_mode:Executor.failure_mode ->
-  ?replication:Replication.t ->
-  ?cache:Executor.cache ->
   auditor:Net.Node_id.t ->
   request ->
   (audit, Audit_error.t) result
-(** Audit the cluster once.  [delivery] defaults to [Glsns]; with
-    [Count_only] the auditor learns only [count] (the paper's secret
-    counting — [matching] is empty).  [failure_mode] defaults to
-    [Fail]: a mid-audit partition raises {!Net.Network.Partitioned};
-    with [Degrade] the call always returns and [coverage] discloses
-    any gap.  [replication] and [cache] are threaded through to
-    {!Executor.run} unchanged — the sharded scatter-gather driver uses
-    them to repair from replicas and to reuse each shard's per-session
-    glsn-set cache.  Errors are typed: {!Audit_error.Parse_error} for
-    a [Text] request that does not parse,
-    {!Audit_error.Unknown_attribute} from the planner. *)
+(** Audit the cluster once, through {!Executor.ttp}.  [delivery]
+    defaults to [Glsns]; with [Count_only] the auditor learns only
+    [count] (the paper's secret counting — [matching] is empty).  The
+    executor runs under [Fail], with no cache: a mid-audit partition
+    raises {!Net.Network.Partitioned}.  A caller that needs another
+    failure mode, a replica repair or a cache calls {!Executor.run}.
+    Errors are typed: {!Audit_error.Parse_error} for a [Text] request
+    that does not parse, {!Audit_error.Unknown_attribute} from the
+    planner. *)
 
 val secret_sum :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   attr:Attribute.t ->
   string ->
@@ -73,7 +67,6 @@ val secret_sum :
 
 val secret_mean :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   attr:Attribute.t ->
   string ->

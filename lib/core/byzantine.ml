@@ -31,11 +31,10 @@ let fence cluster ?cache ~recovery node =
     Cluster.lift_quarantine cluster node
   | Exclude -> ()
 
-let audit cluster ?ttp ?delivery ?(recovery = Rehost) ?tolerance ?max_attempts
-    ?replication ?cache ~auditor criteria =
+let audit cluster ?(recovery = Rehost) ?cache ~auditor criteria =
   let n = List.length (Cluster.nodes cluster) in
-  let tolerance = Option.value tolerance ~default:((n - 1) / 2) in
-  let max_attempts = Option.value max_attempts ~default:(tolerance + 1) in
+  let tolerance = (n - 1) / 2 in
+  let max_attempts = tolerance + 1 in
   let rec go ~attempt ~fenced ~events ~vmsgs ~vbytes =
     let guard = Smc.Round_guard.create () in
     let on_failure =
@@ -46,8 +45,7 @@ let audit cluster ?ttp ?delivery ?(recovery = Rehost) ?tolerance ?max_attempts
     in
     let result =
       Smc.Round_guard.with_guard guard (fun () ->
-          Executor.run cluster ?ttp ?delivery ~on_failure ?replication ?cache
-            ~auditor criteria)
+          Executor.run cluster ~on_failure ?cache ~auditor criteria)
     in
     let gm, gb = Smc.Round_guard.verify_cost guard in
     let vmsgs = vmsgs + gm and vbytes = vbytes + gb in

@@ -22,8 +22,10 @@
     report then names the uncovered clauses.
 
     The driver gives up with {!Audit_error.Byzantine_fault} when the
-    distinct accused nodes exceed the collusion [tolerance] (default
-    [(n-1)/2]) or the retry budget is exhausted. *)
+    distinct accused nodes exceed the collusion tolerance or the retry
+    budget is exhausted.  Both are derived from the cluster's [n]
+    nodes: the tolerance is [(n-1)/2], an honest majority, and the
+    budget is [tolerance + 1] runs. *)
 
 type recovery_mode =
   | Rehost  (** replace the fenced process, retry at full coverage *)
@@ -44,19 +46,15 @@ type outcome = {
 
 val audit :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
-  ?delivery:Executor.delivery ->
   ?recovery:recovery_mode ->
-  ?tolerance:int ->
-  ?max_attempts:int ->
-  ?replication:Replication.t ->
   ?cache:Executor.cache ->
   auditor:Net.Node_id.t ->
   Query.t ->
   (outcome, Audit_error.t) result
-(** Run the audit with per-round verification until a run completes
-    with no accusations.  [max_attempts] defaults to [tolerance + 1]
-    (each failed attempt fences at least one new node, so that always
-    suffices below tolerance).  Planner and aggregate errors pass
-    through unchanged; tolerance or budget exhaustion returns
+(** Run the audit ({!Executor.run}, [Glsns] delivery, no replica
+    repair) with per-round verification until a run completes with no
+    accusations, for at most [tolerance + 1] runs (each failed attempt
+    fences at least one new node, so that always suffices below
+    tolerance).  Planner and aggregate errors pass through unchanged;
+    tolerance or budget exhaustion returns
     {!Audit_error.Byzantine_fault} naming every accused node. *)

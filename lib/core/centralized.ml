@@ -5,10 +5,9 @@ type t = {
   mutable repository : Log_record.t Glsn.Map.t;
 }
 
-let create ?net ~auditor () =
-  let net = match net with Some n -> n | None -> Net.Network.of_config (Net.Config.make ()) in
+let create ~auditor () =
   {
-    net;
+    net = Net.Network.of_config (Net.Config.make ());
     auditor;
     allocator = Glsn.Allocator.create ();
     repository = Glsn.Map.empty;

@@ -9,7 +9,8 @@
 
 type t
 
-val create : ?net:Net.Network.t -> auditor:Net.Node_id.t -> unit -> t
+val create : auditor:Net.Node_id.t -> unit -> t
+(** A repository on a fresh clean network. *)
 
 val net : t -> Net.Network.t
 val auditor : t -> Net.Node_id.t

@@ -10,10 +10,10 @@ type certificate = {
   rejections : int;
 }
 
-let setup cluster ?(bits = 128) ~k () =
+let setup cluster ~k () =
   let nodes = Cluster.nodes cluster in
   let params, shares =
-    Crypto.Threshold_rsa.deal (Cluster.rng cluster) ~bits ~k
+    Crypto.Threshold_rsa.deal (Cluster.rng cluster) ~bits:128 ~k
       ~parties:(List.length nodes)
   in
   { params; shares = List.combine nodes shares }

@@ -21,15 +21,12 @@ type certificate = {
   rejections : int;
 }
 
-val setup : Cluster.t -> ?bits:int -> k:int -> unit -> t
+val setup : Cluster.t -> k:int -> unit -> t
 (** Deal threshold key shares to the cluster's nodes.  [k] is the
-    signing threshold; [bits] defaults to 128 (safe-prime generation
-    cost). *)
+    signing threshold; the modulus has 128 bits, which keeps safe-prime
+    generation cheap. *)
 
 val params : t -> Crypto.Threshold_rsa.params
-
-val statement_of_audit : Auditor_engine.audit -> string
-(** Canonical statement: criteria plus the sorted matching glsn's. *)
 
 val certify_statement :
   t ->

@@ -30,13 +30,10 @@ type t = {
   mutable rollback_hooks : (Glsn.t -> unit) list;
 }
 
-let create ?(seed = 0) ?net ?retry ?(accumulator_bits = 128) ?glsn_start
-    fragmentation =
+let create ?(seed = 0) ?net ?glsn_start fragmentation =
   let rng = Prng.create ~seed in
   let net = match net with Some n -> n | None -> Net.Network.of_config (Net.Config.make ~seed ()) in
-  let retry =
-    match retry with Some r -> r | None -> Net.Retry.create ~seed net
-  in
+  let retry = Net.Retry.create ~seed net in
   let stores =
     List.map
       (fun node ->
@@ -62,7 +59,7 @@ let create ?(seed = 0) ?net ?retry ?(accumulator_bits = 128) ?glsn_start
     stores;
     allocator = Glsn.Allocator.create ?start:glsn_start ();
     ticket_authority = Ticket.Authority.create ~key:(Prng.bytes rng 32);
-    accumulator = Crypto.Accumulator.generate rng ~bits:accumulator_bits;
+    accumulator = Crypto.Accumulator.generate rng ~bits:128;
     rng;
     hint_keys;
     clock = 0;
@@ -154,30 +151,19 @@ let commit_fragment t ~node ~glsn ~fragment ~digest ~witness ~ticket_id =
   Smc.Proto_util.observe t.net ~node ~sensitivity:Net.Ledger.Metadata
     ~tag:"store:glsn" (Net.Ledger.Text (Glsn.to_string glsn))
 
-(* First ring successor of [target] that is a live candidate for
-   holding a parked hint. *)
+(* First ring successor of [target] (a cluster node) that is up and
+   reachable, walking once round the ring: it holds the parked hint. *)
 let hint_holder_for t ~target =
-  let ring = List.map fst t.stores in
-  let n = List.length ring in
-  let rec walk = function
-    | [] -> None
-    | candidate :: rest ->
-      if
-        (not (Net.Node_id.equal candidate target))
-        && Net.Network.is_up t.net candidate
-        && Net.Retry.reachable t.retry candidate
-      then Some candidate
-      else walk rest
+  let ring = nodes t in
+  let rec walk node =
+    let candidate = Smc.Proto_util.ring_next ring node in
+    if Net.Node_id.equal candidate target then None
+    else if
+      Net.Network.is_up t.net candidate && Net.Retry.reachable t.retry candidate
+    then Some candidate
+    else walk candidate
   in
-  let rec index i = function
-    | [] -> None
-    | node :: rest ->
-      if Net.Node_id.equal node target then Some i else index (i + 1) rest
-  in
-  match index 0 ring with
-  | None -> None
-  | Some base ->
-    walk (List.init (n - 1) (fun k -> List.nth ring ((base + k + 1) mod n)))
+  walk target
 
 let submit_unobserved ~durability t ~ticket ~origin ~attributes =
   match Ticket.Authority.verify t.ticket_authority ticket ~now:t.clock with
@@ -441,7 +427,7 @@ let rollback t ~ticket_id glsn =
   t.origins <- Glsn.Map.remove glsn t.origins;
   fire_rollback t glsn
 
-let submit_transaction ?durability t ~ticket ~origin ~tsn ~ttn ~events =
+let submit_transaction t ~ticket ~origin ~tsn ~ttn ~events =
   let rec go acc degraded = function
     | [] ->
       let records = List.rev_map snd acc in
@@ -449,7 +435,7 @@ let submit_transaction ?durability t ~ticket ~origin ~tsn ~ttn ~events =
         ( Log_record.Transaction.make ~tsn ~ttn ~records,
           List.sort_uniq Net.Node_id.compare degraded )
     | attributes :: rest -> (
-      match submit ?durability t ~ticket ~origin ~attributes with
+      match submit t ~ticket ~origin ~attributes with
       | Committed glsn ->
         (* The submitted attributes are in hand: reassembling via
            record_of would under-report parked (degraded) fragments. *)

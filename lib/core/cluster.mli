@@ -33,15 +33,13 @@ type submit_outcome =
 val create :
   ?seed:int ->
   ?net:Net.Network.t ->
-  ?retry:Net.Retry.t ->
-  ?accumulator_bits:int ->
   ?glsn_start:int ->
   Fragmentation.t ->
   t
 (** [glsn_start] overrides the allocator's first glsn (snapshot import
-    uses it to reproduce an exported numbering).  [retry] overrides the
-    default retry/backoff policy (by default a {!Net.Retry.t} with the
-    default policy is created over [net], seeded with [seed]). *)
+    uses it to reproduce an exported numbering).  The cluster's retry
+    layer is a {!Net.Retry.t} over [net], seeded with [seed]; the
+    accumulator modulus has 128 bits. *)
 
 val net : t -> Net.Network.t
 
@@ -108,9 +106,10 @@ val submit :
     retry policy, and only then is anything committed.  Outcomes:
 
     - every fragment delivered → [Committed];
-    - some home nodes unreachable, [Degraded] → their fragments are
-      parked (AEAD-sealed) on live ring successors → [Committed_degraded]
-      naming the down nodes;
+    - some home nodes unreachable, [Degraded] → each fragment is parked
+      (AEAD-sealed) on its home's first ring successor that is up and
+      reachable, wrapping past the end of the ring →
+      [Committed_degraded] naming the down nodes;
     - some home nodes unreachable, [Strict] — or no live successor can
       hold the hint → [Rejected]: {e nothing} is stored anywhere (the
       allocated glsn is burned but appears in no store);
@@ -132,7 +131,6 @@ val pending_hints : t -> (Net.Node_id.t * Net.Node_id.t * Glsn.t) list
 (** Currently parked fragments as [(holder, target, glsn)]. *)
 
 val submit_transaction :
-  ?durability:durability ->
   t ->
   ticket:Ticket.t ->
   origin:Net.Node_id.t ->
@@ -142,11 +140,12 @@ val submit_transaction :
   (Log_record.Transaction.t * Net.Node_id.t list, string) result
 (** Log a multi-event transaction (eq 1); [tid]/[tsn] bookkeeping
     attributes are the caller's business — this just submits each event
-    under the same ticket and groups the results.  Crash-safe: if a
-    later event is rejected, the earlier events of this transaction are
-    rolled back (fragments, digests, witnesses, ACL grants and parked
-    hints all removed) before the error is returned.  The node list
-    aggregates any degraded placements. *)
+    under the same ticket, with {!submit}'s default [Degraded]
+    durability, and groups the results.  Crash-safe: if a later event
+    is rejected, the earlier events of this transaction are rolled back
+    (fragments, digests, witnesses, ACL grants and parked hints all
+    removed) before the error is returned.  The node list aggregates
+    any degraded placements. *)
 
 val record_of : t -> Glsn.t -> Log_record.t option
 (** Reassemble a full record from all fragments — a *cluster-collusion*

@@ -18,12 +18,10 @@ val c_auditing : Planner.t -> float
 val c_auditing_params : Planner.t -> int * int * int
 (** [(s, t, q)] — the raw inputs of eq 11. *)
 
-val c_query : Planner.t -> Fragmentation.t -> Log_record.t -> float
-
 val c_dla :
   Fragmentation.t ->
   queries:Query.t list ->
   records:Log_record.t list ->
   (float, string) result
-(** Mean of [c_query] over the full query × record workload; [Error] if
-    any query fails to plan. *)
+(** Mean of eq 12's C_query over the full query × record workload;
+    [Error] if any query fails to plan. *)

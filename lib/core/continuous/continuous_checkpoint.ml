@@ -9,6 +9,8 @@ type checkpoint = {
 
 let genesis = String.make 64 '0'
 
+(* A well-formed digest: 64 lowercase hex chars.  The spec layer uses
+   the same shape test for published checkpoint events. *)
 let is_hex64 s =
   String.length s = 64
   && String.for_all

@@ -28,10 +28,6 @@ type checkpoint = {
 val genesis : string
 (** The all-zero 64-hex predecessor of checkpoint 0. *)
 
-val is_hex64 : string -> bool
-(** Is this a well-formed digest (64 lowercase hex chars)?  The spec
-    layer uses the same shape test for published checkpoint events. *)
-
 val recompute_digest : checkpoint -> string
 (** The digest the checkpoint's fields imply — equal to [digest] iff
     the checkpoint is unmutated. *)

@@ -38,11 +38,7 @@ type crit = {
 type t = {
   registry : Continuous_registry.t;
   cluster : Cluster.t;
-  ttp : Net.Node_id.t;
-  verifier : Net.Node_id.t;
-  failure_mode : Executor.failure_mode;
   interval : int;
-  on_delta : delta -> unit;
   cache : Executor.cache;
   chain : Continuous_checkpoint.chain;
   mutable delta_hash : string;
@@ -52,7 +48,7 @@ type t = {
 }
 
 let trusted t = Executor.trusted t.cluster
-let available t = Executor.available t.cluster ~on_failure:t.failure_mode
+let available t = Executor.available t.cluster ~on_failure:Executor.Fail
 
 let clause_has_cross_atom (clause : Planner.planned_clause) =
   List.exists
@@ -103,8 +99,7 @@ let rebuild_clause t clause =
           Executor.cache_drop_atom t.cache
             ~key:(Planner.atom_key pa.Planner.atom))
         clause.Planner.atoms;
-      Executor.warm_clause t.cluster ~ttp:t.ttp ~on_failure:t.failure_mode
-        ~cache:t.cache clause)
+      Executor.warm_clause t.cluster ~cache:t.cache clause)
 
 (* Fold one committed glsn into one clause's cached entry. *)
 let apply_clause_delta t ~glsn clause =
@@ -134,8 +129,7 @@ let apply_clause_delta t ~glsn clause =
         match pa.Planner.home with
         | Planner.Cross _ -> ()
         | Planner.Local node ->
-          if available t node && local_atom_satisfied t ~node ~glsn pa.Planner.atom
-          then begin
+          if local_atom_satisfied t ~node ~glsn pa.Planner.atom then begin
             satisfied := true;
             ignore
               (Executor.cache_insert_glsn_atom t.cache
@@ -153,8 +147,7 @@ let emit t delta =
   Obs.Metrics.incr
     (match delta with
     | Verdict_changed _ -> "audit.delta.verdict_changed"
-    | Coverage_changed _ -> "audit.delta.coverage_changed");
-  t.on_delta delta
+    | Coverage_changed _ -> "audit.delta.coverage_changed")
 
 (* Conjunction over the cached clause sets — the same set algebra the
    executor's ∩ₛ rounds compute, applied to Definition-1 metadata the
@@ -268,16 +261,17 @@ let checkpoint_now t =
       ~delta_hash:t.delta_hash
   in
   Obs.Metrics.incr "audit.delta.checkpoint";
-  (* Publish the head to the verifier: 64 hex chars of commitment,
-     nothing else — the out-of-band anchor that makes suffix truncation
-     detectable.  The spec layer's view auditor checks exactly this
-     shape on every "ckpt:" observation. *)
+  (* Publish the head to the auditor, the verifier: 64 hex chars of
+     commitment, nothing else — the out-of-band anchor that makes suffix
+     truncation detectable.  The spec layer's view auditor checks
+     exactly this shape on every "ckpt:" observation. *)
   let net = Cluster.net t.cluster in
   with_loss_retry (fun () ->
-      Net.Network.send_exn net ~src:t.ttp ~dst:t.verifier
+      Net.Network.send_exn net ~src:Executor.ttp ~dst:Net.Node_id.Auditor
         ~label:"continuous:checkpoint" ~bytes:64);
-  Smc.Proto_util.observe net ~node:t.verifier ~sensitivity:Net.Ledger.Metadata
-    ~tag:"ckpt:publish" (Net.Ledger.Text cp.Continuous_checkpoint.digest);
+  Smc.Proto_util.observe net ~node:Net.Node_id.Auditor
+    ~sensitivity:Net.Ledger.Metadata ~tag:"ckpt:publish"
+    (Net.Ledger.Text cp.Continuous_checkpoint.digest);
   Net.Network.round ~label:"continuous" net;
   cp
 
@@ -313,18 +307,12 @@ let retract t glsn =
   ignore (Executor.cache_remove_glsn t.cache glsn);
   List.iter (refresh_verdict t) t.crits
 
-let create ?(ttp = Net.Node_id.Ttp "query") ?(verifier = Net.Node_id.Auditor)
-    ?(failure_mode = Executor.Fail) ?(checkpoint_interval = 0)
-    ?(on_delta = fun _ -> ()) registry =
+let create ?(checkpoint_interval = 0) registry =
   let t =
     {
       registry;
       cluster = Continuous_registry.cluster registry;
-      ttp;
-      verifier;
-      failure_mode;
       interval = checkpoint_interval;
-      on_delta;
       cache = Executor.cache_create ();
       chain = Continuous_checkpoint.create ();
       delta_hash = Continuous_checkpoint.genesis;

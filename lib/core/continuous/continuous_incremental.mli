@@ -26,8 +26,15 @@
     running delta-stream hash; every [checkpoint_interval] commits the
     engine cuts a {!Continuous_checkpoint} linking the accumulator
     summary of all integrity digests with that stream hash, and
-    publishes the 64-hex head to the verifier (Metadata-class, checked
-    by {!Spec.View_auditor}). *)
+    {!Executor.ttp} publishes the 64-hex head to the auditor, the
+    verifier (Metadata-class, checked by {!Spec.View_auditor}).
+
+    The engine evaluates under {!Executor.Fail}: a rebuild that hits a
+    partition raises {!Net.Network.Partitioned} out of the commit,
+    exactly like a from-scratch audit would at that moment.  Its cache
+    can still hold incomplete entries, left by a
+    {!Byzantine.audit}[ ~recovery:Exclude] that shares it, and a
+    clause whose entry is unusable reports its home as the gap. *)
 
 type delta =
   | Verdict_changed of {
@@ -40,7 +47,8 @@ type delta =
       id : Continuous_registry.id;
       complete : bool;
       unreachable : Net.Node_id.t list;
-    }  (** under [Degrade], the evaluable fraction changed *)
+    }  (** the evaluable fraction changed: a clause could not be
+           rebuilt, or its cached entry is incomplete *)
 
 val delta_to_string : delta -> string
 (** Canonical serialization — the unit the delta-stream hash absorbs. *)
@@ -56,22 +64,11 @@ type verdict = {
 
 type t
 
-val create :
-  ?ttp:Net.Node_id.t ->
-  ?verifier:Net.Node_id.t ->
-  ?failure_mode:Executor.failure_mode ->
-  ?checkpoint_interval:int ->
-  ?on_delta:(delta -> unit) ->
-  Continuous_registry.t ->
-  t
+val create : ?checkpoint_interval:int -> Continuous_registry.t -> t
 (** Attach an engine to the registry's cluster: registers
     {!Cluster.on_commit}/{!Cluster.on_rollback} hooks, so every
     subsequent commit is processed inline.  [checkpoint_interval]
-    defaults to [0] — no automatic checkpoints (use {!checkpoint_now}).
-    [failure_mode] defaults to [Fail]: a rebuild hitting a partition
-    raises {!Net.Network.Partitioned} out of the commit, exactly like a
-    from-scratch audit would at that moment.  [verifier] (default
-    [Auditor]) receives each published checkpoint head. *)
+    defaults to [0] — no automatic checkpoints (use {!checkpoint_now}). *)
 
 val register :
   t ->

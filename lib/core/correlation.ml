@@ -7,17 +7,11 @@ type alert = {
   threshold : int;
 }
 
-let pp_alert fmt a =
-  Format.fprintf fmt "%s: %d event(s) in [%d, %d) (threshold %d)" a.subject
-    a.count a.window.window_start
-    (a.window.window_start + a.window.window_length)
-    a.threshold
-
 (* Correlation keeps its string-error public API; the engine's typed
    errors are rendered at this boundary. *)
-let secret_count cluster ?ttp ~auditor criteria =
+let secret_count cluster ~auditor criteria =
   match
-    Auditor_engine.run cluster ?ttp ~delivery:Executor.Count_only ~auditor
+    Auditor_engine.run cluster ~delivery:Executor.Count_only ~auditor
       (Auditor_engine.Text criteria)
   with
   | Ok audit -> Ok audit.Auditor_engine.count
@@ -31,21 +25,18 @@ let subject_criteria ~subject_attr ~subject ?extra_criteria () =
   | None -> base
   | Some extra -> Printf.sprintf "%s && (%s)" base extra
 
-let count_by_subject cluster ?ttp ~auditor ~subject_attr ?extra_criteria
-    ~subjects () =
+let count_by_subject cluster ~auditor ~subject_attr ~subjects () =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | subject :: rest -> (
-      let criteria =
-        subject_criteria ~subject_attr ~subject ?extra_criteria ()
-      in
-      match secret_count cluster ?ttp ~auditor criteria with
+      let criteria = subject_criteria ~subject_attr ~subject () in
+      match secret_count cluster ~auditor criteria with
       | Ok count -> go ((subject, count) :: acc) rest
       | Error _ as e -> e)
   in
   go [] subjects
 
-let sliding_window_alerts cluster ?ttp ~auditor ~subject_attr ~subjects
+let sliding_window_alerts cluster ~auditor ~subject_attr ~subjects
     ~from_time ~to_time ~window_seconds ~step_seconds ~threshold () =
   if window_seconds <= 0 || step_seconds <= 0 then
     invalid_arg "Correlation.sliding_window_alerts: non-positive window/step";
@@ -69,7 +60,7 @@ let sliding_window_alerts cluster ?ttp ~auditor ~subject_attr ~subjects
           let criteria =
             subject_criteria ~subject_attr ~subject ~extra_criteria:extra ()
           in
-          match secret_count cluster ?ttp ~auditor criteria with
+          match secret_count cluster ~auditor criteria with
           | Error _ as e -> e
           | Ok count ->
             if count >= threshold then

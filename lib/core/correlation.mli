@@ -17,23 +17,17 @@ type alert = {
   threshold : int;
 }
 
-val pp_alert : Format.formatter -> alert -> unit
-
 val count_by_subject :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   subject_attr:Attribute.t ->
-  ?extra_criteria:string ->
   subjects:string list ->
   unit ->
   ((string * int) list, string) result
-(** Cluster-wide event count per subject (secret counting), optionally
-    conjoined with extra criteria in query syntax. *)
+(** Cluster-wide event count per subject (secret counting). *)
 
 val sliding_window_alerts :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   subject_attr:Attribute.t ->
   subjects:string list ->

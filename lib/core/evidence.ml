@@ -80,6 +80,10 @@ module Authority = struct
   let identity_of_block t block = List.assoc_opt block t.registry
 end
 
+(* Deterministic challenge: SHA-256 over the whole negotiation
+   transcript, truncated to [pair_count] bits.  Binding the terms into
+   the challenge is the r-binding: altering PP or SC afterwards
+   invalidates the responses. *)
 let challenge_of ~inviter ~invitee ~pp ~sc =
   let digest =
     Crypto.Sha256.digest
@@ -88,7 +92,8 @@ let challenge_of ~inviter ~invitee ~pp ~sc =
   Array.init pair_count (fun i ->
       Char.code digest.[i / 8] land (1 lsl (i mod 8)) <> 0)
 
-let respond _token secrets challenge =
+(* Open the challenge-selected share of each pair. *)
+let respond secrets challenge =
   Array.mapi
     (fun i bit -> if bit then secrets.openings1.(i) else secrets.openings0.(i))
     challenge
@@ -103,7 +108,7 @@ let make_piece ~inviter_token ~inviter_secrets ~invitee ~pp ~sc =
     policy_proposal = pp;
     service_commitment = sc;
     challenge;
-    responses = respond inviter_token inviter_secrets challenge;
+    responses = respond inviter_secrets challenge;
     inviter_token;
   }
 

@@ -58,16 +58,6 @@ module Authority : sig
   (** Resolve a recovered escrow block to the enrolled identity. *)
 end
 
-val challenge_of :
-  inviter:string -> invitee:string -> pp:string -> sc:string -> bool array
-(** Deterministic challenge: SHA-256 over the whole negotiation
-    transcript, truncated to {!pair_count} bits.  Binding the terms into
-    the challenge is the r-binding: altering PP or SC afterwards
-    invalidates the responses. *)
-
-val respond : token -> secrets -> bool array -> Crypto.Commitment.opening array
-(** Open the challenge-selected share of each pair. *)
-
 val make_piece :
   inviter_token:token ->
   inviter_secrets:secrets ->

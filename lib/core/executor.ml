@@ -23,6 +23,8 @@ type report = {
   coverage : coverage;
 }
 
+let ttp = Net.Node_id.Ttp "query"
+
 let full_coverage ~total_clauses =
   {
     complete = true;
@@ -125,7 +127,7 @@ let rec merge_join op acc left right =
    monotone transform and ship them to the blind TTP, which filters by
    the comparison and returns the satisfying glsn set to the clause
    home. *)
-let eval_cross_atom cluster ~ttp ~clause_home (atom : Query.atom) ~left ~right
+let eval_cross_atom cluster ~clause_home (atom : Query.atom) ~left ~right
     rhs_attr =
   let net = Cluster.net cluster in
   let left_store = Cluster.store_of cluster left in
@@ -219,8 +221,6 @@ let cache_create () =
   { atom_tbl = Hashtbl.create 32; clause_tbl = Hashtbl.create 16; hits = 0 }
 
 let cache_hits cache = cache.hits
-let cache_entries cache =
-  (Hashtbl.length cache.atom_tbl, Hashtbl.length cache.clause_tbl)
 
 (* A complete entry is always reusable.  An incomplete one is reusable
    only while every node it skipped is *still* unavailable — once a node
@@ -338,7 +338,7 @@ let clause_sources ~home (clause : Planner.planned_clause) =
 
 (* Evaluate one clause at [home].  [available] decides which nodes can
    serve; atoms whose nodes cannot are skipped and recorded in [ctx]. *)
-let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
+let eval_clause cluster ~catch_partition ~available ~trusted ~ctx ~cache
     ~home (clause : Planner.planned_clause) =
   let net = Cluster.net cluster in
   Obs.Trace.with_span "executor.clause" @@ fun () ->
@@ -372,7 +372,7 @@ let eval_clause cluster ~ttp ~catch_partition ~available ~trusted ~ctx ~cache
             else begin
               Obs.Metrics.incr "executor.atoms.cross";
               Some
-                (eval_cross_atom cluster ~ttp ~clause_home:home atom ~left
+                (eval_cross_atom cluster ~clause_home:home atom ~left
                    ~right rhs_attr)
             end
           | Query.Const _ -> assert false (* planner never crosses a const *))
@@ -442,8 +442,7 @@ let available cluster ~on_failure node =
    served as is; otherwise the clause is evaluated and its entry stored.
    [None] means no live node can assemble the union; otherwise the
    result is the home, the entry, and whether it came from the cache. *)
-let clause_step cluster ~ttp ~on_failure ~cache
-    (clause : Planner.planned_clause) =
+let clause_step cluster ~on_failure ~cache (clause : Planner.planned_clause) =
   let trusted = trusted cluster and available = available cluster ~on_failure in
   let home =
     let planned = clause.Planner.clause_home in
@@ -464,7 +463,7 @@ let clause_step cluster ~ttp ~on_failure ~cache
          skipped, even one an earlier clause already found down. *)
       let ctx = empty_ctx () in
       let set =
-        eval_clause cluster ~ttp ~catch_partition:(on_failure = Degrade)
+        eval_clause cluster ~catch_partition:(on_failure = Degrade)
           ~available ~trusted ~ctx ~cache ~home clause
       in
       let entry =
@@ -488,8 +487,7 @@ let clause_step cluster ~ttp ~on_failure ~cache
 let default_conjunction rng =
   Crypto.Commutative.xor_pad rng (Crypto.Xor_pad.params ~width_bits:256)
 
-let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
-    ?(on_failure = Fail) ?replication ?cache
+let run cluster ?(delivery = Glsns) ?(on_failure = Fail) ?replication ?cache
     ?(conjunction = default_conjunction) ~auditor criteria =
   let normalized = Query.normalize criteria in
   match Planner.plan (Cluster.fragmentation cluster) normalized with
@@ -532,7 +530,7 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
     let clause_sets =
       List.filter_map
         (fun clause ->
-          match clause_step cluster ~ttp ~on_failure ~cache clause with
+          match clause_step cluster ~on_failure ~cache clause with
           | None ->
             (* No live node can even assemble the union: the clause is
                uncovered. *)
@@ -605,10 +603,6 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
         ~sensitivity:Net.Ledger.Aggregate ~tag:"query:final-count"
         (Net.Ledger.Text (string_of_int (Glsn.Set.cardinal final_set))));
     Net.Network.round ~label:"query" net;
-    let s = float_of_int plan.Planner.total_atoms in
-    let t = float_of_int plan.Planner.cross_atoms in
-    let q = float_of_int plan.Planner.conjuncts in
-    let c_auditing = if s +. q = 0.0 then 0.0 else (t +. q) /. (s +. q) in
     let matching =
       match delivery with
       | Glsns -> Glsn.Set.elements final_set
@@ -639,13 +633,12 @@ let run cluster ?(ttp = Net.Node_id.Ttp "query") ?(delivery = Glsns)
         plan;
         matching;
         count = Glsn.Set.cardinal final_set;
-        c_auditing;
+        c_auditing = Confidentiality.c_auditing plan;
         coverage;
       }
 
 (* Evaluate one clause purely to populate the session cache: the same
    evaluation and store as the first [run] over the clause, minus the
    per-query conjunction and delivery. *)
-let warm_clause cluster ?(ttp = Net.Node_id.Ttp "query") ?(on_failure = Fail)
-    ~cache clause =
-  ignore (clause_step cluster ~ttp ~on_failure ~cache:(Some cache) clause)
+let warm_clause cluster ?(on_failure = Fail) ~cache clause =
+  ignore (clause_step cluster ~on_failure ~cache:(Some cache) clause)

@@ -18,6 +18,10 @@
     metadata every node already stores (Definition 1's permitted
     secondary information). *)
 
+val ttp : Net.Node_id.t
+(** [Ttp "query"]: the one blind TTP that every cross atom's blinded
+    columns go to (§3.2–3.3), and the deliverer of an empty result. *)
+
 type delivery =
   | Glsns  (** the auditor receives the matching glsn list (default) *)
   | Count_only
@@ -55,7 +59,7 @@ type report = {
   matching : Glsn.t list;
       (** sorted ascending; empty under [Count_only] (see [count]) *)
   count : int;  (** cardinality of the result set *)
-  c_auditing : float;  (** eq 11, from the plan's s, t, q *)
+  c_auditing : float;  (** eq 11: {!Confidentiality.c_auditing} of [plan] *)
   coverage : coverage;
       (** which clauses were evaluated and which records were
           unreachable; [complete = true] on the fault-free path *)
@@ -88,9 +92,6 @@ type cache
 
 val cache_create : unit -> cache
 val cache_hits : cache -> int  (** hits served so far, atoms + clauses *)
-
-val cache_entries : cache -> int * int
-(** [(atom_entries, clause_entries)] currently stored. *)
 
 val cache_purge : cache -> nodes:Net.Node_id.t list -> int
 (** Drop every entry whose glsn set depended on one of [nodes] (it
@@ -165,7 +166,6 @@ val cache_remove_glsn : cache -> Glsn.t -> int
 
 val run :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   ?delivery:delivery ->
   ?on_failure:failure_mode ->
   ?replication:Replication.t ->
@@ -199,7 +199,6 @@ val run :
 
 val warm_clause :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   ?on_failure:failure_mode ->
   cache:cache ->
   Planner.planned_clause ->

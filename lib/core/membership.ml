@@ -59,9 +59,6 @@ let chain t = t.chain
 let enrolled_by_pseudonym t pseudonym =
   List.find_opt (fun e -> String.equal e.member.pseudonym pseudonym) t.enrolled
 
-let member_by_pseudonym t pseudonym =
-  Option.map (fun e -> e.member) (enrolled_by_pseudonym t pseudonym)
-
 let run_handshake t inviter_entry ~invitee_identity ~pp ~sc =
   (* The invitee enrolls with the CA first (it needs a pseudonym for the
      handshake), then PP/SC/RE runs between the two pseudonymous nodes. *)

@@ -33,8 +33,6 @@ val members : t -> member list
 val chain : t -> Evidence.piece list
 (** The evidence chain, oldest first (e1, e2, … of Figure 6). *)
 
-val member_by_pseudonym : t -> string -> member option
-
 val invite :
   t ->
   inviter:string ->

@@ -34,7 +34,6 @@ type t = Atom of atom | And of t * t | Or of t * t | Not of t
 let atom attr op rhs = Atom { attr; op; rhs }
 let ( &&& ) a b = And (a, b)
 let ( ||| ) a b = Or (a, b)
-let not_ a = Not a
 
 let term_to_string = function
   | Attr a -> Attribute.to_string a

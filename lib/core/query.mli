@@ -14,7 +14,6 @@
 type comparison = Lt | Le | Gt | Ge | Eq | Ne
 
 val comparison_to_string : comparison -> string
-val negate_comparison : comparison -> comparison
 val apply_comparison : comparison -> int -> bool
 (** Interpret a [compare]-style result (-1/0/1) under an operator. *)
 
@@ -33,7 +32,6 @@ type t =
 val atom : Attribute.t -> comparison -> term -> t
 val ( &&& ) : t -> t -> t
 val ( ||| ) : t -> t -> t
-val not_ : t -> t
 
 val to_string : t -> string
 

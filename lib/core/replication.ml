@@ -37,19 +37,18 @@ let degree t = t.degree
 let key_of t node =
   snd (List.find (fun (n, _) -> Net.Node_id.equal n node) t.keys)
 
-let successors nodes node count =
-  let arr = Array.of_list nodes in
-  let n = Array.length arr in
-  let rec index i =
-    if i >= n then
-      invalid_arg
-        (Printf.sprintf "Replication.successors: %s is not a ring member"
-           (Net.Node_id.to_string node))
-    else if Net.Node_id.equal arr.(i) node then i
-    else index (i + 1)
+let successors ring node count =
+  if not (List.exists (Net.Node_id.equal node) ring) then
+    invalid_arg
+      (Printf.sprintf "Replication.successors: %s is not a ring member"
+         (Net.Node_id.to_string node));
+  let rec walk node k =
+    if k = 0 then []
+    else
+      let next = Smc.Proto_util.ring_next ring node in
+      next :: walk next (k - 1)
   in
-  let base = index 0 in
-  List.init count (fun k -> arr.((base + k + 1) mod n))
+  walk node count
 
 (* Deliver one accounting message; with a retry layer, loss is retried
    and a persistent failure reported instead of raised. *)

@@ -19,9 +19,9 @@ let rule_to_string = function
   | Frequency_cap { memo; max_occurrences } ->
     Printf.sprintf "frequency-cap(%s <= %d)" memo max_occurrences
 
-let audit_glsns cluster ?ttp ~auditor criteria =
+let audit_glsns cluster ~auditor criteria =
   match
-    Auditor_engine.run cluster ?ttp ~auditor (Auditor_engine.Text criteria)
+    Auditor_engine.run cluster ~auditor (Auditor_engine.Text criteria)
   with
   | Ok audit -> Ok audit.Auditor_engine.matching
   | Error e -> Error (Audit_error.to_string e)
@@ -56,11 +56,11 @@ let times_of cluster glsns =
 
 let tid_criteria tid = Printf.sprintf {|tid = "%s"|} tid
 
-let check cluster ?ttp ~auditor ~tid rule =
+let check cluster ~auditor ~tid rule =
   let ( let* ) = Result.bind in
   match rule with
   | Atomicity { expected_events } ->
-    let* glsns = audit_glsns cluster ?ttp ~auditor (tid_criteria tid) in
+    let* glsns = audit_glsns cluster ~auditor (tid_criteria tid) in
     let n = List.length glsns in
     if n = expected_events then Ok ()
     else
@@ -69,7 +69,7 @@ let check cluster ?ttp ~auditor ~tid rule =
   | Non_repudiation { action_memo; receipt_memo } ->
     let count memo =
       Result.map List.length
-        (audit_glsns cluster ?ttp ~auditor
+        (audit_glsns cluster ~auditor
            (Printf.sprintf {|tid = "%s" && C3 = "%s"|} tid memo))
     in
     let* actions = count action_memo in
@@ -81,7 +81,7 @@ let check cluster ?ttp ~auditor ~tid rule =
            action_memo receipts receipt_memo)
   | Ordering { first_memo; then_memo } ->
     let glsns_for memo =
-      audit_glsns cluster ?ttp ~auditor
+      audit_glsns cluster ~auditor
         (Printf.sprintf {|tid = "%s" && C3 = "%s"|} tid memo)
     in
     let* first_glsns = glsns_for first_memo in
@@ -99,7 +99,7 @@ let check cluster ?ttp ~auditor ~tid rule =
           (Printf.sprintf "a %s event follows a %s event" first_memo
              then_memo))
   | Time_window { max_seconds } ->
-    let* glsns = audit_glsns cluster ?ttp ~auditor (tid_criteria tid) in
+    let* glsns = audit_glsns cluster ~auditor (tid_criteria tid) in
     let* times = times_of cluster glsns in
     (match times with
     | [] -> Ok ()
@@ -110,9 +110,9 @@ let check cluster ?ttp ~auditor ~tid rule =
         Error
           (Printf.sprintf "transaction spans %ds > %ds" (hi - lo) max_seconds))
   | Consistency criteria ->
-    let* all = audit_glsns cluster ?ttp ~auditor (tid_criteria tid) in
+    let* all = audit_glsns cluster ~auditor (tid_criteria tid) in
     let* compliant =
-      audit_glsns cluster ?ttp ~auditor
+      audit_glsns cluster ~auditor
         (Printf.sprintf {|%s && (%s)|} (tid_criteria tid) criteria)
     in
     let bad = List.length all - List.length compliant in
@@ -123,7 +123,7 @@ let check cluster ?ttp ~auditor ~tid rule =
        auditor. *)
     let* count =
       match
-        Auditor_engine.run cluster ?ttp ~delivery:Executor.Count_only ~auditor
+        Auditor_engine.run cluster ~delivery:Executor.Count_only ~auditor
           (Auditor_engine.Text
              (Printf.sprintf {|tid = "%s" && C3 = "%s"|} tid memo))
       with
@@ -135,10 +135,10 @@ let check cluster ?ttp ~auditor ~tid rule =
       Error
         (Printf.sprintf "%d %s event(s), cap is %d" count memo max_occurrences)
 
-let check_all cluster ?ttp ~auditor ~tid rules =
+let check_all cluster ~auditor ~tid rules =
   List.filter_map
     (fun rule ->
-      match check cluster ?ttp ~auditor ~tid rule with
+      match check cluster ~auditor ~tid rule with
       | Ok () -> None
       | Error detail -> Some (rule, detail))
     rules

@@ -29,7 +29,6 @@ val rule_to_string : rule -> string
 
 val check :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   tid:string ->
   rule ->
@@ -40,7 +39,6 @@ val check :
 
 val check_all :
   Cluster.t ->
-  ?ttp:Net.Node_id.t ->
   auditor:Net.Node_id.t ->
   tid:string ->
   rule list ->

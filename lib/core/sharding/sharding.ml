@@ -3,12 +3,10 @@ type shard = {
   name : string;
   cluster : Cluster.t;
   range : Planner.shard_range;
-  replication : Replication.t option;
 }
 
 type t = {
   shards : shard array;
-  layout : Planner.shard_range list;
   fabric : Net.Network.t;
   rng : Numtheory.Prng.t;
   tickets : (int * string, Ticket.t) Hashtbl.t;
@@ -26,12 +24,15 @@ let fnv1a s =
     s;
   !h
 
-let default_glsn_start = 0x139aef78
+(* The fixed layout: shard i owns the [range_width] glsns from
+   [glsn_start + i·range_width].  Shard 0 starts at the paper's first
+   glsn, so a 1-shard fleet numbers its records exactly like the
+   unsharded cluster. *)
+let glsn_start = 0x139aef78
+let range_width = 1 lsl 20
 let ingest_ttl = 10_000_000
 
-let create ?(seed = 0) ?(glsn_start = default_glsn_start)
-    ?(range_width = 1 lsl 20) ?accumulator_bits ?net_of ?fabric
-    ?replication_degree ~shards:count fragmentation =
+let create ?(seed = 0) ?net_of ~shards:count fragmentation =
   if count < 1 then invalid_arg "Sharding.create: shards < 1";
   let net_of =
     match net_of with
@@ -56,34 +57,21 @@ let create ?(seed = 0) ?(glsn_start = default_glsn_start)
       (List.mapi
          (fun i range ->
            let cluster =
-             Cluster.create ~seed:(seed + i) ~net:(net_of i) ?accumulator_bits
+             Cluster.create ~seed:(seed + i) ~net:(net_of i)
                ~glsn_start:range.Planner.glsn_lo fragmentation
            in
-           let replication =
-             Option.map
-               (fun degree -> Replication.setup cluster ~degree)
-               replication_degree
-           in
-           { index = i; name = range.Planner.shard; cluster; range; replication })
+           { index = i; name = range.Planner.shard; cluster; range })
          layout)
-  in
-  let fabric =
-    match fabric with
-    | Some net -> net
-    | None -> Net.Network.of_config (Net.Config.make ~seed:(seed + 977) ())
   in
   {
     shards;
-    layout;
-    fabric;
+    fabric = Net.Network.of_config (Net.Config.make ~seed:(seed + 977) ());
     rng = Numtheory.Prng.create ~seed:(seed + 1031);
     tickets = Hashtbl.create 64;
   }
 
 let shards t = Array.to_list t.shards
 let shard_count t = Array.length t.shards
-let layout t = t.layout
-let fabric t = t.fabric
 
 let owner_of t glsn =
   let g = Glsn.to_int glsn in
@@ -111,10 +99,10 @@ let ticket_for t shard origin =
     Hashtbl.replace t.tickets key ticket;
     ticket
 
-let submit ?durability t ~origin ~attributes =
+let submit t ~origin ~attributes =
   let shard = shard_of_user t origin in
   let ticket = ticket_for t shard origin in
-  match Cluster.submit ?durability shard.cluster ~ticket ~origin ~attributes with
+  match Cluster.submit shard.cluster ~ticket ~origin ~attributes with
   | Cluster.Rejected reason -> Error reason
   | Cluster.Committed glsn | Cluster.Committed_degraded (glsn, _) ->
     (* The allocator starts at the range's lower bound and is strictly
@@ -125,14 +113,6 @@ let submit ?durability t ~origin ~attributes =
         (Printf.sprintf "Sharding.submit: %s glsn range exhausted at %s"
            shard.name (Glsn.to_string glsn))
     else Ok (shard, glsn)
-
-let replicate t =
-  Array.fold_left
-    (fun acc s ->
-      match s.replication with
-      | None -> acc
-      | Some r -> acc + Replication.replicate_all r s.cluster)
-    0 t.shards
 
 let record_count t =
   Array.fold_left (fun acc s -> acc + Cluster.record_count s.cluster) 0 t.shards
@@ -234,14 +214,13 @@ type audit = {
   cross_shard_msgs : int;
 }
 
-let audit t ?ttp ?delivery ?failure_mode ~auditor request =
+let audit t ?delivery ~auditor request =
   match Auditor_engine.criteria_of_request request with
   | Error _ as e -> e
   | Ok criteria ->
     scatter_gather t
       (fun shard ->
-        Auditor_engine.run shard.cluster ?ttp ?delivery ?failure_mode
-          ?replication:shard.replication ~auditor (Criteria criteria))
+        Auditor_engine.run shard.cluster ?delivery ~auditor (Criteria criteria))
       (fun per_shard ~cross_shard_msgs ->
         {
           merged = merge_audits criteria per_shard;
@@ -324,13 +303,12 @@ let merge_summaries (per_shard : (string * Audit_session.summary) list) =
       };
   }
 
-let run_session t ?ttp ?delivery ?failure_mode ~auditor queries =
+let run_session t ~auditor queries =
   scatter_gather t
     (fun shard ->
       (* Each shard's session makes its own fresh per-session cache,
          exactly as the unsharded session would. *)
-      Audit_session.run shard.cluster ?ttp ?delivery ?failure_mode ~auditor
-        queries)
+      Audit_session.run shard.cluster ~auditor queries)
     (fun per_shard ~cross_shard_msgs ->
       { merged = merge_summaries per_shard; per_shard; cross_shard_msgs })
 
@@ -446,12 +424,9 @@ type byzantine = {
   cross_shard_msgs : int;
 }
 
-let byzantine_audit t ?ttp ?delivery ?recovery ?tolerance ?max_attempts
-    ~auditor query =
+let byzantine_audit t ~auditor query =
   scatter_gather t
-    (fun shard ->
-      Byzantine.audit shard.cluster ?ttp ?delivery ?recovery ?tolerance
-        ?max_attempts ?replication:shard.replication ~auditor query)
+    (fun shard -> Byzantine.audit shard.cluster ~auditor query)
     (fun outcomes ~cross_shard_msgs ->
       let os = List.map snd outcomes in
       let reports = List.map (fun o -> o.Byzantine.report) os in

@@ -3,11 +3,12 @@
 
     A {!t} is a fleet of independent {!Cluster}s — shards — that
     together hold one global log.  The glsn space is partitioned by
-    contiguous range ({!Planner.shard_range}; shard [i] owns
-    [\[glsn_start + i·width, glsn_start + (i+1)·width)]), and the user
-    population is partitioned by a stable hash of the submitting
-    principal, so every record lands on exactly one shard and every
-    glsn has exactly one owner.
+    contiguous range ({!Planner.shard_range}): shard [i] owns the 2{^20}
+    glsns from [0x139aef78 + i·2{^20}], the paper's first glsn for
+    shard 0.  The user population is partitioned by a stable hash of
+    the submitting principal, so every record lands on exactly one
+    shard and every glsn has exactly one owner.  Shards keep no
+    replicas: a fleet audit runs each shard's executor under [Fail].
 
     Fleet audits ({!audit}, {!run_session}, {!byzantine_audit}) share
     one {e scatter-gather} fan-out: the coordinator sends the criteria
@@ -36,19 +37,13 @@ type shard = {
   name : string;  (** ["shard<i>"] *)
   cluster : Cluster.t;
   range : Planner.shard_range;  (** the glsn interval this shard owns *)
-  replication : Replication.t option;
 }
 
 type t
 
 val create :
   ?seed:int ->
-  ?glsn_start:int ->
-  ?range_width:int ->
-  ?accumulator_bits:int ->
   ?net_of:(int -> Net.Network.t) ->
-  ?fabric:Net.Network.t ->
-  ?replication_degree:int ->
   shards:int ->
   Fragmentation.t ->
   t
@@ -56,23 +51,16 @@ val create :
     fragmentation map.  Shard [i] gets seed [seed + i], the network
     [net_of i] (default: a fresh {!Net.Network.of_config} engine seeded
     [seed + 131·i]) and the glsn range starting at
-    [glsn_start + i·range_width] (defaults: the paper's 0x139aef78 and
-    2{^20} glsns per shard) — so a 1-shard fleet is constructed
-    exactly like the corresponding unsharded cluster.  [fabric] is the
-    inter-shard network used for federated aggregates (default: fresh,
-    seeded [seed + 977]).  With [replication_degree], each shard gets
-    its own {!Replication.setup} and audits repair from replicas.
-    @raise Invalid_argument if [shards < 1] or the width is too small
-    for a valid layout. *)
+    [0x139aef78 + i·2{^20}] — so a 1-shard fleet is constructed
+    exactly like the corresponding unsharded cluster.  The inter-shard
+    network that carries federated aggregates is fresh, seeded
+    [seed + 977].
+    @raise Invalid_argument if [shards < 1]. *)
 
 val shards : t -> shard list
 (** In layout (ascending range) order. *)
 
 val shard_count : t -> int
-val layout : t -> Planner.shard_range list
-
-val fabric : t -> Net.Network.t
-(** The inter-shard network (cross-shard Shamir sums travel here). *)
 
 val owner_of : t -> Glsn.t -> shard option
 (** The shard whose range contains the glsn. *)
@@ -83,21 +71,16 @@ val shard_of_user : t -> Net.Node_id.t -> shard
     together. *)
 
 val submit :
-  ?durability:Cluster.durability ->
   t ->
   origin:Net.Node_id.t ->
   attributes:(Attribute.t * Value.t) list ->
   (shard * Glsn.t, string) result
 (** Route the event to {!shard_of_user}[ t origin]'s cluster and log it
     there under a per-(shard, principal) ingest ticket (issued on first
-    use and cached).  Returns the owning shard with the assigned glsn.
-    @raise Invalid_argument if the owning shard's glsn range is
-    exhausted — capacity planning must widen [range_width]. *)
-
-val replicate : t -> int
-(** Push (or refresh) replicas for every fragment in every shard that
-    was created with a [replication_degree]; returns the number of
-    replica blobs placed fleet-wide.  No-op (0) otherwise. *)
+    use and cached), with {!Cluster.submit}'s default [Degraded]
+    durability.  Returns the owning shard with the assigned glsn.
+    @raise Invalid_argument if the owning shard's 2{^20}-glsn range is
+    exhausted. *)
 
 val record_count : t -> int
 (** Total committed records across the fleet. *)
@@ -122,15 +105,13 @@ type audit = {
 
 val audit :
   t ->
-  ?ttp:Net.Node_id.t ->
   ?delivery:Executor.delivery ->
-  ?failure_mode:Executor.failure_mode ->
   auditor:Net.Node_id.t ->
   Auditor_engine.request ->
   (audit, Audit_error.t) result
-(** Fan the criteria out to every shard and merge.  With one shard this
-    is exactly {!Auditor_engine.run} — same bytes on the wire, same
-    report.
+(** Fan the criteria out to every shard, run {!Auditor_engine.run} in
+    each, and merge.  With one shard this is exactly
+    {!Auditor_engine.run} — same bytes on the wire, same report.
 
     A [Count_only] delivery gives the auditor each shard's count:
     every shard's executor delivers its own, and [per_shard] returns
@@ -152,16 +133,14 @@ type session = {
 
 val run_session :
   t ->
-  ?ttp:Net.Node_id.t ->
-  ?delivery:Executor.delivery ->
-  ?failure_mode:Executor.failure_mode ->
   auditor:Net.Node_id.t ->
   Query.t list ->
   (session, Audit_error.t) result
 (** Batched scatter-gather: run one {!Audit_session} inside each shard —
-    each with its own fresh per-session {!Executor.cache} — and merge
-    the summaries entry-wise.  Single-shard fleets bypass the fabric
-    and match {!Audit_session.run} byte for byte.
+    each with its own fresh per-session {!Executor.cache}, under the
+    session's defaults ([Glsns], [Fail]) — and merge the summaries
+    entry-wise.  Single-shard fleets bypass the fabric and match
+    {!Audit_session.run} byte for byte.
 
     Errors: nothing is checked before the scatter.  Each shard plans
     the batch itself, so an unknown attribute, like any other error,
@@ -174,9 +153,9 @@ val secret_count_total :
   t -> auditor:Net.Node_id.t -> criteria:string -> (int, string) result
 (** Fleet-wide secret count.  With S ≥ 2 the shards act as a
     {!Federation}: each evaluates count-only locally and the counts
-    combine under the §3.5 Shamir secure sum over the {!fabric}, so no
-    shard learns another's count.  With S = 1 the single shard answers
-    directly (count-only), with no fabric traffic. *)
+    combine under the §3.5 Shamir secure sum over the inter-shard
+    network, so no shard learns another's count.  With S = 1 the single
+    shard answers directly (count-only), with no fabric traffic. *)
 
 (** {1 Sharded secret-shared columns} *)
 
@@ -222,18 +201,14 @@ type byzantine = {
 
 val byzantine_audit :
   t ->
-  ?ttp:Net.Node_id.t ->
-  ?delivery:Executor.delivery ->
-  ?recovery:Byzantine.recovery_mode ->
-  ?tolerance:int ->
-  ?max_attempts:int ->
   auditor:Net.Node_id.t ->
   Query.t ->
   (byzantine, Audit_error.t) result
-(** {!Byzantine.audit} inside every shard under the ambient
+(** {!Byzantine.audit} inside every shard, under its defaults
+    ({!Byzantine.Rehost}, [Glsns]) and under the ambient
     {!Net.Adversary} hook: detection, quarantine and re-run all happen
-    within the accused node's own shard (each shard uses its own
-    replication for {!Byzantine.Rehost}-style repair when configured).
+    within the accused node's own shard, whose node count sets its
+    tolerance and retry budget.
 
     Errors: as {!run_session}'s.  Every shard runs, also after an
     earlier one has failed (with a {!Audit_error.Byzantine_fault} past

@@ -6,15 +6,12 @@ type engine = {
 
 type t = { fleet : Sharding.t; engines : engine list }
 
-let create ?ttp ?verifier ?failure_mode ?checkpoint_interval fleet =
+let create fleet =
   let engines =
     List.map
       (fun (shard : Sharding.shard) ->
         let registry = Continuous_registry.create shard.Sharding.cluster in
-        let incremental =
-          Continuous_incremental.create ?ttp ?verifier ?failure_mode
-            ?checkpoint_interval registry
-        in
+        let incremental = Continuous_incremental.create registry in
         { shard; registry; incremental })
       (Sharding.shards fleet)
   in
@@ -88,9 +85,6 @@ let verdicts t =
            Option.map
              (fun v -> (s.Continuous_registry.sid, v))
              (verdict t s.Continuous_registry.sid))
-
-let engines t =
-  List.map (fun e -> (e.shard.Sharding.name, e.incremental)) t.engines
 
 let checkpoint_now t =
   List.map

@@ -17,17 +17,11 @@
 
 type t
 
-val create :
-  ?ttp:Net.Node_id.t ->
-  ?verifier:Net.Node_id.t ->
-  ?failure_mode:Executor.failure_mode ->
-  ?checkpoint_interval:int ->
-  Sharding.t ->
-  t
+val create : Sharding.t -> t
 (** Attach a registry and an incremental engine to every shard of the
-    fleet; parameters are per-shard, as in
-    {!Continuous_incremental.create}.  Each shard cuts (and publishes
-    to [verifier]) its own checkpoint chain. *)
+    fleet, each as {!Continuous_incremental.create} makes it (no
+    automatic checkpoints).  Each shard cuts (and publishes to the
+    auditor) its own checkpoint chain. *)
 
 val fleet : t -> Sharding.t
 
@@ -54,10 +48,6 @@ val per_shard_verdicts :
   t -> Continuous_registry.id ->
   (string * Continuous_incremental.verdict) list
 (** Each shard's own verdict for the id, layout order. *)
-
-val engines : t -> (string * Continuous_incremental.t) list
-(** The per-shard engines (for checkpoints, delta streams, caches),
-    layout order. *)
 
 val checkpoint_now : t -> (string * Continuous_checkpoint.checkpoint) list
 (** Cut, link and publish a checkpoint on every shard. *)

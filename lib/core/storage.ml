@@ -221,9 +221,6 @@ let replica_of t ~owner glsn =
   | None -> None
   | Some blobs -> List.assoc_opt (Net.Node_id.to_string owner) blobs
 
-let replica_count t =
-  Glsn.Map.fold (fun _ blobs acc -> acc + List.length blobs) t.replicas 0
-
 let park_hint t hint = t.hints <- hint :: t.hints
 
 let hints t = List.rev t.hints

@@ -99,8 +99,6 @@ val store_replica :
 
 val replica_of : t -> owner:Net.Node_id.t -> Glsn.t -> string option
 
-val replica_count : t -> int
-
 (** {1 Hinted handoff}
 
     When a fragment's home node is down at submit time, the crash-safe

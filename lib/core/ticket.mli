@@ -11,8 +11,6 @@
 
 type right = Read | Write | Delete
 
-val right_to_string : right -> string
-
 type t = private {
   id : string;  (** Table 6's "Ticket ID", e.g. "T1" *)
   principal : Net.Node_id.t;

@@ -1,5 +1,3 @@
-open Numtheory
-
 type t = Int of int | Money of int | Time of int | Str of string
 
 let kind = function
@@ -20,7 +18,6 @@ let compare a b =
     Stdlib.compare (kind_rank a) (kind_rank b)
 
 let equal a b = compare a b = 0
-let same_kind a b = kind_rank a = kind_rank b
 
 let comparison_class = function
   | Int _ | Time _ -> "num"
@@ -36,11 +33,6 @@ let compare_semantic a b =
   | Str x, Str y -> String.compare x y
   | (Int _ | Money _ | Time _ | Str _), _ ->
     invalid_arg "Value.compare_semantic: values are not comparable"
-let is_numeric = function Int _ | Money _ | Time _ -> true | Str _ -> false
-
-let to_bignum = function
-  | Int v | Money v | Time v -> Bignum.of_int v
-  | Str _ -> invalid_arg "Value.to_bignum: strings have no numeric embedding"
 
 let money_of_float f = Money (int_of_float (Float.round (f *. 100.0)))
 

@@ -6,8 +6,6 @@
     primitive evaluates them across nodes (blinded order comparison needs
     a numeric embedding; strings support equality only). *)
 
-open Numtheory
-
 type t =
   | Int of int  (** counters, sizes, ports *)
   | Money of int  (** fixed-point currency, in cents: 23.45 = 2345 *)
@@ -19,9 +17,6 @@ val compare : t -> t -> int
     maps work), values of the same kind by natural order. *)
 
 val equal : t -> t -> bool
-
-val same_kind : t -> t -> bool
-(** Same constructor. *)
 
 val kind : t -> string
 
@@ -42,14 +37,6 @@ val comparable : t -> t -> bool
 val compare_semantic : t -> t -> int
 (** Order within a comparison class ([Int 5] equals [Time 5]).
     @raise Invalid_argument when the values are not {!comparable}. *)
-
-val is_numeric : t -> bool
-(** [true] for [Int], [Money] and [Time] — kinds that support blinded
-    order comparison across nodes. *)
-
-val to_bignum : t -> Bignum.t
-(** Numeric embedding for blinded comparison.
-    @raise Invalid_argument on [Str]. *)
 
 val money_of_float : float -> t
 (** Convenience: [money_of_float 23.45 = Money 2345] (rounded). *)

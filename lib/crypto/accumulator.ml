@@ -14,6 +14,9 @@ let of_values ~n ~x0 =
     invalid_arg "Accumulator.of_values: x0 outside (1, n)"
   else { n; x0 }
 
+(* Deterministic odd exponent derived from a payload by SHA-256: odd so
+   that it is coprime to the even group order with overwhelming
+   probability. *)
 let exponent_of_bytes payload =
   Bignum.logor (Bignum.of_bytes_be (Sha256.digest payload)) Bignum.one
 

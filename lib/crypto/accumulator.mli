@@ -22,11 +22,6 @@ val of_values : n:Bignum.t -> x0:Bignum.t -> params
 (** Wrap externally agreed values.
     @raise Invalid_argument unless [1 < x0 < n] and [n > 3]. *)
 
-val exponent_of_bytes : string -> Bignum.t
-(** Deterministic odd exponent derived from a payload by SHA-256 (odd so
-    that it is coprime to the even group order with overwhelming
-    probability). *)
-
 val accumulate : params -> Bignum.t -> y:Bignum.t -> Bignum.t
 (** One fold step: [acc^y mod n].
     @raise Invalid_argument if [y <= 0]. *)

@@ -5,12 +5,6 @@
     glsn-derived nonce, so replica holders store ciphertext only.
     Validated against the RFC 8439 test vectors in the test suite. *)
 
-val key_len : int
-(** 32 bytes. *)
-
-val nonce_len : int
-(** 12 bytes. *)
-
 val block : key:string -> nonce:string -> counter:int -> string
 (** One 64-byte keystream block.
     @raise Invalid_argument on wrong key/nonce sizes or a negative

@@ -8,11 +8,6 @@ type key = { e : Bignum.t; d : Bignum.t }
 let make_params p = { p; span = Bignum.sub p (Bignum.of_int 3) }
 let generate_params rng ~bits = make_params (Primes.random_safe_prime rng ~bits)
 
-let params_of_prime p =
-  if Bignum.compare p (Bignum.of_int 5) < 0 || Bignum.is_even p then
-    invalid_arg "Pohlig_hellman.params_of_prime: need an odd prime >= 5"
-  else make_params p
-
 let generate_key rng { p; _ } =
   let phi = Bignum.pred p in
   let rec go () =

@@ -20,10 +20,6 @@ type key = private { e : Bignum.t; d : Bignum.t }
 val generate_params : Numtheory.Prng.t -> bits:int -> params
 (** Fresh safe-prime parameters.  All cluster members share [params]. *)
 
-val params_of_prime : Bignum.t -> params
-(** Wrap an externally agreed prime.
-    @raise Invalid_argument if the argument is even or < 5. *)
-
 val generate_key : Numtheory.Prng.t -> params -> key
 (** Random [e] coprime to [p-1], with matching [d]. *)
 

@@ -156,7 +156,6 @@ let virtual_time_ms t = t.virtual_time_ms
 let take_down t node = t.down <- Node_id.Set.add node t.down
 let bring_up t node = t.down <- Node_id.Set.remove node t.down
 let is_up t node = not (Node_id.Set.mem node t.down)
-let down_nodes t = Node_id.Set.elements t.down
 
 let sorted_bindings table =
   Hashtbl.fold (fun label count acc -> (label, count) :: acc) table []
@@ -189,13 +188,3 @@ let reset_stats t =
   t.by_label <- Hashtbl.create 16;
   t.dropped_by_label <- Hashtbl.create 16;
   t.open_frames <- Hashtbl.create 16
-
-let pp_stats fmt (s : stats) =
-  Format.fprintf fmt
-    "@[<v>messages: %d@ bytes: %d@ rounds: %d@ dropped: %d@ frames: %d (%d \
-     msgs, %d bytes)@ virtual time: %.1f ms@ %a@]"
-    s.messages s.bytes s.rounds s.dropped s.frames s.frame_msgs s.frame_bytes
-    s.virtual_time_ms
-    (Format.pp_print_list (fun fmt (l, c) -> Format.fprintf fmt "%s: %d" l c))
-    (s.by_label
-    @ List.map (fun (l, c) -> (l ^ " [dropped]", c)) s.dropped_by_label)

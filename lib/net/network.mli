@@ -41,10 +41,6 @@ type stats = {
           for the fault experiments *)
 }
 
-val frame_header_bytes : int
-(** Accounting cost of one frame header (count + length prefixes),
-    paid once per frame however many messages coalesce into it. *)
-
 val of_config : Config.t -> t
 (** The constructor.  The network itself reads seed, latency, loss and
     [coalesce] (this module is the one implementation of frame
@@ -91,11 +87,7 @@ val take_down : t -> Node_id.t -> unit
 val bring_up : t -> Node_id.t -> unit
 val is_up : t -> Node_id.t -> bool
 
-val down_nodes : t -> Node_id.t list
-(** Currently crashed nodes, sorted. *)
-
 val stats : t -> stats
 val reset_stats : t -> unit
 (** Zero the counters but keep topology, faults and the ledger. *)
 
-val pp_stats : Format.formatter -> stats -> unit

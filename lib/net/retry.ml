@@ -1,21 +1,12 @@
 open Numtheory
 
-type policy = {
-  max_attempts : int;
-  base_backoff_ms : float;
-  backoff_multiplier : float;
-  max_backoff_ms : float;
-  jitter : float;
-}
-
-let default_policy =
-  {
-    max_attempts = 5;
-    base_backoff_ms = 2.0;
-    backoff_multiplier = 2.0;
-    max_backoff_ms = 50.0;
-    jitter = 0.2;
-  }
+let max_attempts = 5
+let base_backoff_ms = 2.0
+let backoff_multiplier = 2.0
+let max_backoff_ms = 50.0
+let jitter = 0.2
+let failure_threshold = 3
+let cooldown_ms = 100.0
 
 type breaker_state = Closed | Open | Half_open
 
@@ -28,31 +19,12 @@ type breaker = {
 
 type t = {
   net : Network.t;
-  pol : policy;
-  failure_threshold : int;
-  cooldown_ms : float;
   rng : Prng.t;
   breakers : (Node_id.t, breaker) Hashtbl.t;
 }
 
-let create ?(policy = default_policy) ?(failure_threshold = 3)
-    ?(cooldown_ms = 100.0) ?(seed = 0) net =
-  if policy.max_attempts < 1 then
-    invalid_arg "Retry.create: max_attempts must be >= 1";
-  if policy.jitter < 0.0 || policy.jitter >= 1.0 then
-    invalid_arg "Retry.create: jitter must be in [0, 1)";
-  if failure_threshold < 1 then
-    invalid_arg "Retry.create: failure_threshold must be >= 1";
-  {
-    net;
-    pol = policy;
-    failure_threshold;
-    cooldown_ms;
-    rng = Prng.create ~seed;
-    breakers = Hashtbl.create 16;
-  }
-
-let policy t = t.pol
+let create ?(seed = 0) net =
+  { net; rng = Prng.create ~seed; breakers = Hashtbl.create 16 }
 
 let breaker t dst =
   match Hashtbl.find_opt t.breakers dst with
@@ -74,7 +46,7 @@ let now_ms t = Network.virtual_time_ms t.net
 let breaker_of t dst =
   let b = breaker t dst in
   if not b.is_open then Closed
-  else if now_ms t -. b.opened_at_ms >= t.cooldown_ms then Half_open
+  else if now_ms t -. b.opened_at_ms >= cooldown_ms then Half_open
   else Open
 
 let reachable t dst = breaker_of t dst <> Open
@@ -101,7 +73,7 @@ let note_success t dst =
 let note_failure t dst =
   let b = breaker t dst in
   b.consecutive_failures <- b.consecutive_failures + 1;
-  if b.consecutive_failures >= t.failure_threshold && not b.is_open then begin
+  if b.consecutive_failures >= failure_threshold && not b.is_open then begin
     b.is_open <- true;
     b.opened_at_ms <- now_ms t;
     Obs.Metrics.incr "retry.breaker.opened"
@@ -119,55 +91,40 @@ type outcome =
 let backoff_ms t attempt =
   (* attempt = 1 is the first retry wait. *)
   let base =
-    t.pol.base_backoff_ms
-    *. (t.pol.backoff_multiplier ** float_of_int (attempt - 1))
+    Float.min
+      (base_backoff_ms *. (backoff_multiplier ** float_of_int (attempt - 1)))
+      max_backoff_ms
   in
-  let base = Float.min base t.pol.max_backoff_ms in
-  if t.pol.jitter = 0.0 then base
-  else
-    let spread = ((2.0 *. Prng.float t.rng) -. 1.0) *. t.pol.jitter in
-    Float.max 0.0 (base *. (1.0 +. spread))
+  let spread = ((2.0 *. Prng.float t.rng) -. 1.0) *. jitter in
+  Float.max 0.0 (base *. (1.0 +. spread))
 
-let send_attempts t ~attempts ~src ~dst ~label ~bytes =
+let send t ~src ~dst ~label ~bytes =
   match breaker_of t dst with
   | Open ->
     Obs.Metrics.incr "retry.rejected_open";
     Gave_up { attempts = 0; reason = "circuit open" }
   | Closed | Half_open ->
     let b = breaker t dst in
-    let rec go attempt waited last_reason =
-      if attempt > attempts then
-        Gave_up { attempts = attempts; reason = last_reason }
-      else begin
-        Obs.Metrics.incr "retry.attempts";
-        match Network.send t.net ~src ~dst ~label ~bytes with
-        | Network.Delivered ->
-          note_success t dst;
-          Sent { attempts = attempt; waited_ms = waited }
-        | Network.Dropped reason ->
-          note_failure t dst;
-          if attempt = attempts then begin
-            Obs.Metrics.incr "retry.gave_up";
-            Gave_up { attempts = attempts; reason }
-          end
-          else begin
-            let wait = backoff_ms t attempt in
-            Obs.Metrics.observe "retry.backoff_ms" wait;
-            Network.charge_wait_ms t.net wait;
-            b.waited_ms <- b.waited_ms +. wait;
-            go (attempt + 1) (waited +. wait) reason
-          end
-      end
+    let rec go attempt waited =
+      Obs.Metrics.incr "retry.attempts";
+      match Network.send t.net ~src ~dst ~label ~bytes with
+      | Network.Delivered ->
+        note_success t dst;
+        Sent { attempts = attempt; waited_ms = waited }
+      | Network.Dropped reason ->
+        note_failure t dst;
+        if attempt = max_attempts then begin
+          Obs.Metrics.incr "retry.gave_up";
+          Gave_up { attempts = max_attempts; reason }
+        end
+        else begin
+          let wait = backoff_ms t attempt in
+          Obs.Metrics.observe "retry.backoff_ms" wait;
+          Network.charge_wait_ms t.net wait;
+          b.waited_ms <- b.waited_ms +. wait;
+          go (attempt + 1) (waited +. wait)
+        end
     in
-    go 1 0.0 "unsent"
-
-let send t ~src ~dst ~label ~bytes =
-  send_attempts t ~attempts:t.pol.max_attempts ~src ~dst ~label ~bytes
-
-let send_once t ~src ~dst ~label ~bytes =
-  send_attempts t ~attempts:1 ~src ~dst ~label ~bytes
+    go 1 0.0
 
 let waited_ms t dst = (breaker t dst).waited_ms
-
-let total_waited_ms t =
-  Hashtbl.fold (fun _ b acc -> acc +. b.waited_ms) t.breakers 0.0

@@ -2,12 +2,13 @@
 
     The paper's DLA service is a trusted-third-party {e cluster} so that
     the log survives individual node failure; this module is the send
-    discipline that makes the protocols live up to that: every send can
-    be retried under a configurable policy (bounded attempts,
-    exponential backoff with seeded jitter), and a per-destination
-    circuit breaker turns repeated failures into a fast local "suspect"
-    verdict so protocols can ask {!reachable} instead of timing out
-    again and again.
+    discipline that makes the protocols live up to that: every send is
+    retried under one fixed policy — up to 5 attempts, a 2 ms wait
+    before the second, doubling up to a 50 ms cap, each wait spread by
+    up to ±20% of seeded jitter — and a per-destination circuit breaker
+    turns 3 consecutive failed attempts into a fast local "suspect"
+    verdict for 100 ms of virtual time, so protocols can ask
+    {!reachable} instead of timing out again and again.
 
     All waiting is {e virtual}: backoff charges the network's virtual
     clock ({!Network.charge_wait_ms}), so fault experiments report
@@ -15,32 +16,10 @@
     dedicated seeded {!Numtheory.Prng} stream, independent of the
     network's loss stream. *)
 
-type policy = {
-  max_attempts : int;  (** total tries per {!send} call, >= 1 *)
-  base_backoff_ms : float;  (** wait before the 2nd attempt *)
-  backoff_multiplier : float;  (** exponential growth factor *)
-  max_backoff_ms : float;  (** backoff ceiling *)
-  jitter : float;  (** +/- fraction of the backoff, in [0, 1) *)
-}
-
-val default_policy : policy
-(** 5 attempts, 2 ms base, x2 growth, 50 ms cap, 0.2 jitter. *)
-
 type t
 
-val create :
-  ?policy:policy ->
-  ?failure_threshold:int ->
-  ?cooldown_ms:float ->
-  ?seed:int ->
-  Network.t ->
-  t
-(** [failure_threshold] (default 3): consecutive failed {e attempts} to
-    one destination before its breaker opens.  [cooldown_ms] (default
-    100): virtual time an open breaker waits before letting one probe
-    through. *)
-
-val policy : t -> policy
+val create : ?seed:int -> Network.t -> t
+(** [seed] (default 0) seeds the jitter stream. *)
 
 type outcome =
   | Sent of { attempts : int; waited_ms : float }
@@ -51,12 +30,7 @@ type outcome =
 val send :
   t -> src:Node_id.t -> dst:Node_id.t -> label:string -> bytes:int -> outcome
 (** Attempt delivery under the policy.  Success closes the destination's
-    breaker; exhausting the attempts counts towards opening it. *)
-
-val send_once :
-  t -> src:Node_id.t -> dst:Node_id.t -> label:string -> bytes:int -> outcome
-(** Single attempt (no backoff), still feeding the failure detector —
-    for probe traffic. *)
+    breaker; every failed attempt counts towards opening it. *)
 
 type breaker_state = Closed | Open | Half_open
 
@@ -81,5 +55,3 @@ val tick : t -> float -> unit
 val waited_ms : t -> Node_id.t -> float
 (** Total backoff charged against this destination — the per-node
     virtual-time account. *)
-
-val total_waited_ms : t -> float

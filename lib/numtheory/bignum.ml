@@ -297,7 +297,6 @@ let of_int n =
 
 let one = of_int 1
 let two = of_int 2
-let minus_one = of_int (-1)
 
 let sign t = t.sign
 let is_zero t = t.sign = 0

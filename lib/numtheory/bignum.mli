@@ -17,7 +17,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 val of_int : int -> t
 

@@ -45,7 +45,10 @@ let miller_rabin_round n d s a =
     squares x 1
   end
 
-let is_probable_prime ?(rounds = 24) rng n =
+(* Witnesses per test: a composite survives with probability below 4^-24. *)
+let miller_rabin_rounds = 24
+
+let is_probable_prime rng n =
   if Bignum.sign n <= 0 then false
   else begin
     match Bignum.to_int_opt n with
@@ -70,11 +73,11 @@ let is_probable_prime ?(rounds = 24) rng n =
             miller_rabin_round n d s a && rounds_left (k - 1)
           end
         in
-        rounds_left rounds
+        rounds_left miller_rabin_rounds
       end
   end
 
-let random_prime ?(rounds = 24) rng ~bits =
+let random_prime rng ~bits =
   if bits < 2 then invalid_arg "Primes.random_prime: need at least 2 bits"
   else begin
     let rec go () =
@@ -82,24 +85,24 @@ let random_prime ?(rounds = 24) rng ~bits =
       (* Force the top bit (exact width) and the bottom bit (odd). *)
       let top = Bignum.shift_left Bignum.one (bits - 1) in
       let candidate = Bignum.logor (Bignum.logor candidate top) Bignum.one in
-      if is_probable_prime ~rounds rng candidate then candidate else go ()
+      if is_probable_prime rng candidate then candidate else go ()
     in
     go ()
   end
 
-let random_safe_prime ?(rounds = 24) rng ~bits =
+let random_safe_prime rng ~bits =
   if bits < 4 then invalid_arg "Primes.random_safe_prime: need at least 4 bits"
   else begin
     let rec go () =
-      let q = random_prime ~rounds rng ~bits:(bits - 1) in
+      let q = random_prime rng ~bits:(bits - 1) in
       let p = Bignum.succ (Bignum.shift_left q 1) in
-      if Bignum.num_bits p = bits && is_probable_prime ~rounds rng p then p
+      if Bignum.num_bits p = bits && is_probable_prime rng p then p
       else go ()
     in
     go ()
   end
 
-let next_prime ?(rounds = 24) rng n =
+let next_prime rng n =
   let start =
     if Bignum.compare n Bignum.two < 0 then Bignum.two
     else begin
@@ -110,19 +113,19 @@ let next_prime ?(rounds = 24) rng n =
   if Bignum.equal start Bignum.two then Bignum.two
   else begin
     let rec go candidate =
-      if is_probable_prime ~rounds rng candidate then candidate
+      if is_probable_prime rng candidate then candidate
       else go (Bignum.add candidate Bignum.two)
     in
     go start
   end
 
-let rsa_modulus ?(rounds = 24) rng ~bits =
+let rsa_modulus rng ~bits =
   if bits < 8 then invalid_arg "Primes.rsa_modulus: need at least 8 bits"
   else begin
     let half = bits / 2 in
-    let p = random_prime ~rounds rng ~bits:half in
+    let p = random_prime rng ~bits:half in
     let rec distinct () =
-      let q = random_prime ~rounds rng ~bits:half in
+      let q = random_prime rng ~bits:half in
       if Bignum.equal p q then distinct () else q
     in
     let q = distinct () in

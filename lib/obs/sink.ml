@@ -29,36 +29,6 @@ let json_of ?experiment ?machine ?(m = Metrics.global) () =
       | None -> [])
     @ [ ("counters", Json.Obj counters); ("histograms", Json.Obj histograms) ])
 
-let summary ?(m = Metrics.global) ?(trace = Trace.global) () =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let counters = Metrics.counters ~m () in
-  if counters <> [] then begin
-    line "counters:";
-    List.iter (fun (name, v) -> line "  %-40s %d" name v) counters
-  end;
-  let hists = Metrics.summaries ~m () in
-  if hists <> [] then begin
-    line "histograms (ms):";
-    List.iter
-      (fun (name, (s : Metrics.summary)) ->
-        line "  %-40s n=%-5d p50=%.2f p95=%.2f p99=%.2f max=%.2f" name
-          s.count s.p50 s.p95 s.p99 s.max)
-      hists
-  end;
-  let spans = Trace.spans ~t:trace () in
-  if spans <> [] then begin
-    line "spans (completion order):";
-    List.iter
-      (fun (sp : Trace.span) ->
-        line "  %s%-*s %.2f ms"
-          (String.make (2 * sp.depth) ' ')
-          (40 - (2 * sp.depth))
-          sp.name sp.duration_ms)
-      spans
-  end;
-  Buffer.contents buf
-
 let write_file ~path doc =
   let dir = Filename.dirname path in
   if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

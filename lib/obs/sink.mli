@@ -25,10 +25,6 @@ val json_of :
   unit ->
   Json.t
 
-val summary : ?m:Metrics.t -> ?trace:Trace.t -> unit -> string
-(** Human-readable rendering: counters, histogram percentiles, and the
-    completed span tree (indented by depth). *)
-
 val write_file : path:string -> Json.t -> unit
 (** Pretty-print the document to [path], creating the parent directory
     if missing (one level). *)

@@ -38,7 +38,7 @@ let checkpoint_with_glsn ~net ~publisher ~verifier ~digest ~glsn =
 
 let audit_leaking_column cluster ?delivery ~auditor ~attr request =
   let net = Dla.Cluster.net cluster in
-  let ttp = Net.Node_id.Ttp "query" in
+  let ttp = Dla.Executor.ttp in
   (match Dla.Fragmentation.home_of (Dla.Cluster.fragmentation cluster) attr with
   | None -> invalid_arg "Leaky_fixture.audit_leaking_column: attribute unhomed"
   | Some home ->
@@ -61,4 +61,4 @@ let audit_leaking_column cluster ?delivery ~auditor ~attr request =
              ( (fun v -> Dla.Log_record.cell_to_string (attr, v)),
                column ));
         Net.Network.round ~label:"query" net));
-  Dla.Auditor_engine.run cluster ~ttp ?delivery ~auditor request
+  Dla.Auditor_engine.run cluster ?delivery ~auditor request

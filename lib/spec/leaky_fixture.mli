@@ -39,9 +39,9 @@ val audit_leaking_column :
   Dla.Auditor_engine.request ->
   (Dla.Auditor_engine.audit, Dla.Audit_error.t) result
 (** A whole audit with a TTP that sees one plaintext column: before the
-    honest {!Dla.Auditor_engine.run} (blind TTP [ttp:query]), the home
-    of [attr] ships that column to the TTP unblinded, and the TTP
-    records each cell as a [Plaintext] ["attr=value"] observation.  The
-    answer is still exactly the oracle's, so only the view check can
-    reject it: {!View_auditor} must flag [Plaintext_at_ttp].
+    honest {!Dla.Auditor_engine.run} (blind TTP {!Dla.Executor.ttp}),
+    the home of [attr] ships that column to the TTP unblinded, and the
+    TTP records each cell as a [Plaintext] ["attr=value"] observation.
+    The answer is still exactly the oracle's, so only the view check
+    can reject it: {!View_auditor} must flag [Plaintext_at_ttp].
     @raise Invalid_argument if no node stores [attr]. *)

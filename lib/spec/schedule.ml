@@ -8,21 +8,15 @@ let name t =
   | Skewed -> "skewed"
   | Lossy -> "lossy"
 
-let default_max_attempts = 40
-
 let uniform ~seed = { kind = Uniform; seed; max_attempts = 1 }
 let skewed ~seed = { kind = Skewed; seed; max_attempts = 1 }
 
-let lossy ?(max_attempts = default_max_attempts) ~seed () =
+let lossy ?(max_attempts = 40) ~seed () =
   if max_attempts < 1 then invalid_arg "Schedule.lossy: max_attempts < 1";
   { kind = Lossy; seed; max_attempts }
 
-let suite ?max_attempts ~seed () =
-  [
-    uniform ~seed;
-    skewed ~seed:(seed + 1);
-    lossy ?max_attempts ~seed:(seed + 2) ();
-  ]
+let suite ~seed () =
+  [ uniform ~seed; skewed ~seed:(seed + 1); lossy ~seed:(seed + 2) () ]
 
 exception Gave_up of { schedule : string; attempts : int; reason : string }
 

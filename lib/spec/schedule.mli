@@ -25,16 +25,13 @@ val uniform : seed:int -> t
 val skewed : seed:int -> t
 
 val lossy : ?max_attempts:int -> seed:int -> unit -> t
-(** [max_attempts] bounds the retry loop explicitly (default
-    {!default_max_attempts}).
+(** [max_attempts] bounds the retry loop explicitly (default 40, the
+    historical retry budget).
     @raise Invalid_argument if [max_attempts < 1]. *)
 
-val default_max_attempts : int
-(** 40 — the historical retry budget. *)
-
-val suite : ?max_attempts:int -> seed:int -> unit -> t list
-(** The three schedules above, derived from one chaos seed;
-    [max_attempts] applies to the lossy member. *)
+val suite : seed:int -> unit -> t list
+(** The three schedules above, derived from one chaos seed; the lossy
+    member has {!lossy}'s default budget. *)
 
 exception Gave_up of { schedule : string; attempts : int; reason : string }
 (** The lossy retry loop stopped without a completed attempt.  Two

@@ -43,7 +43,6 @@ let violation_to_string { event; reason } =
     | path -> String.concat "/" path)
     (reason_to_string reason)
 
-let pp_violation fmt v = Format.pp_print_string fmt (violation_to_string v)
 
 (* The Byzantine round guard's cross-checks ride the transcript as
    "byz:"-tagged events.  The defense must not become a side channel:

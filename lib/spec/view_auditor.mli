@@ -57,7 +57,6 @@ type violation = { event : Transcript.event; reason : reason }
 
 val reason_to_string : reason -> string
 val violation_to_string : violation -> string
-val pp_violation : Format.formatter -> violation -> unit
 
 val audit : specs:spec list -> Transcript.t -> violation list
 (** All violations in transcript order; [[]] means every recorded view

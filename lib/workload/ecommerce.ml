@@ -134,13 +134,3 @@ let populate cluster config =
       stream
   in
   (glsns, ground_truth_of config stream)
-
-let populate_centralized central config =
-  let stream = events config in
-  let glsns =
-    List.map
-      (fun (attrs, origin) ->
-        Centralized.submit central ~origin ~attributes:attrs)
-      stream
-  in
-  (glsns, ground_truth_of config stream)

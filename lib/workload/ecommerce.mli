@@ -32,6 +32,3 @@ val events : config -> ((Dla.Attribute.t * Dla.Value.t) list * Net.Node_id.t) li
 
 val populate : Dla.Cluster.t -> config -> Dla.Glsn.t list * ground_truth
 (** Issue one W/R ticket per user and submit all events. *)
-
-val populate_centralized :
-  Dla.Centralized.t -> config -> Dla.Glsn.t list * ground_truth

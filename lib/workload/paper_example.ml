@@ -29,6 +29,7 @@ let rows =
       ~c1:53 ~c2:678.75 ~c3:"account"
   ]
 
+(* Table 6: which ticket logs which rows, as (ticket id, row indexes). *)
 let ticket_assignment = [ ("T1", [ 0; 2 ]); ("T2", [ 1; 3 ]); ("T3", [ 4 ]) ]
 
 let origin_of_row row =
@@ -71,8 +72,8 @@ let build ?(seed = 0) ?net () =
   in
   (cluster, glsns)
 
-let build_centralized ?net () =
-  let central = Centralized.create ?net ~auditor:Net.Node_id.Auditor () in
+let build_centralized () =
+  let central = Centralized.create ~auditor:Net.Node_id.Auditor () in
   let glsns =
     List.map
       (fun row ->

@@ -7,10 +7,6 @@ val attributes : Dla.Attribute.t list
 val rows : (Dla.Attribute.t * Dla.Value.t) list list
 (** The five Table 1 rows (glsn's come from the cluster allocator). *)
 
-val ticket_assignment : (string * int list) list
-(** Table 6: which ticket logs which rows, as [(ticket id, row indexes)]:
-    T1 → rows 0 and 2, T2 → rows 1 and 3, T3 → row 4. *)
-
 val build :
   ?seed:int -> ?net:Net.Network.t -> unit -> Dla.Cluster.t * Dla.Glsn.t list
 (** A 4-node cluster with the paper's partition (Tables 2–5), the five
@@ -18,9 +14,9 @@ val build :
     glsn's in row order.  [net] substitutes a pre-built network (e.g. a
     {!Spec.Schedule} one) for the default clean network. *)
 
-val build_centralized :
-  ?net:Net.Network.t -> unit -> Dla.Centralized.t * Dla.Glsn.t list
-(** The same five rows in the Figure 1 centralized baseline. *)
+val build_centralized : unit -> Dla.Centralized.t * Dla.Glsn.t list
+(** The same five rows in the Figure 1 centralized baseline, on a fresh
+    clean network. *)
 
 val render_global_table : Dla.Cluster.t -> Dla.Glsn.t list -> string
 (** Re-render Table 1 from cluster state (requires reassembly —

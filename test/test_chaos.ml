@@ -255,6 +255,37 @@ let test_strict_rejects_cleanly () =
   ignore (submit_ok cluster ticket (List.nth rows 2));
   Alcotest.(check int) "recovered" 2 (List.length (Cluster.all_glsns cluster))
 
+(* A fragment whose home is down is parked on the home's first ring
+   successor that is up and reachable, wrapping past the end of the
+   ring (P3's successor is P0). *)
+let test_hint_holder_is_first_live_successor () =
+  List.iter
+    (fun (down, expected) ->
+      let cluster, ticket = build_cluster ~seed:9 () in
+      let net = Cluster.net cluster in
+      List.iter (fun i -> Net.Network.take_down net (Net.Node_id.Dla i)) down;
+      (match
+         Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
+           ~attributes:(List.hd rows)
+       with
+      | Cluster.Committed_degraded _ -> ()
+      | Cluster.Committed _ -> Alcotest.fail "expected Committed_degraded"
+      | Cluster.Rejected e -> Alcotest.failf "rejected: %s" e);
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "(target, holder) with %s down"
+           (String.concat "," (List.map string_of_int down)))
+        expected
+        (List.sort compare
+           (List.map
+              (fun (holder, target, _) ->
+                (Net.Node_id.to_string target, Net.Node_id.to_string holder))
+              (Cluster.pending_hints cluster))))
+    [ ([ 1 ], [ ("P1", "P2") ]);
+      ([ 1; 2 ], [ ("P1", "P3"); ("P2", "P3") ]);
+      ([ 3 ], [ ("P3", "P0") ]);
+      ([ 3; 0 ], [ ("P0", "P1"); ("P3", "P1") ])
+    ]
+
 let test_transaction_rollback () =
   let cluster, ticket = build_cluster ~seed:8 () in
   (* The second event carries an attribute no node supports, so the
@@ -295,9 +326,7 @@ let test_transaction_rollback () =
 
 let test_circuit_breaker_lifecycle () =
   let net = Net.Network.of_config (Net.Config.make ~seed:3 ()) in
-  let retry =
-    Net.Retry.create ~failure_threshold:3 ~cooldown_ms:100.0 ~seed:3 net
-  in
+  let retry = Net.Retry.create ~seed:3 net in
   let dst = Net.Node_id.Dla 1 in
   let send () =
     Net.Retry.send retry ~src:(Net.Node_id.User 1) ~dst ~label:"probe"
@@ -708,8 +737,7 @@ let test_byzantine_over_tolerance () =
   in
   match
     Net.Adversary.with_active adv (fun () ->
-        Byzantine.audit cluster ~tolerance:1 ~auditor:Net.Node_id.Auditor
-          query)
+        Byzantine.audit cluster ~auditor:Net.Node_id.Auditor query)
   with
   | Ok _ -> Alcotest.fail "collusion above tolerance must not yield a verdict"
   | Error (Audit_error.Byzantine_fault { accused; during; _ }) ->
@@ -836,7 +864,9 @@ let () =
         [ Alcotest.test_case "strict rejects cleanly" `Quick
             test_strict_rejects_cleanly;
           Alcotest.test_case "transaction rollback" `Quick
-            test_transaction_rollback
+            test_transaction_rollback;
+          Alcotest.test_case "hint goes to the first live successor" `Quick
+            test_hint_holder_is_first_live_successor
         ] );
       ( "retry",
         [ Alcotest.test_case "circuit breaker lifecycle" `Quick

@@ -324,14 +324,13 @@ let run_view cluster transcript =
   }
 
 let test_phase1_order () =
-  let ttp = Net.Node_id.Ttp "query" in
   let criteria = List.map parse phase1_batch in
   let session =
     let cluster, _ = Workload.Paper_example.build () in
     Obs.Trace.reset ();
     let (), transcript =
       Spec.Transcript.record (fun () ->
-          match Audit_session.run cluster ~ttp ~auditor criteria with
+          match Audit_session.run cluster ~auditor criteria with
           | Ok _ -> ()
           | Error e -> Alcotest.fail (Audit_error.to_string e))
     in
@@ -370,11 +369,11 @@ let test_phase1_order () =
           Obs.Trace.with_span "session.audit" (fun () ->
               List.iter
                 (fun s ->
-                  Executor.warm_clause cluster ~ttp ~cache (clause_of s))
+                  Executor.warm_clause cluster ~cache (clause_of s))
                 phase1_order;
               List.iter
                 (fun q ->
-                  match Executor.run cluster ~ttp ~cache ~auditor q with
+                  match Executor.run cluster ~cache ~auditor q with
                   | Ok _ -> ()
                   | Error e -> Alcotest.fail (Audit_error.to_string e))
                 criteria))
