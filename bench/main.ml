@@ -791,7 +791,7 @@ let exp_exposure () =
 
 let exp_async_integrity () =
   section
-    "P9: asynchronous integrity circulation (discrete-event simulation)";
+    "P9: asynchronous integrity circulation (timed ring walk)";
   let cluster, glsns = populated_cluster 5 in
   let glsn = List.hd glsns in
   let show label verdict time =

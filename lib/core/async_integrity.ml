@@ -14,12 +14,6 @@ let verdict_to_string = function
   | Timed_out None -> "timed out"
   | No_digest -> "no digest"
 
-type message = {
-  glsn : Glsn.t;
-  acc : Bignum.t;
-  hops : int;  (* nodes that have already folded their fragment *)
-}
-
 let check_record cluster ?(latency_ms = 1.0) ?(timeout_ms = 100.0) ?(down = [])
     ~initiator glsn =
   let nodes = Cluster.nodes cluster in
@@ -29,58 +23,46 @@ let check_record cluster ?(latency_ms = 1.0) ?(timeout_ms = 100.0) ?(down = [])
   match Storage.digest_of initiator_store glsn with
   | None -> (No_digest, 0.0)
   | Some deposited ->
-    let rt =
-      Net.Runtime.create (Net.Config.make ~latency_ms:(fun _ _ -> latency_ms) ())
+    let is_down node = List.exists (Net.Node_id.equal node) down in
+    let arrival now =
+      let at = now +. latency_ms in
+      if Float.is_finite at && at >= 0.0 then at
+      else invalid_arg "Async_integrity.check_record: bad latency"
     in
-    List.iter (Net.Runtime.take_down rt) down;
-    let verdict = ref (Timed_out None) in
-    let finished = ref false in
-    let finish_time = ref 0.0 in
-    let last_forwarder = ref None in
-    let next_of node = Smc.Proto_util.ring_next nodes node in
-    (* Every node folds its fragment and forwards; the initiator, on
-       seeing a message that has completed the full ring, compares. *)
-    List.iter
-      (fun node ->
-        Net.Runtime.on_message rt node (fun ~src:_ msg ->
-            if not !finished then begin
-              if msg.hops = n then begin
-                (* Back at the initiator with every fragment folded. *)
-                if Net.Node_id.equal node initiator then begin
-                  finished := true;
-                  finish_time := Net.Runtime.now rt;
-                  verdict :=
-                    if Bignum.equal msg.acc deposited then Intact
-                    else Mismatch
-                end
-              end
-              else begin
-                let store = Cluster.store_of cluster node in
-                match Storage.fragment_of store glsn with
-                | None ->
-                  (* A missing row stalls the circulation; the timeout
-                     will attribute it. *)
-                  ()
-                | Some fragment ->
-                  let wire = Log_record.fragment_wire ~glsn fragment in
-                  let acc =
-                    Crypto.Accumulator.accumulate_bytes params msg.acc wire
-                  in
-                  last_forwarder := Some node;
-                  Net.Runtime.send rt ~src:node ~dst:(next_of node)
-                    { msg with acc; hops = msg.hops + 1 }
-              end
-            end))
-      nodes;
-    (* Kick off: the initiator starts the token toward itself (it folds
-       its own fragment through its handler like everyone else). *)
-    Net.Runtime.send rt ~src:initiator ~dst:initiator
-      { glsn; acc = params.Crypto.Accumulator.x0; hops = 0 };
-    Net.Runtime.set_timer rt ~delay_ms:timeout_ms (fun () ->
-        if not !finished then begin
-          finished := true;
-          finish_time := Net.Runtime.now rt;
-          verdict := Timed_out !last_forwarder
-        end);
-    ignore (Net.Runtime.run rt);
-    (!verdict, !finish_time)
+    (* Kick off: the initiator sends the token to itself (it folds its
+       own fragment like everyone else); a down initiator sends
+       nothing. *)
+    let kick_off = if is_down initiator then None else Some (arrival 0.0) in
+    if timeout_ms < 0.0 || not (Float.is_finite timeout_ms) then
+      invalid_arg "Async_integrity.check_record: bad timeout";
+    (* Read off a clock that starts at 0, so a -0.0 timeout ends at 0.0. *)
+    let deadline = 0.0 +. timeout_ms in
+    (* The timeout is armed right after the kick-off is sent, so the
+       kick-off wins a tie with it and every later arrival loses one.
+       Every node folds its fragment into the accumulator and forwards
+       it; the initiator, on seeing the token back with every fragment
+       folded, compares.  A late token, a down node or a missing row
+       stalls the circulation until the timeout, which names the last
+       node that forwarded. *)
+    let rec walk node ~at ~acc ~hops ~last_forwarder =
+      let in_time = if hops = 0 then at <= deadline else at < deadline in
+      if (not in_time) || is_down node then (Timed_out last_forwarder, deadline)
+      else if hops = n then
+        ((if Bignum.equal acc deposited then Intact else Mismatch), at)
+      else
+        match Storage.fragment_of (Cluster.store_of cluster node) glsn with
+        | None -> (Timed_out last_forwarder, deadline)
+        | Some fragment ->
+          let acc =
+            Crypto.Accumulator.accumulate_bytes params acc
+              (Log_record.fragment_wire ~glsn fragment)
+          in
+          walk
+            (Smc.Proto_util.ring_next nodes node)
+            ~at:(arrival at) ~acc ~hops:(hops + 1) ~last_forwarder:(Some node)
+    in
+    match kick_off with
+    | None -> (Timed_out None, deadline)
+    | Some at ->
+      walk initiator ~at ~acc:params.Crypto.Accumulator.x0 ~hops:0
+        ~last_forwarder:None

@@ -1,13 +1,15 @@
-(** Asynchronous integrity circulation (§4.1) on the discrete-event
-    reactor.
+(** Asynchronous integrity circulation (§4.1), with link latency and a
+    timeout.
 
     The synchronous {!Integrity.check_record} abstracts the ring
-    circulation as straight-line orchestration.  This module runs the
-    same protocol as real message passing on {!Net.Runtime}: each node
-    holds a handler that folds its fragment into the received
-    accumulator and forwards it; the initiator arms a timeout so a dead
-    or silent node yields a [Timed_out] verdict instead of a hang.
-    Tests assert the two implementations agree wherever both are
+    circulation as straight-line orchestration.  This module times it:
+    one accumulator token walks the ring, reaching the initiator after
+    one link latency and each later node one latency after the previous
+    one.  Every node folds its fragment into the token and forwards it;
+    the initiator arms a timeout right after the kick-off, so a dead or
+    silent node yields a [Timed_out] verdict instead of a hang.  The
+    kick-off wins a tie with the timeout and every later arrival loses
+    one.  Tests assert the two implementations agree wherever both are
     defined. *)
 
 type verdict =
@@ -29,5 +31,9 @@ val check_record :
   Glsn.t ->
   verdict * float
 (** Run one asynchronous circulation; returns the verdict and the
-    virtual completion time in ms.  [down] nodes neither receive nor
-    forward. *)
+    virtual completion time in ms: the token's return to the initiator,
+    or [timeout_ms] when it stalls.  [down] nodes neither receive nor
+    forward.
+    @raise Invalid_argument on a negative or non-finite [timeout_ms],
+    or on a [latency_ms] that puts a send the initiator or a node makes
+    in time at a negative or non-finite instant. *)

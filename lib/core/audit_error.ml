@@ -11,7 +11,6 @@ type t =
       during : string;
       detail : string;
     }
-  | Shard_layout of { detail : string }
 
 (* The renderings predate the typed variant; tests and CLI output
    depend on these exact strings. *)
@@ -32,7 +31,6 @@ let to_string = function
   | Byzantine_fault { accused; during; detail } ->
     Printf.sprintf "byzantine fault during %s: %s (accused: %s)" during detail
       (String.concat ", " (List.map Net.Node_id.to_string accused))
-  | Shard_layout { detail } -> "invalid shard layout: " ^ detail
 
 let of_partition ~during ~node ~reason =
   Unreachable { node; during = Printf.sprintf "%s (%s)" during reason }

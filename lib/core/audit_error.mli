@@ -34,11 +34,6 @@ type t =
       (** the Byzantine layer ran out of recovery room: the accused
           nodes exceeded the collusion tolerance or the retry budget
           was exhausted; [accused] names every node caught lying *)
-  | Shard_layout of { detail : string }
-      (** the shard ranges handed to {!Planner.validate_layout} (by
-          {!Sharding.create}) do not partition the glsn space: empty
-          layout, duplicate shard name, overlapping or non-contiguous
-          ranges *)
 
 val to_string : t -> string
 (** Human-readable rendering, byte-compatible with the strings the

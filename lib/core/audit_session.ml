@@ -47,9 +47,9 @@ let run cluster ?(delivery = Executor.Glsns) ?(failure_mode = Executor.Fail)
        SQ_i across all criteria is taken once, stably sorted by estimated
        cost, and evaluated into the session cache.  Execution itself
        stays strictly sequential (so transcripts are byte-identical to
-       the sequential engine); the reactor's {!Net.Runtime.Pipeline}
-       overlays a virtual-time schedule in which clauses with disjoint
-       storage footprints overlap, bounded by the configured depth. *)
+       the sequential engine); {!Net.Runtime.Pipeline} overlays a
+       virtual-time schedule in which clauses with disjoint storage
+       footprints overlap, bounded by the configured depth. *)
     let pipeline =
       Net.Runtime.Pipeline.create
         ~max_depth:(Net.Network.config net).Net.Config.max_pipeline_depth ()

@@ -46,7 +46,7 @@ type summary = {
   bytes : int;
   rounds : int;
   pipeline : Net.Runtime.Pipeline.report;
-      (** reactor schedule for phase 1: each distinct clause is a job
+      (** virtual-time schedule for phase 1: each distinct clause is a job
           over its {!Planner.clause_resources}; [sequential_ms] is the
           virtual time the clause evaluations actually consumed end to
           end, [pipelined_ms] the makespan once independent clauses
@@ -71,8 +71,8 @@ val run :
 
     [conjunction] is forwarded to every phase-2 {!Executor.run}
     (default: the XOR pad, the exact historical behaviour) — see
-    {!Executor.run} for why a modexp-backed scheme matters under the
-    reactor's domain pool. *)
+    {!Executor.run} for why a modexp-backed scheme matters under a
+    domain pool. *)
 
 val run_strings :
   Cluster.t ->

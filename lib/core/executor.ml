@@ -16,7 +16,6 @@ type coverage = {
 
 type report = {
   criteria : Query.t;
-  plan : Planner.t;
   matching : Glsn.t list;
   count : int;
   c_auditing : float;
@@ -482,7 +481,7 @@ let clause_step cluster ~on_failure ~cache (clause : Planner.planned_clause) =
 (* Default commutative scheme for the multi-home conjunction: the XOR
    pad, as always.  [?conjunction] lets a session swap in a real cipher
    (Pohlig–Hellman) — same protocol, same transcript shape, but the
-   ring passes become modexp batches the reactor's domain pool can
+   ring passes become modexp batches an installed domain pool can
    farm. *)
 let default_conjunction rng =
   Crypto.Commutative.xor_pad rng (Crypto.Xor_pad.params ~width_bits:256)
@@ -630,7 +629,6 @@ let run cluster ?(delivery = Glsns) ?(on_failure = Fail) ?replication ?cache
     Ok
       {
         criteria;
-        plan;
         matching;
         count = Glsn.Set.cardinal final_set;
         c_auditing = Confidentiality.c_auditing plan;

@@ -55,11 +55,10 @@ type coverage = {
 
 type report = {
   criteria : Query.t;
-  plan : Planner.t;
   matching : Glsn.t list;
       (** sorted ascending; empty under [Count_only] (see [count]) *)
   count : int;  (** cardinality of the result set *)
-  c_auditing : float;  (** eq 11: {!Confidentiality.c_auditing} of [plan] *)
+  c_auditing : float;  (** eq 11: {!Confidentiality.c_auditing} of the plan *)
   coverage : coverage;
       (** which clauses were evaluated and which records were
           unreachable; [complete = true] on the fault-free path *)
@@ -194,7 +193,7 @@ val run :
     {!Crypto.Commutative.scheme} yields the same intersection — the
     protocol is scheme-generic — but a modexp-backed cipher such as
     {!Crypto.Commutative.pohlig_hellman} turns the ring passes into
-    encryption batches the reactor's domain pool can farm, which is how
+    encryption batches an installed domain pool can farm, which is how
     the P18 pipeline bench generates real parallel compute. *)
 
 val warm_clause :

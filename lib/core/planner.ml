@@ -133,7 +133,7 @@ let planned_clause_key (clause : planned_clause) =
    plus every atom's fragment home(s).  TTP comparison services are
    deliberately absent: a blind comparison is stateless per atom, so
    two clauses never serialize against each other at the TTP — the
-   reactor's pipeline depth cap is what models how many comparisons the
+   pipeline's depth cap is what models how many comparisons the
    TTP tier can absorb concurrently. *)
 let clause_resources (clause : planned_clause) =
   let add acc n = Net.Node_id.Set.add n acc in
@@ -195,62 +195,3 @@ let plan_many fragmentation normalized_list =
         dedup_atoms = !atom_occurrences - unique_atoms;
         dedup_clauses = !clause_occurrences - unique_clauses;
       }
-
-(* ------------------------------------------------------------------ *)
-(* Shard layout                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type shard_range = { shard : string; glsn_lo : int; glsn_hi : int }
-
-(* The layout is only trusted after normalization: ascending by lower
-   bound, names distinct, ranges non-empty, and each range starting
-   exactly where the previous one ends — so every glsn in
-   [lo_0, hi_last) has exactly one owner (no orphans, no overlaps). *)
-let validate_layout ranges =
-  match ranges with
-  | [] -> Error (Audit_error.Shard_layout { detail = "no shards" })
-  | _ -> (
-    let sorted =
-      List.sort
-        (fun a b ->
-          match compare a.glsn_lo b.glsn_lo with
-          | 0 -> compare a.shard b.shard
-          | c -> c)
-        ranges
-    in
-    let rec check seen = function
-      | [] -> Ok ()
-      | r :: rest ->
-        if r.glsn_hi <= r.glsn_lo then
-          Error
-            (Audit_error.Shard_layout
-               {
-                 detail =
-                   Printf.sprintf "shard %s has empty range [%#x, %#x)" r.shard
-                     r.glsn_lo r.glsn_hi;
-               })
-        else if List.mem r.shard seen then
-          Error
-            (Audit_error.Shard_layout
-               { detail = Printf.sprintf "duplicate shard name %s" r.shard })
-        else (
-          match rest with
-          | next :: _ when next.glsn_lo < r.glsn_hi ->
-            Error
-              (Audit_error.Shard_layout
-                 {
-                   detail =
-                     Printf.sprintf "shards %s and %s overlap at %#x" r.shard
-                       next.shard next.glsn_lo;
-                 })
-          | next :: _ when next.glsn_lo > r.glsn_hi ->
-            Error
-              (Audit_error.Shard_layout
-                 {
-                   detail =
-                     Printf.sprintf "gap between shards %s and %s at [%#x, %#x)"
-                       r.shard next.shard r.glsn_hi next.glsn_lo;
-                 })
-          | _ -> check (r.shard :: seen) rest)
-    in
-    match check [] sorted with Error _ as e -> e | Ok () -> Ok sorted)

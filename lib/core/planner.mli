@@ -58,8 +58,8 @@ val clause_resources : planned_clause -> Net.Node_id.t list
 (** The storage nodes one clause evaluation occupies — its assembly
     home plus every atom's fragment home(s), in canonical order.  Two
     clauses with disjoint resource sets are independent SMC work and
-    may overlap in the reactor; TTP comparison services are stateless
-    per atom and deliberately excluded. *)
+    may overlap in the session's pipeline; TTP comparison services are
+    stateless per atom and deliberately excluded. *)
 
 (** {1 Multi-query planning} *)
 
@@ -77,22 +77,3 @@ val plan_many :
 (** Plan a batch jointly.  Fails on the first unknown attribute, like
     {!plan} on each query in order. *)
 
-(** {1 Shard layout}
-
-    A sharded deployment ({!Sharding}) splits the global log by glsn
-    range across several DLA clusters.  Every shard evaluates every
-    clause against its own rows, so the layout is the only sharded
-    input the planner checks. *)
-
-type shard_range = {
-  shard : string;  (** shard name, unique within a layout *)
-  glsn_lo : int;  (** first glsn owned by the shard (inclusive) *)
-  glsn_hi : int;  (** first glsn past the shard (exclusive) *)
-}
-
-val validate_layout :
-  shard_range list -> (shard_range list, Audit_error.t) result
-(** Normalize a layout to canonical ascending order.  Fails with
-    {!Audit_error.Shard_layout} when the ranges do not partition a
-    contiguous glsn interval: empty layout, empty range, duplicate
-    name, overlap, or gap. *)

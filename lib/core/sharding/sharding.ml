@@ -1,9 +1,4 @@
-type shard = {
-  index : int;
-  name : string;
-  cluster : Cluster.t;
-  range : Planner.shard_range;
-}
+type shard = { index : int; name : string; cluster : Cluster.t }
 
 type t = {
   shards : shard array;
@@ -39,29 +34,14 @@ let create ?(seed = 0) ?net_of ~shards:count fragmentation =
     | Some f -> f
     | None -> fun i -> Net.Network.of_config (Net.Config.make ~seed:(seed + (131 * i)) ())
   in
-  let ranges =
-    List.init count (fun i ->
-        {
-          Planner.shard = Printf.sprintf "shard%d" i;
-          glsn_lo = glsn_start + (i * range_width);
-          glsn_hi = glsn_start + ((i + 1) * range_width);
-        })
-  in
-  let layout =
-    match Planner.validate_layout ranges with
-    | Ok l -> l
-    | Error e -> invalid_arg ("Sharding.create: " ^ Audit_error.to_string e)
-  in
   let shards =
-    Array.of_list
-      (List.mapi
-         (fun i range ->
-           let cluster =
-             Cluster.create ~seed:(seed + i) ~net:(net_of i)
-               ~glsn_start:range.Planner.glsn_lo fragmentation
-           in
-           { index = i; name = range.Planner.shard; cluster; range })
-         layout)
+    Array.init count (fun i ->
+        let cluster =
+          Cluster.create ~seed:(seed + i) ~net:(net_of i)
+            ~glsn_start:(glsn_start + (i * range_width))
+            fragmentation
+        in
+        { index = i; name = Printf.sprintf "shard%d" i; cluster })
   in
   {
     shards;
@@ -74,9 +54,9 @@ let shards t = Array.to_list t.shards
 let shard_count t = Array.length t.shards
 
 let owner_of t glsn =
-  let g = Glsn.to_int glsn in
-  Array.to_seq t.shards
-  |> Seq.find (fun s -> g >= s.range.Planner.glsn_lo && g < s.range.Planner.glsn_hi)
+  let offset = Glsn.to_int glsn - glsn_start in
+  if offset < 0 || offset / range_width >= Array.length t.shards then None
+  else Some t.shards.(offset / range_width)
 
 let shard_of_user t origin =
   let n = Array.length t.shards in
@@ -108,7 +88,7 @@ let submit t ~origin ~attributes =
     (* The allocator starts at the range's lower bound and is strictly
        monotonic, so an out-of-range glsn means the shard is full — a
        capacity-planning error, not a recoverable submit failure. *)
-    if Glsn.to_int glsn >= shard.range.Planner.glsn_hi then
+    if Glsn.to_int glsn >= glsn_start + ((shard.index + 1) * range_width) then
       invalid_arg
         (Printf.sprintf "Sharding.submit: %s glsn range exhausted at %s"
            shard.name (Glsn.to_string glsn))
@@ -134,7 +114,9 @@ let all_glsns t =
    [merge] combines the [(name, reply)] list, in layout order, with the
    fabric messages charged.  One shard is the unsharded call: no
    fabric message, no [shard.*] span or counter.  The fabric carries
-   criteria out and verdict metadata back, never record data. *)
+   criteria out and verdict metadata back, never record data.  The
+   [shard.scatter] and [shard.gather] spans run on the fabric's clock,
+   and each [shard.audit.<name>] span on its shard's. *)
 let scatter_gather t work merge =
   match t.shards with
   | [| shard |] ->
@@ -142,12 +124,17 @@ let scatter_gather t work merge =
       (fun reply -> merge [ (shard.name, reply) ] ~cross_shard_msgs:0)
       (work shard)
   | shards -> (
+    let clock_on net =
+      Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net)
+    in
+    clock_on t.fabric;
     Obs.Trace.with_span "shard.scatter" (fun () ->
         Obs.Metrics.incr ~by:(Array.length shards) "audit.cross_shard_msgs");
     let replies =
       Array.map
         (fun shard ->
           Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
+          clock_on (Cluster.net shard.cluster);
           let reply =
             Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
               (fun () -> work shard)
@@ -172,6 +159,7 @@ let scatter_gather t work merge =
     in
     Result.map
       (fun per_shard ->
+        clock_on t.fabric;
         Obs.Trace.with_span "shard.gather" (fun () ->
             merge per_shard ~cross_shard_msgs:(2 * Array.length shards)))
       (collect 0))
@@ -275,9 +263,9 @@ let merge_summaries (per_shard : (string * Audit_session.summary) list) =
     messages = sum (fun s -> s.Audit_session.messages) summaries;
     bytes = sum (fun s -> s.Audit_session.bytes) summaries;
     rounds = sum (fun s -> s.Audit_session.rounds) summaries;
-    (* Shards run their phase-1 reactors independently, so the merged
+    (* Shards run their phase-1 pipelines independently, so the merged
        schedule sums the work and makespan while the depth reports the
-       deepest overlap any single reactor reached. *)
+       deepest overlap any single pipeline reached. *)
     pipeline =
       {
         Net.Runtime.Pipeline.jobs =

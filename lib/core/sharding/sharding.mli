@@ -3,11 +3,11 @@
 
     A {!t} is a fleet of independent {!Cluster}s — shards — that
     together hold one global log.  The glsn space is partitioned by
-    contiguous range ({!Planner.shard_range}): shard [i] owns the 2{^20}
-    glsns from [0x139aef78 + i·2{^20}], the paper's first glsn for
-    shard 0.  The user population is partitioned by a stable hash of
-    the submitting principal, so every record lands on exactly one
-    shard and every glsn has exactly one owner.  Shards keep no
+    contiguous range: shard [i] owns the 2{^20} glsns from
+    [0x139aef78 + i·2{^20}], the paper's first glsn for shard 0.  The
+    user population is partitioned by a stable hash of the submitting
+    principal, so every record lands on exactly one shard and every
+    glsn has exactly one owner.  Shards keep no
     replicas: a fleet audit runs each shard's executor under [Fail].
 
     Fleet audits ({!audit}, {!run_session}, {!byzantine_audit}) share
@@ -28,15 +28,17 @@
     per-shard [shard.scatter.<name>] / [shard.gather.<name>] counters
     plus [shard.scatter] / [shard.gather] / [shard.audit.<name>] spans
     expose the fan-out in the telemetry (none of them when S = 1), so
-    the §3 cost model for the intra-shard work stays pinned.  Each
+    the §3 cost model for the intra-shard work stays pinned.  The
+    scatter and gather spans read the fabric's virtual clock, each
+    [shard.audit.<name>] span its own shard's.  Each
     result's [cross_shard_msgs] field holds the fabric messages its
     call charged. *)
 
 type shard = {
   index : int;
+      (** the shard owns the 2{^20} glsns from [0x139aef78 + index·2{^20}] *)
   name : string;  (** ["shard<i>"] *)
   cluster : Cluster.t;
-  range : Planner.shard_range;  (** the glsn interval this shard owns *)
 }
 
 type t

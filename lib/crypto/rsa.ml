@@ -3,15 +3,15 @@ open Numtheory
 type public = { n : Bignum.t; e : Bignum.t }
 type secret = { d : Bignum.t; public : public }
 
-let default_e = Bignum.of_int 65537
+let public_exponent = Bignum.of_int 65537
 
-let generate rng ~bits ?(e = default_e) () =
+let generate rng ~bits =
   if bits < 16 then invalid_arg "Rsa.generate: modulus too small";
   let rec go () =
     let n, p, q = Primes.rsa_modulus rng ~bits in
     let phi = Bignum.mul (Bignum.pred p) (Bignum.pred q) in
-    match Modular.inverse e ~m:phi with
-    | Some d -> { d; public = { n; e } }
+    match Modular.inverse public_exponent ~m:phi with
+    | Some d -> { d; public = { n; e = public_exponent } }
     | None -> go ()
   in
   go ()

@@ -12,10 +12,10 @@ open Numtheory
 type public = private { n : Bignum.t; e : Bignum.t }
 type secret = private { d : Bignum.t; public : public }
 
-val generate : Prng.t -> bits:int -> ?e:Bignum.t -> unit -> secret
+val generate : Prng.t -> bits:int -> secret
 (** Fresh keypair with modulus of roughly [bits] bits.  The public
-    exponent defaults to 65537 and is regenerated-around if not coprime
-    with φ(n).  @raise Invalid_argument for [bits < 16]. *)
+    exponent is 65537; the modulus is regenerated until φ(n) is coprime
+    with it.  @raise Invalid_argument for [bits < 16]. *)
 
 val public : secret -> public
 

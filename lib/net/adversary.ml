@@ -14,14 +14,9 @@ type plan = {
   node : Node_id.t;
   behavior : behavior;
   labels : string list option;
-  from_seq : int;
-  every : int;
 }
 
-let plan ?labels ?(from_seq = 0) ?(every = 1) node behavior =
-  if every < 1 then invalid_arg "Adversary.plan: every must be >= 1";
-  if from_seq < 0 then invalid_arg "Adversary.plan: from_seq must be >= 0";
-  { node; behavior; labels; from_seq; every }
+let plan ?labels node behavior = { node; behavior; labels }
 
 type injection = {
   by : Node_id.t;
@@ -109,15 +104,12 @@ let tamper t ~src ~dst ~label values =
             Option.value ~default:0 (Hashtbl.find_opt t.seqs idx)
           in
           Hashtbl.replace t.seqs idx (seq + 1);
-          if seq >= plan.from_seq && (seq - plan.from_seq) mod plan.every = 0
-          then begin
-            let tampered = apply t plan ~dst ~label ~seq !result in
-            if not (payload_equal tampered !result) then begin
-              t.log <- { by = src; dst; label; seq; behavior = plan.behavior }
-                       :: t.log;
-              Obs.Metrics.incr "byz.injections";
-              result := tampered
-            end
+          let tampered = apply t plan ~dst ~label ~seq !result in
+          if not (payload_equal tampered !result) then begin
+            t.log <- { by = src; dst; label; seq; behavior = plan.behavior }
+                     :: t.log;
+            Obs.Metrics.incr "byz.injections";
+            result := tampered
           end
         end)
       t.plans;

@@ -36,19 +36,11 @@ type plan = {
   behavior : behavior;
   labels : string list option;
       (** restrict to these message labels; [None] = every label *)
-  from_seq : int;  (** first matching send (0-based) the plan fires on *)
-  every : int;  (** fire on every [every]-th matching send after that *)
 }
 
-val plan :
-  ?labels:string list ->
-  ?from_seq:int ->
-  ?every:int ->
-  Node_id.t ->
-  behavior ->
-  plan
+val plan : ?labels:string list -> Node_id.t -> behavior -> plan
 (** [plan node behavior] fires on every send by [node] whose label
-    matches ([from_seq] defaults to [0], [every] to [1]). *)
+    matches. *)
 
 (** One recorded lie: the tampered payload actually differed from the
     honest one.  A plan that fires but leaves the payload unchanged

@@ -31,8 +31,8 @@ let latency_profile ~seed ?(min_ms = 0.5) ?(max_ms = 8.0) () =
     invalid_arg "Net.Config.latency_profile: need 0 < min_ms <= max_ms";
   fun src dst ->
     (* Pure in (seed, src, dst): the profile is a value, not a stream, so
-       Runtime and Network schedules built from the same seed agree and
-       the call order never matters. *)
+       networks built from the same seed agree and the call order never
+       matters. *)
     let h =
       Hashtbl.hash (seed, Node_id.to_string src, Node_id.to_string dst)
     in

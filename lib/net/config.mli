@@ -1,16 +1,10 @@
-(** One configuration surface for both network engines.
-
-    {!Network} (synchronous round accounting) and {!Runtime}
-    (discrete-event reactor) accept the same value: build one with
-    {!make} and hand it to [Network.of_config] or [Runtime.create], so
-    a schedule that wants the same seed, latency profile and loss rate
-    on both engines states them once.
+(** The configuration of the one network engine, {!Network}: build a
+    value with {!make} and hand it to [Network.of_config].
 
     Which code reads which field:
-    - [Runtime] reads [seed], [latency_ms] and [loss_rate];
-    - [Network] reads those three and [coalesce], which turns on its
-      wire-frame accounting of same-(src, dst) messages in one round
-      window;
+    - [Network] reads [seed], [latency_ms], [loss_rate] and
+      [coalesce], which turns on its wire-frame accounting of
+      same-(src, dst) messages in one round window;
     - [Audit_session] reads [max_pipeline_depth] from its network's
       config: how many independent SMC clause evaluations its
       virtual-time pipeline keeps in flight;
@@ -34,7 +28,7 @@ type t = {
 
 val default : t
 (** Seed 0, uniform 1.0 ms latency, no loss, [domains = 1], depth 4,
-    no coalescing — the seed-state behaviour of every engine. *)
+    no coalescing. *)
 
 val make :
   ?seed:int ->
@@ -60,7 +54,7 @@ val latency_profile :
 (** Deterministic skewed link latencies: each (src, dst) pair gets a
     fixed pseudo-random latency in [\[min_ms, max_ms)] (defaults 0.5
     and 8.0) derived purely from [seed] and the pair — usable as the
-    [latency_ms] of any engine, which is how the spec layer's
+    [latency_ms] of any network, which is how the spec layer's
     differential schedules reorder protocol traffic without touching
     protocol code.
     @raise Invalid_argument unless [0 < min_ms <= max_ms]. *)

@@ -1,6 +1,4 @@
-type t = Source_down | Destination_down | Loss | No_handler
-
-let all = [ Source_down; Destination_down; Loss; No_handler ]
+type t = Source_down | Destination_down | Loss
 
 (* These strings are load-bearing: they are the exact reasons the
    stringly [Network.Dropped] / ledger paths have always rendered, so
@@ -9,7 +7,3 @@ let to_string = function
   | Source_down -> "source down"
   | Destination_down -> "destination down"
   | Loss -> "loss"
-  | No_handler -> "no handler"
-
-let compare = Stdlib.compare
-let equal a b = compare a b = 0

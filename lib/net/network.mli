@@ -1,4 +1,4 @@
-(** Simulated cluster network.
+(** Simulated cluster network: the one network engine.
 
     Deterministic, synchronous-orchestration network model: protocol code
     calls {!send} for every message it passes between principals, and the
@@ -7,7 +7,10 @@
 
     Protocols mark synchronization points with {!round}; the paper's
     protocols are all ring- or star-shaped, so "rounds × latency" is the
-    faithful latency model for them.
+    faithful latency model for them.  The one protocol whose verdict
+    depends on timing, the §4.1 asynchronous circulation
+    ([Async_integrity]), passes a single token and walks its ring
+    directly rather than through an event loop.
 
     On the wire the model now accounts two layers: the §3 {e logical}
     message counters ([net.msgs], [net.msg.<label>], …), which the

@@ -1,59 +1,8 @@
-(** Reactor runtime: the discrete-event engine, for the protocols whose
-    outcome depends on timing (the §4.1 asynchronous integrity
-    circulation, with its timeouts), plus the virtual-time pipeline
-    scheduler that batched audit sessions use to model overlapping
-    independent SMC clause evaluations.  The synchronous §3 protocols
-    need none of this: {!Network} accounts them round by round.
-
-    The engine reads [seed], [latency_ms] and [loss_rate] from its
-    {!Config.t}, and nothing else.  Every send is its own event: the
-    engine coalesces no messages into frames ({!Network} keeps the one
-    frame accounting, under [coalesce]) and owns no compute pool.
-    Events at the same virtual instant run in the order they were
-    scheduled. *)
-
-type 'msg t
-
-val create : Config.t -> 'msg t
-(** A fresh reactor at virtual time 0, with no handlers and no node
-    down. *)
-
-val config : 'msg t -> Config.t
-
-val now : 'msg t -> float
-(** Current virtual time, ms. *)
-
-val on_message :
-  'msg t -> Node_id.t -> (src:Node_id.t -> 'msg -> unit) -> unit
-(** Install (or replace) a node's message handler.  Messages delivered
-    to a node without a handler are dropped as
-    {!Delivery_error.No_handler}. *)
-
-val send : 'msg t -> src:Node_id.t -> dst:Node_id.t -> 'msg -> unit
-(** Schedule a delivery after the link latency; may be lost. *)
-
-val set_timer : 'msg t -> delay_ms:float -> (unit -> unit) -> unit
-(** Schedule a callback at [now + delay_ms]. *)
-
-val take_down : 'msg t -> Node_id.t -> unit
-(** Down nodes neither receive nor send; messages to them are dropped. *)
-
-val bring_up : 'msg t -> Node_id.t -> unit
-
-val run : ?until_ms:float -> 'msg t -> int
-(** Process events until the queue drains (or virtual time passes
-    [until_ms]); returns the number of events processed (messages +
-    timers). *)
-
-val delivered : 'msg t -> int
-(** Messages handed to a handler. *)
-
-val dropped : 'msg t -> int
-(** Messages that never reached one, every cause combined. *)
-
-val drops : 'msg t -> (Delivery_error.t * int) list
-(** Typed breakdown of {!dropped}, in {!Delivery_error.all} order;
-    causes with a zero count are omitted. *)
+(** The virtual-time pipeline scheduler that batched audit sessions use
+    to model overlapping independent SMC clause evaluations.  It moves
+    no messages: {!Network} is the one network engine, and the §4.1
+    asynchronous circulation ([Async_integrity]) walks its ring
+    directly. *)
 
 (** Virtual-time pipeline scheduler.
 

@@ -1,6 +1,6 @@
 (** Fixed pool of OCaml 5 domains for pure batch compute.
 
-    The reactor runtime farms the modexp-heavy tail of an SMC round —
+    An installed pool takes the modexp-heavy tail of an SMC round —
     the {!Modular.pow_many} batches every ∩ₛ/∪ₛ ring hop re-encrypts
     through — to a small set of worker domains.  Determinism is preserved by
     construction: work is split into {e contiguous} chunks whose sizes

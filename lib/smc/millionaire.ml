@@ -10,7 +10,7 @@ let run ~net ~rng ?(bits = 192) ~domain ~alice:(alice_node, i)
   Proto_util.observe net ~node:bob_node ~sensitivity:Net.Ledger.Plaintext
     ~tag:"millionaire:own-wealth" (Net.Ledger.Text (string_of_int j));
   (* Alice's trapdoor permutation; the public key is already with Bob. *)
-  let secret = Crypto.Rsa.generate rng ~bits () in
+  let secret = Crypto.Rsa.generate rng ~bits in
   let public = Crypto.Rsa.public secret in
   let n = public.Crypto.Rsa.n in
   (* 1. Bob encrypts a random x and blinds his wealth into it. *)

@@ -442,13 +442,45 @@ let fanout_spans () =
       else None)
     (Obs.Trace.spans ())
 
+(* Each shard.audit.<name> span reads its own shard's clock, so its
+   interval contains that of every span nested in it.  Spans complete
+   children first: the spans nested in one are the run of deeper spans
+   completed just before it. *)
+let check_shard_spans_contain label =
+  let spans = Array.of_list (Obs.Trace.spans ()) in
+  let stop (s : Obs.Trace.span) = s.Obs.Trace.start_ms +. s.Obs.Trace.duration_ms in
+  Array.iteri
+    (fun i (s : Obs.Trace.span) ->
+      if String.starts_with ~prefix:"shard.audit." s.Obs.Trace.name then begin
+        let rec nested j acc =
+          if j >= 0 && spans.(j).Obs.Trace.depth > s.Obs.Trace.depth then
+            nested (j - 1) (spans.(j) :: acc)
+          else acc
+        in
+        let inner = nested (i - 1) [] in
+        if inner = [] then
+          Alcotest.failf "%s: %s has no nested span" label s.Obs.Trace.name;
+        List.iter
+          (fun (c : Obs.Trace.span) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s [%g, %g] contains %s [%g, %g]" label
+                 s.Obs.Trace.name s.Obs.Trace.start_ms (stop s) c.Obs.Trace.name
+                 c.Obs.Trace.start_ms (stop c))
+              true
+              (c.Obs.Trace.start_ms >= s.Obs.Trace.start_ms -. 1e-9
+              && stop c <= stop s +. 1e-9))
+          inner
+      end)
+    spans
+
 let test_scatter_gather_closed_form () =
   (* One scatter-gather costs exactly one Scatter and one Gather fabric
      message per shard: audit.cross_shard_msgs = 2·S, and every shard's
      scatter/gather counter ticks exactly once — for a single audit, a
      batched session and a Byzantine-tolerant audit alike.  The spans
      pin the fan-out order: scatter, each shard's audit in layout order,
-     then the gather. *)
+     then the gather; each shard's audit span contains what runs in
+     it. *)
   let check_fanout label shards =
     check label (2 * shards) "audit.cross_shard_msgs";
     for i = 0 to shards - 1 do
@@ -481,6 +513,7 @@ let test_scatter_gather_closed_form () =
          :: per_shard shards (fun i -> [ Printf.sprintf "shard.audit.shard%d" i ])
         @ [ "shard.gather" ])
         (fanout_spans ());
+      check_shard_spans_contain label;
       let label = Printf.sprintf "scatter-gather session S=%d" shards in
       let batch =
         List.map
@@ -511,6 +544,7 @@ let test_scatter_gather_closed_form () =
                 [ "session.audit"; Printf.sprintf "shard.audit.shard%d" i ])
         @ [ "shard.gather" ])
         (fanout_spans ());
+      check_shard_spans_contain label;
       let label = Printf.sprintf "scatter-gather byzantine S=%d" shards in
       Obs.Metrics.reset ();
       Obs.Trace.reset ();
@@ -532,7 +566,8 @@ let test_scatter_gather_closed_form () =
         ("shard.scatter"
          :: per_shard shards (fun i -> [ Printf.sprintf "shard.audit.shard%d" i ])
         @ [ "shard.gather" ])
-        (fanout_spans ()))
+        (fanout_spans ());
+      check_shard_spans_contain label)
     [ 2; 3; 4 ]
 
 let test_single_shard_batch_zero_extra_smc () =

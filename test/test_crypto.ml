@@ -805,7 +805,7 @@ let test_commitment_hiding () =
 
 let test_rsa_sign_verify () =
   let rng = Prng.create ~seed:17 in
-  let secret = Crypto.Rsa.generate rng ~bits:128 () in
+  let secret = Crypto.Rsa.generate rng ~bits:128 in
   let public = Crypto.Rsa.public secret in
   let signature = Crypto.Rsa.sign secret "hello" in
   Alcotest.(check bool) "verifies" true (Crypto.Rsa.verify public "hello" signature);
@@ -818,7 +818,7 @@ let test_rsa_sign_many_matches_scalar () =
   (* Batch signing shares the secret exponent's window recoding but the
      signatures are element-for-element the scalar ones. *)
   let rng = Prng.create ~seed:28 in
-  let secret = Crypto.Rsa.generate rng ~bits:128 () in
+  let secret = Crypto.Rsa.generate rng ~bits:128 in
   let public = Crypto.Rsa.public secret in
   List.iter
     (fun n ->

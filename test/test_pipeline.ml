@@ -281,27 +281,6 @@ let test_frames_do_coalesce () =
   Alcotest.(check int) "stats frame bytes" 41 stats.Net.Network.frame_bytes
 
 (* ------------------------------------------------------------------ *)
-(* Runtime engine: typed drops                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_runtime_typed_drops () =
-  let rt = Net.Runtime.create (Net.Config.make ()) in
-  let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-  (* No handler installed at b: a No_handler drop. *)
-  Net.Runtime.send rt ~src:a ~dst:b ();
-  ignore (Net.Runtime.run rt);
-  Net.Runtime.take_down rt b;
-  Net.Runtime.send rt ~src:a ~dst:b ();
-  ignore (Net.Runtime.run rt);
-  Alcotest.(check int) "dropped total" 2 (Net.Runtime.dropped rt);
-  Alcotest.(check (list (pair string int)))
-    "typed breakdown"
-    [ ("destination down", 1); ("no handler", 1) ]
-    (List.map
-       (fun (e, n) -> (Net.Delivery_error.to_string e, n))
-       (Net.Runtime.drops rt))
-
-(* ------------------------------------------------------------------ *)
 (* Pipeline scheduler                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -505,8 +484,7 @@ let () =
       ( "frames",
         [ Alcotest.test_case "accounting pins" `Quick test_frame_pins;
           Alcotest.test_case "coalescing engages" `Quick
-            test_frames_do_coalesce;
-          Alcotest.test_case "typed drops" `Quick test_runtime_typed_drops
+            test_frames_do_coalesce
         ] );
       ( "pipeline",
         [ Alcotest.test_case "disjoint jobs overlap" `Quick

@@ -323,6 +323,30 @@ let test_routing_consistent () =
             Alcotest.failf "glsn %s owned by no shard" (Glsn.to_string glsn))
         (Cluster.all_glsns shard.Sharding.cluster))
     (Sharding.shards fleet);
+  (* The fixed layout's edges: shard i owns the 2^20 glsns from
+     0x139aef78 + i·2^20, its first and last included; the glsns just
+     below shard 0 and just past the last shard have no owner. *)
+  let glsn g = Glsn.of_string (Printf.sprintf "%x" g) in
+  let first i = 0x139aef78 + (i * (1 lsl 20)) in
+  let owner g =
+    Option.map (fun (s : Sharding.shard) -> s.Sharding.name)
+      (Sharding.owner_of fleet (glsn g))
+  in
+  List.iter
+    (fun (shard : Sharding.shard) ->
+      let i = shard.Sharding.index in
+      Alcotest.(check (option string))
+        (shard.Sharding.name ^ " owns its first glsn")
+        (Some shard.Sharding.name) (owner (first i));
+      Alcotest.(check (option string))
+        (shard.Sharding.name ^ " owns its last glsn")
+        (Some shard.Sharding.name)
+        (owner (first (i + 1) - 1)))
+    (Sharding.shards fleet);
+  Alcotest.(check (option string)) "below shard 0" None (owner (first 0 - 1));
+  Alcotest.(check (option string))
+    "past the last shard" None
+    (owner (first (Sharding.shard_count fleet)));
   Alcotest.(check int)
     "fleet stores every submission"
     (List.length submissions)

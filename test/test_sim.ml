@@ -1,134 +1,11 @@
-(* Tests for the discrete-event substrate (event queue, Net.Runtime
-   engine) and the asynchronous §4.1 integrity circulation built on it —
-   including the agreement property between the synchronous and
+(* Tests for the asynchronous §4.1 integrity circulation: its timing
+   edges, and the agreement property between the synchronous and
    asynchronous implementations. *)
 
 open Dla
 
 let d = Attribute.defined
 let u = Attribute.undefined
-
-(* ------------------------------------------------------------------ *)
-(* Event queue                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_queue_ordering () =
-  let q = Net.Event_queue.create () in
-  Net.Event_queue.push q ~time:3.0 "c";
-  Net.Event_queue.push q ~time:1.0 "a";
-  Net.Event_queue.push q ~time:2.0 "b";
-  let drain () =
-    let rec go acc =
-      match Net.Event_queue.pop q with
-      | None -> List.rev acc
-      | Some (_, x) -> go (x :: acc)
-    in
-    go []
-  in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (drain ())
-
-let test_queue_fifo_ties () =
-  let q = Net.Event_queue.create () in
-  List.iter (fun x -> Net.Event_queue.push q ~time:5.0 x) [ "1"; "2"; "3" ];
-  let rec drain acc =
-    match Net.Event_queue.pop q with
-    | None -> List.rev acc
-    | Some (_, x) -> drain (x :: acc)
-  in
-  Alcotest.(check (list string)) "FIFO among ties" [ "1"; "2"; "3" ] (drain [])
-
-let test_queue_validation () =
-  let q = Net.Event_queue.create () in
-  Alcotest.check_raises "negative time"
-    (Invalid_argument "Event_queue.push: bad time") (fun () ->
-      Net.Event_queue.push q ~time:(-1.0) ());
-  Alcotest.check_raises "nan time"
-    (Invalid_argument "Event_queue.push: bad time") (fun () ->
-      Net.Event_queue.push q ~time:Float.nan ());
-  (* An infinite time would wedge [run_until]: the event sorts after
-     every finite deadline yet never becomes due. *)
-  Alcotest.check_raises "infinite time"
-    (Invalid_argument "Event_queue.push: bad time") (fun () ->
-      Net.Event_queue.push q ~time:Float.infinity ());
-  Alcotest.(check bool) "empty" true (Net.Event_queue.is_empty q);
-  Alcotest.(check bool) "pop empty" true (Net.Event_queue.pop q = None)
-
-let prop_queue_sorts =
-  QCheck.Test.make ~name:"event queue pops in sorted order" ~count:100
-    (QCheck.list_of_size (QCheck.Gen.int_range 0 100) (QCheck.int_range 0 1000))
-    (fun times ->
-      let q = Net.Event_queue.create () in
-      List.iter (fun t -> Net.Event_queue.push q ~time:(float_of_int t) t) times;
-      let rec drain acc =
-        match Net.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (_, x) -> drain (x :: acc)
-      in
-      drain [] = List.stable_sort compare times)
-
-(* ------------------------------------------------------------------ *)
-(* Runtime engine                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_sim_ping_pong () =
-  let rt = Net.Runtime.create (Net.Config.make ()) in
-  let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-  let log = ref [] in
-  Net.Runtime.on_message rt a (fun ~src:_ n ->
-      log := ("a", n) :: !log;
-      if n < 3 then Net.Runtime.send rt ~src:a ~dst:b (n + 1));
-  Net.Runtime.on_message rt b (fun ~src:_ n ->
-      log := ("b", n) :: !log;
-      Net.Runtime.send rt ~src:b ~dst:a (n + 1));
-  Net.Runtime.send rt ~src:a ~dst:b 0;
-  let events = Net.Runtime.run rt in
-  Alcotest.(check bool) "events processed" true (events >= 4);
-  Alcotest.(check (list (pair string int)))
-    "conversation"
-    [ ("b", 0); ("a", 1); ("b", 2); ("a", 3) ]
-    (List.rev !log);
-  (* Latency 1ms per hop: 4 deliveries -> 4ms. *)
-  Alcotest.(check (float 1e-9)) "virtual time" 4.0 (Net.Runtime.now rt)
-
-let test_sim_timers_and_down () =
-  let rt = Net.Runtime.create (Net.Config.make ()) in
-  let fired = ref [] in
-  Net.Runtime.set_timer rt ~delay_ms:5.0 (fun () -> fired := 5 :: !fired);
-  Net.Runtime.set_timer rt ~delay_ms:2.0 (fun () -> fired := 2 :: !fired);
-  ignore (Net.Runtime.run rt);
-  Alcotest.(check (list int)) "timer order" [ 2; 5 ] (List.rev !fired);
-  let rt = Net.Runtime.create (Net.Config.make ()) in
-  let got = ref false in
-  let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-  Net.Runtime.on_message rt b (fun ~src:_ () -> got := true);
-  Net.Runtime.take_down rt b;
-  Net.Runtime.send rt ~src:a ~dst:b ();
-  ignore (Net.Runtime.run rt);
-  Alcotest.(check bool) "down node got nothing" false !got;
-  Alcotest.(check int) "dropped" 1 (Net.Runtime.dropped rt)
-
-let test_sim_until () =
-  let rt = Net.Runtime.create (Net.Config.make ()) in
-  let fired = ref 0 in
-  Net.Runtime.set_timer rt ~delay_ms:1.0 (fun () -> incr fired);
-  Net.Runtime.set_timer rt ~delay_ms:50.0 (fun () -> incr fired);
-  ignore (Net.Runtime.run ~until_ms:10.0 rt);
-  Alcotest.(check int) "only early timer" 1 !fired
-
-let test_sim_determinism () =
-  let run () =
-    let rt = Net.Runtime.create (Net.Config.make ~seed:7 ~loss_rate:0.3 ()) in
-    let a = Net.Node_id.Dla 0 and b = Net.Node_id.Dla 1 in
-    let count = ref 0 in
-    Net.Runtime.on_message rt b (fun ~src:_ () -> incr count);
-    for _ = 1 to 50 do
-      Net.Runtime.send rt ~src:a ~dst:b ()
-    done;
-    ignore (Net.Runtime.run rt);
-    !count
-  in
-  Alcotest.(check int) "same seed same outcome" (run ()) (run ());
-  Alcotest.(check bool) "loss actually drops" true (run () < 50)
 
 (* ------------------------------------------------------------------ *)
 (* Async integrity                                                     *)
@@ -218,26 +95,106 @@ let test_async_missing_fragment_times_out () =
     Alcotest.failf "expected timeout, got %s"
       (Async_integrity.verdict_to_string other)
 
+(* The circulation's timing edges on a 4-node ring, initiator P0.  The
+   token reaches P0 after one latency and each later node one latency
+   after the previous one; the timeout is armed right after the
+   kick-off, so the kick-off wins a tie with it and every later arrival
+   loses one.  [folds] is the [crypto.mont.pow] delta: one accumulator
+   fold per node the token reached in time. *)
+let test_async_timing_edges () =
+  let p i = Net.Node_id.Dla i in
+  (* Each case prepares a fresh cluster and names the record to check. *)
+  let first _ glsns = List.hd glsns in
+  let delete_row node cluster glsns =
+    let glsn = List.hd glsns in
+    ignore (Storage.tamper_delete (Cluster.store_of cluster node) ~glsn);
+    glsn
+  in
+  let tamper_c2 node cluster glsns =
+    let glsn = List.nth glsns 1 in
+    ignore
+      (Storage.tamper_set (Cluster.store_of cluster node) ~glsn ~attr:(u 2)
+         (Value.Money 1));
+    glsn
+  in
+  let cases =
+    [ ("defaults", None, None, [], first, "intact", 5.0, 4);
+      ( "kick-off ties the timeout", Some 2.0, Some 2.0, [], first,
+        "timed out (last forwarder P0)", 2.0, 1 );
+      ( "a later hop ties the timeout", Some 1.0, Some 3.0, [], first,
+        "timed out (last forwarder P1)", 3.0, 2 );
+      ( "timeout between hops", Some 1.0, Some 4.5, [], first,
+        "timed out (last forwarder P3)", 4.5, 4 );
+      ( "the return ties the timeout", Some 1.0, Some 5.0, [], first,
+        "timed out (last forwarder P3)", 5.0, 4 );
+      ("initiator down", None, None, [ p 0 ], first, "timed out", 100.0, 0);
+      ( "zero latency ties zero timeout", Some 0.0, Some 0.0, [], first,
+        "timed out (last forwarder P0)", 0.0, 1 );
+      ("zero latency", Some 0.0, None, [], first, "intact", 0.0, 4);
+      ("non-member down", None, None, [ p 9 ], first, "intact", 5.0, 4);
+      ( "row deleted at P0", None, None, [], delete_row (p 0), "timed out",
+        100.0, 0 );
+      ( "row deleted at P3", None, Some 30.0, [], delete_row (p 3),
+        "timed out (last forwarder P2)", 30.0, 3 );
+      ("C2 tampered at P1", None, None, [], tamper_c2 (p 1), "mismatch", 5.0, 4);
+      ( "P2 down", None, Some 50.0, [ p 2 ], first,
+        "timed out (last forwarder P1)", 50.0, 2 )
+    ]
+  in
+  List.iter
+    (fun (name, latency_ms, timeout_ms, down, prepare, verdict, time, folds) ->
+      let cluster, glsns = populated_cluster () in
+      let glsn = prepare cluster glsns in
+      let before = Obs.Metrics.get "crypto.mont.pow" in
+      let got, got_time =
+        Async_integrity.check_record cluster ?latency_ms ?timeout_ms ~down
+          ~initiator:(p 0) glsn
+      in
+      Alcotest.(check string)
+        (name ^ ": verdict") verdict
+        (Async_integrity.verdict_to_string got);
+      Alcotest.(check (float 0.0)) (name ^ ": time") time got_time;
+      Alcotest.(check int) (name ^ ": folds") folds
+        (Obs.Metrics.get "crypto.mont.pow" - before))
+    cases
+
+(* A negative or non-finite latency or timeout is rejected, except that
+   a down initiator sends nothing, so its latency is never used. *)
+let test_async_rejects_bad_timing () =
+  let cluster, glsns = populated_cluster () in
+  let check name ?(down = []) ~latency_ms ~timeout_ms rejected =
+    let got =
+      match
+        Async_integrity.check_record cluster ~latency_ms ~timeout_ms ~down
+          ~initiator:(Net.Node_id.Dla 0) (List.hd glsns)
+      with
+      | _ -> false
+      | exception Invalid_argument _ -> true
+    in
+    Alcotest.(check bool) name rejected got
+  in
+  List.iter
+    (fun (name, latency_ms, timeout_ms) ->
+      check name ~latency_ms ~timeout_ms true)
+    [ ("negative latency", -1.0, 100.0); ("nan latency", Float.nan, 100.0);
+      ("infinite latency", Float.infinity, 100.0);
+      ("negative timeout", 1.0, -1.0); ("nan timeout", 1.0, Float.nan);
+      ("infinite timeout", 1.0, Float.infinity)
+    ];
+  check "down initiator ignores its latency" ~down:[ Net.Node_id.Dla 0 ]
+    ~latency_ms:(-1.0) ~timeout_ms:100.0 false
+
 let () =
-  let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
-    [ ( "event-queue",
-        Alcotest.test_case "ordering" `Quick test_queue_ordering
-        :: Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties
-        :: Alcotest.test_case "validation" `Quick test_queue_validation
-        :: qt [ prop_queue_sorts ] );
-      ( "engine",
-        [ Alcotest.test_case "ping pong" `Quick test_sim_ping_pong;
-          Alcotest.test_case "timers and down nodes" `Quick test_sim_timers_and_down;
-          Alcotest.test_case "until" `Quick test_sim_until;
-          Alcotest.test_case "determinism" `Quick test_sim_determinism
-        ] );
-      ( "async-integrity",
+    [ ( "async-integrity",
         [ Alcotest.test_case "intact" `Quick test_async_intact;
           Alcotest.test_case "matches sync" `Quick test_async_matches_sync;
           Alcotest.test_case "timeout on dead node" `Quick
             test_async_timeout_on_dead_node;
           Alcotest.test_case "missing fragment" `Quick
-            test_async_missing_fragment_times_out
+            test_async_missing_fragment_times_out;
+          Alcotest.test_case "timing edges" `Quick test_async_timing_edges;
+          Alcotest.test_case "bad timing rejected" `Quick
+            test_async_rejects_bad_timing
         ] )
     ]

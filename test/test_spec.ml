@@ -1213,104 +1213,6 @@ let prop_homes_clause_order_invariant =
         in
         show plan = show reversed && show plan = show rotated)
 
-(* ------------------------------------------------------------------ *)
-(* Shard layout partition                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A random contiguous layout (random start, random per-shard widths),
-   plus a rotation amount for the list handed to validation. *)
-let layout_case_gen =
-  let open QCheck.Gen in
-  let* shard_count = int_range 1 6 in
-  let* start = int_range 0 1_000_000 in
-  let* widths = list_repeat shard_count (int_range 1 100) in
-  let* rot = int_range 0 (shard_count - 1) in
-  let ranges =
-    List.rev
-      (snd
-         (List.fold_left
-            (fun (lo, acc) width ->
-              let r =
-                {
-                  Dla.Planner.shard = Printf.sprintf "shard%d" (List.length acc);
-                  glsn_lo = lo;
-                  glsn_hi = lo + width;
-                }
-              in
-              (lo + width, r :: acc))
-            (start, []) widths))
-  in
-  return (ranges, rot)
-
-let rotate n xs =
-  let len = List.length xs in
-  if len = 0 then xs
-  else
-    let n = n mod len in
-    List.filteri (fun i _ -> i >= n) xs @ List.filteri (fun i _ -> i < n) xs
-
-(* The validated layout partitions its glsn interval: every glsn inside
-   has exactly one owner, the edges have none. *)
-let prop_layout_partitions =
-  QCheck.Test.make ~name:"validated layout: every glsn has one home shard"
-    ~count:200
-    (QCheck.make
-       ~print:(fun (ranges, _) ->
-         String.concat ";"
-           (List.map
-              (fun r ->
-                Printf.sprintf "%s:[%d,%d)" r.Dla.Planner.shard
-                  r.Dla.Planner.glsn_lo r.Dla.Planner.glsn_hi)
-              ranges))
-       layout_case_gen)
-    (fun (ranges, rot) ->
-      let open Dla in
-      match Planner.validate_layout (rotate rot ranges) with
-      | Error _ -> false
-      | Ok layout ->
-        let lo = (List.hd layout).Planner.glsn_lo in
-        let hi = (List.nth layout (List.length layout - 1)).Planner.glsn_hi in
-        let owners g =
-          List.length
-            (List.filter
-               (fun r -> g >= r.Planner.glsn_lo && g < r.Planner.glsn_hi)
-               layout)
-        in
-        (* Sample the interval plus both edges. *)
-        let samples =
-          lo :: (hi - 1)
-          :: List.init 20 (fun i -> lo + (i * max 1 ((hi - lo) / 20)))
-        in
-        List.for_all
-          (fun g -> g < lo || g >= hi || owners g = 1)
-          samples
-        && owners (lo - 1) = 0
-        && owners hi = 0)
-
-(* Bad layouts are typed rejections, not silent misplans. *)
-let test_layout_rejections () =
-  let open Dla in
-  let r name lo hi = { Planner.shard = name; glsn_lo = lo; glsn_hi = hi } in
-  let expect_reject name ranges =
-    match Planner.validate_layout ranges with
-    | Error (Audit_error.Shard_layout _) -> ()
-    | Error e ->
-      Alcotest.failf "%s: wrong error %s" name (Audit_error.to_string e)
-    | Ok _ -> Alcotest.failf "%s: accepted" name
-  in
-  expect_reject "empty layout" [];
-  expect_reject "empty range" [ r "a" 10 10 ];
-  expect_reject "duplicate name" [ r "a" 0 5; r "a" 5 10 ];
-  expect_reject "overlap" [ r "a" 0 6; r "b" 5 10 ];
-  expect_reject "gap" [ r "a" 0 5; r "b" 7 10 ];
-  match Planner.validate_layout [ r "b" 5 10; r "a" 0 5 ] with
-  | Ok layout ->
-    Alcotest.(check (list string))
-      "canonical order"
-      [ "a"; "b" ]
-      (List.map (fun x -> x.Planner.shard) layout)
-  | Error e -> Alcotest.fail (Audit_error.to_string e)
-
 let () =
   Alcotest.run "spec"
     [ ( "oracle",
@@ -1360,10 +1262,6 @@ let () =
             test_leaky_fixture_fails_under_guard
         ] );
       ( "planner",
-        [ QCheck_alcotest.to_alcotest prop_homes_clause_order_invariant;
-          QCheck_alcotest.to_alcotest prop_layout_partitions;
-          Alcotest.test_case "layout rejections typed" `Quick
-            test_layout_rejections
-        ] );
+        [ QCheck_alcotest.to_alcotest prop_homes_clause_order_invariant ] );
       ("differential", differential_tests)
     ]
