@@ -35,4 +35,3 @@ let tamper_move t ~glsn ~from_ticket ~to_ticket =
   end
   else false
 
-let copy t = { table = t.table }

@@ -29,4 +29,3 @@ val tamper_move : t -> glsn:Glsn.t -> from_ticket:string -> to_ticket:string -> 
     entries as a compromised node would.  Returns whether anything
     changed. *)
 
-val copy : t -> t

@@ -34,6 +34,7 @@ val check_record :
     virtual completion time in ms: the token's return to the initiator,
     or [timeout_ms] when it stalls.  [down] nodes neither receive nor
     forward.
-    @raise Invalid_argument on a negative or non-finite [timeout_ms],
+    @raise Invalid_argument if [initiator] is not a cluster member, on
+    a negative or non-finite [timeout_ms],
     or on a [latency_ms] that puts a send the initiator or a node makes
     in time at a negative or non-finite instant. *)

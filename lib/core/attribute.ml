@@ -37,8 +37,6 @@ let to_string = function
   | Defined name -> name
   | Undefined i -> Printf.sprintf "C%d" i
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Ord = struct
   type nonrec t = t
 

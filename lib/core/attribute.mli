@@ -26,7 +26,5 @@ val of_string : string -> t
     (lowercased). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

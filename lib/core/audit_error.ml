@@ -34,5 +34,3 @@ let to_string = function
 
 let of_partition ~during ~node ~reason =
   Unreachable { node; during = Printf.sprintf "%s (%s)" during reason }
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)

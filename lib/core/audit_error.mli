@@ -41,5 +41,3 @@ val to_string : t -> string
 
 val of_partition : during:string -> node:Net.Node_id.t -> reason:string -> t
 (** Wrap a caught {!Net.Network.Partitioned} payload. *)
-
-val pp : Format.formatter -> t -> unit

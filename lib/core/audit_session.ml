@@ -40,8 +40,7 @@ let run cluster ?(delivery = Executor.Glsns) ?(failure_mode = Executor.Fail)
   | Ok multi ->
     Obs.Metrics.incr ~by:multi.Planner.dedup_atoms "audit.dedup_atoms";
     Obs.Metrics.incr ~by:multi.Planner.dedup_clauses "audit.dedup_clauses";
-    Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net);
-    Obs.Trace.with_span "session.audit" @@ fun () ->
+    Smc.Proto_util.span net "session.audit" @@ fun () ->
     let cache = Executor.cache_create () in
     (* Phase 1 — pipeline the batch's unique clauses.  Every distinct
        SQ_i across all criteria is taken once, stably sorted by estimated

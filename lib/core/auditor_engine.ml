@@ -73,14 +73,13 @@ let secret_sum cluster ~auditor ~attr input =
       match Executor.run cluster ~auditor:home criteria with
       | Error _ as e -> e
       | Ok report ->
-        let store = Cluster.store_of cluster home in
+        let matching = Glsn.Set.of_list report.Executor.matching in
         let values =
-          List.filter_map
-            (fun glsn ->
-              match Storage.fragment_of store glsn with
-              | None -> None
-              | Some fragment -> List.assoc_opt attr fragment)
-            report.Executor.matching
+          List.rev
+            (Storage.fold_column (Cluster.store_of cluster home) attr
+               (fun acc glsn v ->
+                 if Glsn.Set.mem glsn matching then v :: acc else acc)
+               [])
         in
         let aggregate_error fault =
           Error

@@ -30,8 +30,6 @@ let submit t ~origin ~attributes =
   glsn
 
 let record_count t = Glsn.Map.cardinal t.repository
-let records t = List.map snd (Glsn.Map.bindings t.repository)
-
 let query t criteria =
   Glsn.Map.fold
     (fun glsn record acc ->

@@ -20,7 +20,5 @@ val submit :
 (** The whole record travels to the auditor and is stored there. *)
 
 val record_count : t -> int
-val records : t -> Log_record.t list
-
 val query : t -> Query.t -> Glsn.t list
 (** Direct evaluation over the repository; sorted ascending. *)

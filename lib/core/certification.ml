@@ -18,8 +18,6 @@ let setup cluster ~k () =
   in
   { params; shares = List.combine nodes shares }
 
-let params t = t.params
-
 let statement_of_audit (audit : Auditor_engine.audit) =
   Printf.sprintf "audit{%s}->[%s]"
     (Query.to_string audit.Auditor_engine.criteria)

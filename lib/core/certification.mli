@@ -26,8 +26,6 @@ val setup : Cluster.t -> k:int -> unit -> t
     signing threshold; the modulus has 128 bits, which keeps safe-prime
     generation cheap. *)
 
-val params : t -> Crypto.Threshold_rsa.params
-
 val certify_statement :
   t ->
   Cluster.t ->

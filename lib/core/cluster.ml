@@ -38,7 +38,7 @@ let create ?(seed = 0) ?net ?glsn_start fragmentation =
     List.map
       (fun node ->
         ( node,
-          Storage.create ~node
+          Storage.create
             ~supported:(Fragmentation.supported_by fragmentation node) ))
       (Fragmentation.nodes fragmentation)
   in
@@ -82,7 +82,10 @@ let nodes t = List.map fst t.stores
 let store_of t node =
   match List.find_opt (fun (n, _) -> Net.Node_id.equal n node) t.stores with
   | Some (_, store) -> store
-  | None -> raise Not_found
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Cluster.store_of: %s is not a member of the cluster"
+         (Net.Node_id.to_string node))
 
 let quarantine t node =
   if not (Net.Node_id.Set.mem node t.quarantined_set) then begin
@@ -99,8 +102,6 @@ let quarantined t = Net.Node_id.Set.elements t.quarantined_set
 let stores t = List.map snd t.stores
 let accumulator_params t = t.accumulator
 let rng t = t.rng
-let now t = t.clock
-
 let advance_time t seconds =
   t.clock <- t.clock + seconds;
   (* Wall-clock passage ages circuit-breaker cooldowns too. *)
@@ -312,8 +313,7 @@ let submit_unobserved ~durability t ~ticket ~origin ~attributes =
    time, and lands in exactly one of three outcome counters — the same
    commit/degraded/rejected split the availability experiments plot. *)
 let submit ?(durability = Degraded) t ~ticket ~origin ~attributes =
-  Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms t.net);
-  Obs.Trace.with_span "cluster.submit" (fun () ->
+  Smc.Proto_util.span t.net "cluster.submit" (fun () ->
       let outcome = submit_unobserved ~durability t ~ticket ~origin ~attributes in
       (match outcome with
       | Committed glsn ->
@@ -338,8 +338,7 @@ let pending_hints t =
     t.stores
 
 let drain_hints t =
-  Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms t.net);
-  Obs.Trace.with_span "cluster.drain" (fun () ->
+  Smc.Proto_util.span t.net "cluster.drain" (fun () ->
   let delivered = ref [] in
   List.iter
     (fun (holder, holder_store) ->
@@ -464,6 +463,8 @@ let all_glsns t =
 
 let record_count t = List.length (all_glsns t)
 
+(* The record's deposited integrity digest: every holding node stores
+   the same value (§4.1). *)
 let digest_of t glsn =
   List.fold_left
     (fun acc (_, store) ->

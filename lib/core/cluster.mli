@@ -50,7 +50,8 @@ val retry : t -> Net.Retry.t
 val fragmentation : t -> Fragmentation.t
 val nodes : t -> Net.Node_id.t list
 val store_of : t -> Net.Node_id.t -> Storage.t
-(** @raise Not_found for nodes outside the cluster. *)
+(** @raise Invalid_argument naming the node for a node outside the
+    cluster. *)
 
 val quarantine : t -> Net.Node_id.t -> unit
 (** Fence [node] from audit rounds after a Byzantine accusation.  The
@@ -72,9 +73,6 @@ val quarantined : t -> Net.Node_id.t list
 val stores : t -> Storage.t list
 val accumulator_params : t -> Crypto.Accumulator.params
 val rng : t -> Prng.t
-
-val now : t -> int
-(** Virtual cluster time (seconds), used for ticket expiry. *)
 
 val advance_time : t -> int -> unit
 (** Also ages the retry layer's circuit-breaker cooldowns. *)
@@ -159,10 +157,6 @@ val record_of : t -> Glsn.t -> Log_record.t option
 
 val all_glsns : t -> Glsn.t list
 val record_count : t -> int
-
-val digest_of : t -> Glsn.t -> Bignum.t option
-(** The record's deposited integrity digest (every holding node stores
-    the same value, §4.1) — [None] for a glsn no store holds. *)
 
 val integrity_digests : t -> (Glsn.t * Bignum.t) list
 (** Every stored record's digest, glsn-ascending — what a checkpoint

@@ -35,7 +35,6 @@ let make ~index ~commits ~prev ~accumulator ~delta_hash =
 type chain = { mutable rev : checkpoint list (* newest first *) }
 
 let create () = { rev = [] }
-let length chain = List.length chain.rev
 let checkpoints chain = List.rev chain.rev
 let head chain = match chain.rev with [] -> None | cp :: _ -> Some cp.digest
 

@@ -37,7 +37,6 @@ val recompute_digest : checkpoint -> string
 type chain
 
 val create : unit -> chain
-val length : chain -> int
 
 val checkpoints : chain -> checkpoint list
 (** Oldest first — the list {!verify_chain} takes. *)

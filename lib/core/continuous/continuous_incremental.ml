@@ -352,14 +352,7 @@ let verdict t sid =
        (fun crit -> crit.standing.Continuous_registry.sid = sid)
        t.crits)
 
-let verdicts t =
-  List.map
-    (fun crit -> (crit.standing.Continuous_registry.sid, exposed_verdict crit))
-    t.crits
-
 let deltas t = List.rev t.deltas_rev
-let commits t = t.commit_count
 let cache t = t.cache
 let chain t = t.chain
 let delta_stream_hash t = t.delta_hash
-let registry t = t.registry

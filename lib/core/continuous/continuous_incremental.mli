@@ -67,8 +67,11 @@ type t
 val create : ?checkpoint_interval:int -> Continuous_registry.t -> t
 (** Attach an engine to the registry's cluster: registers
     {!Cluster.on_commit}/{!Cluster.on_rollback} hooks, so every
-    subsequent commit is processed inline.  [checkpoint_interval]
-    defaults to [0] — no automatic checkpoints (use {!checkpoint_now}). *)
+    subsequent commit is processed inline (a drained hint's repeated
+    commit is an idempotent insert) and every rollback strips its glsn
+    from the cached sets, the only path that emits [removed].
+    [checkpoint_interval] defaults to [0] — no automatic checkpoints
+    (use {!checkpoint_now}). *)
 
 val register :
   t ->
@@ -79,17 +82,7 @@ val register :
     clean per-clause rebuild; an initial non-empty match emits a
     [Verdict_changed]. *)
 
-val process : t -> Glsn.t -> unit
-(** Fold one committed glsn in — what the commit hook calls.  Safe to
-    call again for the same glsn (deltas are idempotent inserts), which
-    is how drained hints are absorbed. *)
-
-val retract : t -> Glsn.t -> unit
-(** Rollback: strip the glsn from every cached set and re-derive the
-    verdicts — the only path that emits [removed]. *)
-
 val verdict : t -> Continuous_registry.id -> verdict option
-val verdicts : t -> (Continuous_registry.id * verdict) list
 
 val deltas : t -> delta list
 (** Every delta emitted so far, oldest first. *)
@@ -97,11 +90,9 @@ val deltas : t -> delta list
 val checkpoint_now : t -> Continuous_checkpoint.checkpoint
 (** Cut, link and publish a checkpoint immediately. *)
 
-val commits : t -> int
 val cache : t -> Executor.cache
 (** The engine's live cache — hand it to {!Byzantine.audit} [?cache] so
     a mid-stream quarantine purges tainted incremental state too. *)
 
 val chain : t -> Continuous_checkpoint.chain
 val delta_stream_hash : t -> string
-val registry : t -> Continuous_registry.t

@@ -40,5 +40,3 @@ let unregister t sid =
 
 let registered t =
   List.sort (fun a b -> compare a.sid b.sid) t.entries
-
-let find t sid = List.find_opt (fun s -> s.sid = sid) t.entries

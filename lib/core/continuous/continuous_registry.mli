@@ -37,5 +37,3 @@ val unregister : t -> id -> bool
 
 val registered : t -> standing list
 (** Registration order (ascending [sid]). *)
-
-val find : t -> id -> standing option

@@ -340,7 +340,7 @@ let clause_sources ~home (clause : Planner.planned_clause) =
 let eval_clause cluster ~catch_partition ~available ~trusted ~ctx ~cache
     ~home (clause : Planner.planned_clause) =
   let net = Cluster.net cluster in
-  Obs.Trace.with_span "executor.clause" @@ fun () ->
+  Smc.Proto_util.span net "executor.clause" @@ fun () ->
   List.fold_left
     (fun acc { Planner.atom; home = atom_home } ->
       let eval () =
@@ -492,10 +492,8 @@ let run cluster ?(delivery = Glsns) ?(on_failure = Fail) ?replication ?cache
   match Planner.plan (Cluster.fragmentation cluster) normalized with
   | Error _ as e -> e
   | Ok plan ->
-    Obs.Trace.set_clock (fun () ->
-        Net.Network.virtual_time_ms (Cluster.net cluster));
-    Obs.Trace.with_span "executor.audit" @@ fun () ->
     let net = Cluster.net cluster in
+    Smc.Proto_util.span net "executor.audit" @@ fun () ->
     (* Failover step: a node that is back up but lost rows (crash then
        recover) is repaired from its sealed replicas before it serves
        the audit — recovery targets the owner itself, so no other node's

@@ -10,8 +10,6 @@ let of_string s =
   | Some _ | None -> invalid_arg "Glsn.of_string: not a hex glsn"
 
 let to_int t = t
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Ord = struct
   type nonrec t = t
 

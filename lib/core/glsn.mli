@@ -18,8 +18,6 @@ val of_string : string -> t
 (** @raise Invalid_argument on non-hex input. *)
 
 val to_int : t -> int
-val pp : Format.formatter -> t -> unit
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 

@@ -17,11 +17,14 @@ val violation_to_string : violation -> string
 
 val check_record :
   Cluster.t -> initiator:Net.Node_id.t -> Glsn.t -> (unit, violation) result
-(** One ring circulation for one record. *)
+(** One ring circulation for one record.
+    @raise Invalid_argument if [initiator] is not a cluster member. *)
 
 val check_all :
   Cluster.t -> initiator:Net.Node_id.t -> (Glsn.t * violation) list
-(** Sweep every glsn the cluster knows; returns only the violations. *)
+(** Sweep every glsn the cluster knows; returns only the violations.
+    @raise Invalid_argument if [initiator] is not a cluster member and
+    the cluster holds a record. *)
 
 val challenge_node :
   Cluster.t ->
@@ -33,7 +36,9 @@ val challenge_node :
     fragment it stores under [glsn] is the one the user accumulated, by
     folding it into its deposited witness and matching the challenger's
     deposited total.  Two messages instead of a ring circulation —
-    the cheap mode the integrity bench ablates against. *)
+    the cheap mode the integrity bench ablates against.
+    @raise Invalid_argument if [challenger], or [node] when the
+    challenger holds a digest for [glsn], is not a cluster member. *)
 
 val acl_consistent :
   Cluster.t -> ttp_seed:int -> ticket_id:string -> bool

@@ -104,14 +104,6 @@ let fragment_of_wire wire =
 
 let to_wire t = fragment_wire ~glsn:t.glsn (attributes t)
 
-let pp fmt t =
-  Format.fprintf fmt "@[<h>%a [%s]" Glsn.pp t.glsn
-    (Net.Node_id.to_string t.origin);
-  List.iter
-    (fun (a, v) -> Format.fprintf fmt " %a=%a" Attribute.pp a Value.pp v)
-    (attributes t);
-  Format.fprintf fmt "@]"
-
 module Transaction = struct
   type record = t
   type t = { tsn : int; ttn : int; records : record list }

@@ -49,8 +49,6 @@ val fragment_of_wire : string -> Glsn.t * (Attribute.t * Value.t) list
 (** Inverse of {!fragment_wire} (used by replica repair).
     @raise Invalid_argument on malformed input. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Transactions (eq 1): a specification name, a type number, a sequence
     number, and the records of the transaction's events. *)
 module Transaction : sig

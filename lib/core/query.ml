@@ -334,13 +334,6 @@ let atom_count normalized =
 
 let conjunct_count normalized = max 0 (List.length normalized - 1)
 
-let rec attributes = function
-  | Atom { attr; rhs = Attr b; _ } ->
-    Attribute.Set.add attr (Attribute.Set.singleton b)
-  | Atom { attr; rhs = Const _; _ } -> Attribute.Set.singleton attr
-  | And (x, y) | Or (x, y) -> Attribute.Set.union (attributes x) (attributes y)
-  | Not x -> attributes x
-
 (* ------------------------------------------------------------------ *)
 (* Reference evaluation                                                *)
 (* ------------------------------------------------------------------ *)

@@ -63,8 +63,6 @@ val atom_count : normalized -> int
 val conjunct_count : normalized -> int
 (** q of eq 11: number of ∧ connectors, i.e. [clauses - 1]. *)
 
-val attributes : t -> Attribute.Set.t
-
 (** {1 Reference evaluation}
 
     Direct evaluation against a full record — the correctness oracle for
@@ -76,7 +74,6 @@ val eval_atom : lookup:(Attribute.t -> Value.t option) -> atom -> bool
     (and their negation-flipped counterparts correspondingly [true] only
     when the comparison itself is; absence never matches). *)
 
-val eval : lookup:(Attribute.t -> Value.t option) -> t -> bool
 val eval_normalized : lookup:(Attribute.t -> Value.t option) -> normalized -> bool
 val eval_record : Log_record.t -> t -> bool
 

@@ -32,8 +32,6 @@ let setup cluster ~degree =
   in
   { degree; keys = List.map (fun node -> (node, keys_for node)) nodes }
 
-let degree t = t.degree
-
 let key_of t node =
   snd (List.find (fun (n, _) -> Net.Node_id.equal n node) t.keys)
 

@@ -21,8 +21,6 @@ type t
 val setup : Cluster.t -> degree:int -> t
 (** @raise Invalid_argument unless [1 <= degree < cluster size]. *)
 
-val degree : t -> int
-
 val successors : Net.Node_id.t list -> Net.Node_id.t -> int -> Net.Node_id.t list
 (** [successors ring node count]: the [count] ring successors of [node],
     wrapping around.

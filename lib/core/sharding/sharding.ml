@@ -124,19 +124,15 @@ let scatter_gather t work merge =
       (fun reply -> merge [ (shard.name, reply) ] ~cross_shard_msgs:0)
       (work shard)
   | shards -> (
-    let clock_on net =
-      Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net)
-    in
-    clock_on t.fabric;
-    Obs.Trace.with_span "shard.scatter" (fun () ->
+    Smc.Proto_util.span t.fabric "shard.scatter" (fun () ->
         Obs.Metrics.incr ~by:(Array.length shards) "audit.cross_shard_msgs");
     let replies =
       Array.map
         (fun shard ->
           Obs.Metrics.incr (Printf.sprintf "shard.scatter.%s" shard.name);
-          clock_on (Cluster.net shard.cluster);
           let reply =
-            Obs.Trace.with_span (Printf.sprintf "shard.audit.%s" shard.name)
+            Smc.Proto_util.span (Cluster.net shard.cluster)
+              (Printf.sprintf "shard.audit.%s" shard.name)
               (fun () -> work shard)
           in
           Obs.Metrics.incr "audit.cross_shard_msgs";
@@ -159,8 +155,7 @@ let scatter_gather t work merge =
     in
     Result.map
       (fun per_shard ->
-        clock_on t.fabric;
-        Obs.Trace.with_span "shard.gather" (fun () ->
+        Smc.Proto_util.span t.fabric "shard.gather" (fun () ->
             merge per_shard ~cross_shard_msgs:(2 * Array.length shards)))
       (collect 0))
 
@@ -320,81 +315,6 @@ let secret_count_total t ~auditor ~criteria =
     in
     Federation.secret_count_total ~net:t.fabric ~rng:t.rng ~auditor ~criteria
       members
-
-(* ------------------------------------------------------------------ *)
-(* Sharded secret-shared columns                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Column = struct
-  type sharding = t
-
-  type t = {
-    fleet : sharding;
-    attr : Attribute.t;
-    columns : Shared_column.t array;  (* one per shard, layout order *)
-    recorded : int array;  (* values dealt into each shard's column *)
-  }
-
-  let create fleet ~attr ~k =
-    {
-      fleet;
-      attr;
-      columns =
-        Array.map
-          (fun s -> Shared_column.create s.cluster ~attr ~k)
-          fleet.shards;
-      recorded = Array.make (Array.length fleet.shards) 0;
-    }
-
-  let attr t = t.attr
-
-  let record t ?dealer ~glsn value =
-    match owner_of t.fleet glsn with
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Sharding.Column.record: glsn %s owned by no shard"
-           (Glsn.to_string glsn))
-    | Some shard ->
-      Shared_column.record t.columns.(shard.index) ?dealer ~glsn value;
-      t.recorded.(shard.index) <- t.recorded.(shard.index) + 1
-
-  let add a b =
-    match (a, b) with
-    | Value.Int x, Value.Int y -> Value.Int (x + y)
-    | Value.Money x, Value.Money y -> Value.Money (x + y)
-    | Value.Time x, Value.Time y -> Value.Time (x + y)
-    | _ -> invalid_arg "Sharding.Column.secret_total: mixed value kinds"
-
-  let secret_total t ?over ~auditor () =
-    let selected shard =
-      match over with
-      | None -> None
-      | Some glsns ->
-        Some
-          (List.filter
-             (fun g ->
-               match owner_of t.fleet g with
-               | Some s -> s.index = shard
-               | None -> false)
-             glsns)
-    in
-    let totals =
-      Array.to_list t.fleet.shards
-      |> List.filter_map (fun s ->
-             if t.recorded.(s.index) = 0 then None
-             else
-               let over = selected s.index in
-               match over with
-               | Some [] -> None
-               | _ ->
-                 Some
-                   (Shared_column.secret_total t.columns.(s.index) ?over
-                      ~auditor ()))
-    in
-    match totals with
-    | [] -> Value.Int 0
-    | first :: rest -> List.fold_left add first rest
-end
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine-tolerant fleet audits                                     *)

@@ -159,31 +159,6 @@ val secret_count_total :
     network, so no shard learns another's count.  With S = 1 the single
     shard answers directly (count-only), with no fabric traffic. *)
 
-(** {1 Sharded secret-shared columns} *)
-
-module Column : sig
-  type sharding := t
-  type t
-
-  val create : sharding -> attr:Attribute.t -> k:int -> t
-  (** A {!Shared_column} inside every shard (same [attr], same [k]). *)
-
-  val attr : t -> Attribute.t
-
-  val record : t -> ?dealer:Net.Node_id.t -> glsn:Glsn.t -> Value.t -> unit
-  (** Deal the value into the {e owning} shard's column ({!owner_of}).
-      @raise Invalid_argument for a glsn outside every shard's range,
-      and as {!Shared_column.record} otherwise. *)
-
-  val secret_total :
-    t -> ?over:Glsn.t list -> auditor:Net.Node_id.t -> unit -> Value.t
-  (** Fleet total: each shard with recorded values reconstructs its own
-      subtotal toward the auditor (k aggregate shares each, as
-      {!Shared_column.secret_total}); the auditor sums the subtotals.
-      No shard node ever holds a value, exactly as in the single-column
-      case. *)
-end
-
 (** {1 Byzantine-tolerant sharded audits} *)
 
 type byzantine = {

@@ -4,7 +4,7 @@ type engine = {
   incremental : Continuous_incremental.t;
 }
 
-type t = { fleet : Sharding.t; engines : engine list }
+type t = { engines : engine list }
 
 let create fleet =
   let engines =
@@ -15,9 +15,7 @@ let create fleet =
         { shard; registry; incremental })
       (Sharding.shards fleet)
   in
-  { fleet; engines }
-
-let fleet t = t.fleet
+  { engines }
 
 let register t ?delivery request =
   (* Lockstep: the registries were created together and every criterion
@@ -43,11 +41,6 @@ let register t ?delivery request =
         err)
   in
   go [] t.engines
-
-let unregister t id =
-  List.fold_left
-    (fun acc e -> Continuous_registry.unregister e.registry id || acc)
-    false t.engines
 
 let merge_verdicts (vs : Continuous_incremental.verdict list) =
   {
@@ -75,24 +68,3 @@ let verdict t id =
   | [] -> None
   | vs when List.length vs = List.length t.engines -> Some (merge_verdicts vs)
   | _ -> None
-
-let verdicts t =
-  match t.engines with
-  | [] -> []
-  | e :: _ ->
-    Continuous_registry.registered e.registry
-    |> List.filter_map (fun (s : Continuous_registry.standing) ->
-           Option.map
-             (fun v -> (s.Continuous_registry.sid, v))
-             (verdict t s.Continuous_registry.sid))
-
-let checkpoint_now t =
-  List.map
-    (fun e ->
-      (e.shard.Sharding.name, Continuous_incremental.checkpoint_now e.incremental))
-    t.engines
-
-let commits t =
-  List.fold_left
-    (fun acc e -> acc + Continuous_incremental.commits e.incremental)
-    0 t.engines

@@ -20,10 +20,7 @@ type t
 val create : Sharding.t -> t
 (** Attach a registry and an incremental engine to every shard of the
     fleet, each as {!Continuous_incremental.create} makes it (no
-    automatic checkpoints).  Each shard cuts (and publishes to the
-    auditor) its own checkpoint chain. *)
-
-val fleet : t -> Sharding.t
+    automatic checkpoints). *)
 
 val register :
   t ->
@@ -34,23 +31,12 @@ val register :
     is valid fleet-wide).  A planner/parse error registers nothing
     anywhere. *)
 
-val unregister : t -> Continuous_registry.id -> bool
-(** [true] iff the id was registered (removed from every shard). *)
-
 val verdict : t -> Continuous_registry.id -> Continuous_incremental.verdict option
 (** The merged fleet verdict: matching lists concatenated in glsn
     order, counts summed, [complete] the conjunction, [unreachable]
     the deduplicated union. *)
 
-val verdicts : t -> (Continuous_registry.id * Continuous_incremental.verdict) list
-
 val per_shard_verdicts :
   t -> Continuous_registry.id ->
   (string * Continuous_incremental.verdict) list
 (** Each shard's own verdict for the id, layout order. *)
-
-val checkpoint_now : t -> (string * Continuous_checkpoint.checkpoint) list
-(** Cut, link and publish a checkpoint on every shard. *)
-
-val commits : t -> int
-(** Total commits processed fleet-wide. *)

@@ -2,7 +2,6 @@ open Numtheory
 
 type t = {
   cluster : Cluster.t;
-  attr : Attribute.t;
   k : int;
   p : Bignum.t;  (* share field, far above any reachable total *)
   mutable shares : (Net.Node_id.t * Crypto.Shamir.share) list Glsn.Map.t;
@@ -21,9 +20,7 @@ let create cluster ~attr ~k =
   then
     invalid_arg
       "Shared_column.create: attribute already homed at a DLA node";
-  { cluster; attr; k; p = field_prime; shares = Glsn.Map.empty; kind = None }
-
-let attr t = t.attr
+  { cluster; k; p = field_prime; shares = Glsn.Map.empty; kind = None }
 
 let int_of_value = function
   | Value.Int v | Value.Money v | Value.Time v ->
@@ -133,7 +130,6 @@ let secret_total t ?over ~auditor () =
   end
 
 let node_knows_nothing t cluster glsn =
-  ignore t.attr;
   let ledger = Net.Network.ledger (Cluster.net cluster) in
   match Glsn.Map.find_opt glsn t.shares with
   | None -> true

@@ -22,8 +22,6 @@ val create : Cluster.t -> attr:Attribute.t -> k:int -> t
     fragmentation universe (it never materializes anywhere).
     @raise Invalid_argument on a homed attribute or bad [k]. *)
 
-val attr : t -> Attribute.t
-
 val record : t -> ?dealer:Net.Node_id.t -> glsn:Glsn.t -> Value.t -> unit
 (** Split the value and deal one share per node (ledger: [Share] at the
     nodes, [Plaintext] at the [dealer] — the application node that owns

@@ -18,7 +18,6 @@ type column = {
 }
 
 type t = {
-  node : Net.Node_id.t;
   supported : Attribute.Set.t;
   mutable rows : Glsn.t array;  (* every stored glsn, ascending *)
   mutable row_count : int;  (* of [rows] in use *)
@@ -86,9 +85,8 @@ let column_delete col glsn =
     col.len <- col.len - 1
   end
 
-let create ~node ~supported =
+let create ~supported =
   {
-    node;
     supported;
     rows = [||];
     row_count = 0;
@@ -103,7 +101,6 @@ let create ~node ~supported =
     acl = Access_control.create ();
   }
 
-let node t = t.node
 let supported t = t.supported
 
 let has_row t glsn =

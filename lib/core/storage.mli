@@ -27,9 +27,8 @@ open Numtheory
 
 type t
 
-val create : node:Net.Node_id.t -> supported:Attribute.Set.t -> t
+val create : supported:Attribute.Set.t -> t
 
-val node : t -> Net.Node_id.t
 val supported : t -> Attribute.Set.t
 
 val store :
@@ -91,8 +90,9 @@ val acl : t -> Access_control.t
     cluster as a whole has the complete log", §2).  Replicas are stored
     as opaque wire blobs keyed by (owner, glsn): the replica holder can
     return them for repair but gains no plaintext columns (the blob is
-    XOR-encrypted under the owner-pair key; the ledger records only
-    ciphertext observations). *)
+    sealed with ChaCha20-Poly1305 under the owner's HKDF-derived key,
+    with the glsn as nonce and associated data; the ledger records
+    only ciphertext observations). *)
 
 val store_replica :
   t -> owner:Net.Node_id.t -> glsn:Glsn.t -> blob:string -> unit

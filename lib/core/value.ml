@@ -1,11 +1,5 @@
 type t = Int of int | Money of int | Time of int | Str of string
 
-let kind = function
-  | Int _ -> "int"
-  | Money _ -> "money"
-  | Time _ -> "time"
-  | Str _ -> "str"
-
 let kind_rank = function Int _ -> 0 | Money _ -> 1 | Time _ -> 2 | Str _ -> 3
 
 let compare a b =
@@ -63,5 +57,3 @@ let of_wire w =
     | 's' -> Str body
     | _ -> fail ()
   end
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -18,8 +18,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val kind : t -> string
-
 (** {1 Comparison classes}
 
     The query layer compares values by *class*, not constructor: [Int]
@@ -50,5 +48,3 @@ val to_wire : t -> string
 
 val of_wire : string -> t
 (** Inverse of {!to_wire}.  @raise Invalid_argument on malformed input. *)
-
-val pp : Format.formatter -> t -> unit

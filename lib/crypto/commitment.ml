@@ -12,4 +12,3 @@ let verify t { value; nonce } = String.equal t (hash ~nonce value)
 
 let equal = String.equal
 let to_hex = Sha256.to_hex
-let pp fmt t = Format.pp_print_string fmt (to_hex t)

@@ -18,4 +18,3 @@ val verify : t -> opening -> bool
 
 val equal : t -> t -> bool
 val to_hex : t -> string
-val pp : Format.formatter -> t -> unit

@@ -19,9 +19,6 @@ val generate : Prng.t -> bits:int -> secret
 
 val public : secret -> public
 
-val digest_to_group : public -> string -> Bignum.t
-(** [H(msg)^2 mod n] — the signed representative. *)
-
 val sign : secret -> string -> Bignum.t
 
 val sign_many : secret -> string list -> Bignum.t list

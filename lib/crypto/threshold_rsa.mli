@@ -38,9 +38,6 @@ val deal : Prng.t -> bits:int -> k:int -> parties:int -> params * share list
     [bits >= 32].  Safe-prime generation makes large [bits] slow;
     128–256 are practical here. *)
 
-val digest_to_group : params -> string -> Bignum.t
-(** [H(msg)^2 mod n], the signed representative (a quadratic residue). *)
-
 val partial_sign : share -> string -> partial
 (** One node's partial [x^(2Δ·sᵢ)].  Every party signs the same digest
     base [x], so the power runs through the fixed-base window table

@@ -47,13 +47,7 @@ let create ~seed plans =
     log = [];
   }
 
-let colluders t =
-  List.map (fun p -> p.node) t.plans
-  |> List.sort_uniq Node_id.compare
-
 let quarantine t node = t.fenced <- Node_id.Set.add node t.fenced
-let is_quarantined t node = Node_id.Set.mem node t.fenced
-let quarantined t = Node_id.Set.elements t.fenced
 let injections t = List.rev t.log
 
 let injected_nodes t =

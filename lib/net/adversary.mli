@@ -57,9 +57,6 @@ type t
 
 val create : seed:int -> plan list -> t
 
-val colluders : t -> Node_id.t list
-(** Distinct planned nodes, sorted. *)
-
 val tamper :
   t -> src:Node_id.t -> dst:Node_id.t -> label:string -> Bignum.t list
   -> Bignum.t list
@@ -69,9 +66,6 @@ val tamper :
 val quarantine : t -> Node_id.t -> unit
 (** Fence [node]: its plans stop firing (the process was re-hosted on
     an honest replica). *)
-
-val is_quarantined : t -> Node_id.t -> bool
-val quarantined : t -> Node_id.t list
 
 val injections : t -> injection list
 (** Chronological log of actual lies — ground truth for detection

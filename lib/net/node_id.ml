@@ -15,8 +15,6 @@ let to_string = function
   | Authority -> "authority"
   | Auditor -> "auditor"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let dla_ring n = List.init n (fun i -> Dla i)
 let users n = List.init n (fun i -> User i)
 

@@ -19,8 +19,6 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
 val dla_ring : int -> t list
 (** [dla_ring n] is [\[Dla 0; ...; Dla (n-1)\]] in ring order. *)
 

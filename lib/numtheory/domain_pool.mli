@@ -27,14 +27,11 @@ val create : domains:int -> t
 val domains : t -> int
 (** The configured width (including the submitter). *)
 
-val inline : t
-(** The shared width-1 pool: every batch runs inline on the caller.
-    This is {!current}'s default, so library code can call
-    {!map_list} unconditionally. *)
-
 val current : unit -> t
 (** The ambient pool installed by the innermost {!with_pool}, or
-    {!inline} outside any scope. *)
+    outside any scope a shared width-1 pool that runs every batch
+    inline on the caller, so library code can call {!map_list}
+    unconditionally. *)
 
 val with_pool : t -> (unit -> 'a) -> 'a
 (** Run a thunk with [t] installed as the ambient pool ({!current});

@@ -7,26 +7,23 @@ type span = {
 
 type t = {
   metrics : Metrics.t;
-  mutable clock : unit -> float;
   mutable stack : span list;
   mutable completed : span list;  (* newest first *)
 }
 
 let create ?(metrics = Metrics.global) () =
-  { metrics; clock = (fun () -> 0.0); stack = []; completed = [] }
+  { metrics; stack = []; completed = [] }
 
 let global = create ()
 
-let set_clock ?(t = global) clock = t.clock <- clock
-
-let with_span ?(t = global) name f =
+let with_span ?(t = global) ~clock name f =
   let span =
-    { name; depth = List.length t.stack; start_ms = t.clock (); duration_ms = 0.0 }
+    { name; depth = List.length t.stack; start_ms = clock (); duration_ms = 0.0 }
   in
   t.stack <- span :: t.stack;
   Fun.protect
     ~finally:(fun () ->
-      span.duration_ms <- t.clock () -. span.start_ms;
+      span.duration_ms <- clock () -. span.start_ms;
       (match t.stack with
       | top :: rest when top == span -> t.stack <- rest
       | _ -> (* a nested span leaked; drop down to this one *)

@@ -1,12 +1,13 @@
-(** Hierarchical spans over a pluggable clock.
+(** Hierarchical spans, each over its own clock.
 
     Spans nest via {!with_span}; the enclosing dynamic extent defines
-    the parent.  Time comes from a caller-supplied clock — in this
-    codebase always the simulated network's virtual-time-ms — so span
-    durations measure protocol latency, not wall time.  Completing a
-    span also records a ["span.<name>"] histogram sample in the
-    associated {!Metrics} registry, which is where the p50/p95/p99
-    latency figures in BENCH_*.json come from. *)
+    the parent.  Each span reads the clock it was opened with — in this
+    codebase always the virtual-time-ms of the network the span's work
+    runs on ({!Smc.Proto_util.span}) — so span durations measure
+    protocol latency, not wall time, and a span never reads another
+    network's clock.  Completing a span also records a ["span.<name>"]
+    histogram sample in the associated {!Metrics} registry, which is
+    where the p50/p95/p99 latency figures in BENCH_*.json come from. *)
 
 type span = {
   name : string;
@@ -18,19 +19,13 @@ type span = {
 type t
 
 val create : ?metrics:Metrics.t -> unit -> t
-(** A fresh trace whose clock is the constant 0 until {!set_clock}. *)
+(** A fresh trace.  [?t] defaults to the process-wide trace, backed by
+    {!Metrics.global}. *)
 
-val global : t
-(** Default trace, backed by {!Metrics.global}. *)
-
-val set_clock : ?t:t -> (unit -> float) -> unit
-(** Instrumented entry points call this with the owning network's
-    virtual clock; the last caller wins, which is correct for the
-    synchronous single-net protocol runs this library observes. *)
-
-val with_span : ?t:t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a new span.  The span is closed (and its
-    duration histogram sample recorded) even if the thunk raises. *)
+val with_span : ?t:t -> clock:(unit -> float) -> string -> (unit -> 'a) -> 'a
+(** Run the thunk inside a new span, which reads [clock] when it opens
+    and when it closes.  The span is closed (and its duration histogram
+    sample recorded) even if the thunk raises. *)
 
 val current_path : ?t:t -> unit -> string list
 (** Names of the currently-open spans, outermost first — the "phase

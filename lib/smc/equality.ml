@@ -99,16 +99,3 @@ let via_mapping_table ~net ~rng ~ttp ~domain ~left:(lnode, lval)
     ~bytes:1;
   Net.Network.round ~label:"equality" net;
   verdict
-
-let naive ~net ~coordinator ~left:(lnode, lval) ~right:(rnode, rval) =
-  List.iter
-    (fun (node, v) ->
-      if not (Net.Node_id.equal node coordinator) then
-        Net.Network.send_exn net ~src:node ~dst:coordinator
-          ~label:"equality:naive" ~bytes:(Proto_util.bignum_wire_size v);
-      Proto_util.observe net ~node:coordinator
-        ~sensitivity:Net.Ledger.Plaintext ~tag:"equality:naive"
-        (Net.Ledger.Text (Bignum.to_string v)))
-    [ (lnode, lval); (rnode, rval) ];
-  Net.Network.round ~label:"equality" net;
-  Bignum.equal lval rval

@@ -45,10 +45,3 @@ val via_mapping_table :
     shared [domain] enumerates the values' finite universe (both values
     must belong to it).
     @raise Invalid_argument if a value is outside the domain. *)
-
-val naive :
-  net:Net.Network.t ->
-  coordinator:Net.Node_id.t ->
-  left:Net.Node_id.t * Bignum.t ->
-  right:Net.Node_id.t * Bignum.t ->
-  bool

@@ -23,13 +23,11 @@ let shuffle rng items =
   done;
   Array.to_list arr
 
-(* One protocol phase as an Obs span, clocked on [net]'s virtual time.
-   Every protocol entry point re-binds the global trace clock, which is
-   sound because the simulated protocols run synchronously to
-   completion on one network at a time. *)
+(* One phase as an Obs span, clocked on [net]'s virtual time: the span
+   reads the network its work runs on, whichever network a caller
+   timed last. *)
 let span net name f =
-  Obs.Trace.set_clock (fun () -> Net.Network.virtual_time_ms net);
-  Obs.Trace.with_span name f
+  Obs.Trace.with_span ~clock:(fun () -> Net.Network.virtual_time_ms net) name f
 
 type wire_event = {
   node : Net.Node_id.t;

@@ -16,9 +16,9 @@ val shuffle : Prng.t -> 'a list -> 'a list
     in the secure-union decode phase. *)
 
 val span : Net.Network.t -> string -> (unit -> 'a) -> 'a
-(** Run one protocol phase inside an {!Obs.Trace} span whose clock is
-    the network's virtual time (so span durations are simulated
-    protocol latency). *)
+(** Run one phase inside an {!Obs.Trace} span whose clock is the
+    network's virtual time (so span durations are simulated protocol
+    latency).  Every span the library opens goes through here. *)
 
 type wire_event = {
   node : Net.Node_id.t;  (** who observed the value *)
@@ -59,20 +59,6 @@ val observe :
     stored unrendered; it is rendered here only when a hook is
     installed. *)
 
-val deliver :
-  Net.Network.t ->
-  src:Net.Node_id.t ->
-  dst:Net.Node_id.t ->
-  label:string ->
-  Bignum.t list ->
-  Bignum.t list
-(** Byzantine layer: the payload [dst] actually receives.  Applies the
-    installed {!Net.Adversary} (if any) and cross-checks the pass with
-    the installed {!Round_guard} (if any), recording the commitment as
-    a [Metadata] observation tagged ["byz:commit:<label>"] at [dst].
-    With neither installed this is the identity — the honest path is
-    byte-identical.  Does {e not} account any network traffic. *)
-
 val deliver_share :
   Net.Network.t ->
   src:Net.Node_id.t ->
@@ -80,7 +66,13 @@ val deliver_share :
   label:string ->
   Bignum.t ->
   Bignum.t
-(** {!deliver} for a single Shamir share ordinate.
+(** Byzantine layer: the Shamir share ordinate [dst] actually receives.
+    Applies the installed {!Net.Adversary} (if any) and cross-checks the
+    pass with the installed {!Round_guard} (if any), recording the
+    commitment as a [Metadata] observation tagged
+    ["byz:commit:<label>"] at [dst].  With neither installed this is
+    the identity — the honest path is byte-identical.  Does {e not}
+    account any network traffic.
     @raise Net.Network.Partitioned if an adversary drops the share. *)
 
 val send_bignums :
@@ -94,7 +86,7 @@ val send_bignums :
     [Ciphertext] observation of each at the destination (one
     {!Net.Ledger.Batch}, rendered by [Bignum.to_hex] on read); returns the
     payload as delivered (identical to the argument unless a Byzantine
-    adversary is installed — see {!deliver}).  Protocol code must
+    adversary is installed — see {!deliver_share}).  Protocol code must
     continue with the returned payload, exactly as a real receiver
     would: every ∩ₛ/∪ₛ ring hop relays through here, so the next
     node's layer goes on the values that actually arrived.

@@ -33,7 +33,9 @@ val comparisons :
   left:Net.Node_id.t * Bignum.t ->
   right:Net.Node_id.t * Bignum.t ->
   int
-(** Blind three-way comparison of two private values: -1, 0 or 1.  Used
-    by the query planner for cross-node [<] and [>] predicates. *)
+(** Blind three-way comparison of two private values: -1, 0 or 1.  The
+    audit path does not use it (a cross-node [<] or [>] atom blinds
+    whole columns for the TTP's merge-join); experiment P11 and the
+    tests call it. *)
 
 val naive : net:Net.Network.t -> coordinator:Net.Node_id.t -> party list -> verdict

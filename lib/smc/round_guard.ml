@@ -20,16 +20,6 @@ let accusation_to_string a =
     (Net.Node_id.to_string a.accused)
     a.label a.seq (reason_to_string a.reason)
 
-exception Byzantine_detected of accusation list
-
-let () =
-  Printexc.register_printer (function
-    | Byzantine_detected accs ->
-      Some
-        (Printf.sprintf "Smc.Round_guard.Byzantine_detected(%s)"
-           (String.concat "; " (List.map accusation_to_string accs)))
-    | _ -> None)
-
 type t = {
   mutable seq : int;
   (* claimed-commitment history per (src, label) channel, newest first *)
@@ -99,9 +89,6 @@ let accused_nodes t =
   |> List.sort_uniq Net.Node_id.compare
 
 let verify_cost t = (t.verify_msgs, t.verify_bytes)
-
-let check t =
-  match t.accs with [] -> () | _ -> raise (Byzantine_detected (accusations t))
 
 let active : t option ref = ref None
 let current () = !active

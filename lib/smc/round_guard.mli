@@ -31,8 +31,6 @@ open Numtheory
 
 type reason = Corrupted | Dropped | Replayed | Forged_share
 
-val reason_to_string : reason -> string
-
 type accusation = {
   accused : Net.Node_id.t;
   label : string;  (** message label of the offending pass *)
@@ -41,8 +39,6 @@ type accusation = {
 }
 
 val accusation_to_string : accusation -> string
-
-exception Byzantine_detected of accusation list
 
 type t
 
@@ -79,9 +75,6 @@ val accused_nodes : t -> Net.Node_id.t list
 
 val verify_cost : t -> int * int
 (** [(msgs, bytes)] of verification traffic charged to this guard. *)
-
-val check : t -> unit
-(** @raise Byzantine_detected if any accusation was recorded. *)
 
 val current : unit -> t option
 

@@ -22,7 +22,6 @@ val name : t -> string
 (** ["uniform"], ["skewed"] or ["lossy"]. *)
 
 val uniform : seed:int -> t
-val skewed : seed:int -> t
 
 val lossy : ?max_attempts:int -> seed:int -> unit -> t
 (** [max_attempts] bounds the retry loop explicitly (default 40, the

@@ -18,9 +18,6 @@ let nodes t =
   List.sort_uniq Net.Node_id.compare
     (List.map (fun (e : event) -> e.node) t.rev_events)
 
-let view t node =
-  List.filter (fun (e : event) -> Net.Node_id.equal e.node node) (events t)
-
 let aggregates t node =
   List.filter_map
     (fun (e : event) ->

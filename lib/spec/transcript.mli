@@ -29,9 +29,6 @@ val size : t -> int
 val nodes : t -> Net.Node_id.t list
 (** Every node that observed at least one value, sorted. *)
 
-val view : t -> Net.Node_id.t -> event list
-(** One node's complete view of the execution, oldest first. *)
-
 val aggregates : t -> Net.Node_id.t -> string list
 (** The values a node observed at [Aggregate] sensitivity — its
     authorized final answers, oldest first. *)

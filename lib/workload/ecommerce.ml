@@ -27,8 +27,6 @@ type ground_truth = {
 let d = Attribute.defined
 let u = Attribute.undefined
 
-let attributes = [ d "time"; d "id"; d "protocl"; d "tid"; u 1; u 2; u 3 ]
-
 let base_time =
   Time_util.epoch_of_civil ~year:2002 ~month:5 ~day:12 ~hour:20 ~minute:0
     ~second:0

@@ -23,12 +23,9 @@ type ground_truth = {
   transaction_ids : string list;
 }
 
-val attributes : Dla.Attribute.t list
-(** The schema used: time, id, protocl, tid, C1 (units), C2 (amount),
-    C3 (memo). *)
-
 val events : config -> ((Dla.Attribute.t * Dla.Value.t) list * Net.Node_id.t) list
-(** The raw event stream as [(attributes, origin)], in time order. *)
+(** The raw event stream as [(attributes, origin)], in time order, over
+    time, id, protocl, tid, C1 (units), C2 (amount) and C3 (memo). *)
 
 val populate : Dla.Cluster.t -> config -> Dla.Glsn.t list * ground_truth
 (** Issue one W/R ticket per user and submit all events. *)

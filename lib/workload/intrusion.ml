@@ -28,8 +28,6 @@ type ground_truth = {
 let d = Attribute.defined
 let u = Attribute.undefined
 
-let attributes = [ d "time"; d "id"; d "ip"; d "protocl"; u 1 ]
-
 let attacker_id = "evil7"
 
 let base_time =

@@ -28,12 +28,9 @@ type ground_truth = {
   max_background_per_source : int;
 }
 
-val attributes : Dla.Attribute.t list
-(** time, id (source), ip (target host), protocl, C1 (port). *)
-
-val events : config -> ((Dla.Attribute.t * Dla.Value.t) list * Net.Node_id.t) list
-
 val populate : Dla.Cluster.t -> config -> Dla.Glsn.t list * ground_truth
+(** Records over time, id (source), ip (target host), protocl and
+    C1 (port). *)
 
 val per_host_counts : config -> source:string -> (int * int) list
 (** [(host, events by source at that host)] — shows the scan stays under

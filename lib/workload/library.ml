@@ -17,8 +17,6 @@ type ground_truth = {
 let d = Attribute.defined
 let u = Attribute.undefined
 
-let attributes = [ d "time"; d "id"; d "protocl"; d "tid"; u 4; u 1 ]
-
 let services = [| "checkout"; "search"; "renewal" |]
 let item_classes = [| "fiction"; "reference"; "periodical"; "media" |]
 

@@ -26,11 +26,9 @@ type ground_truth = {
   heaviest_patron_events : int;
 }
 
-val attributes : Dla.Attribute.t list
-(** time, id (branch), protocl (service kind), tid (item class),
-    C4 (patron id), C1 (records touched). *)
-
 val events :
   config -> ((Dla.Attribute.t * Dla.Value.t) list * Net.Node_id.t) list
+(** Over time, id (branch), protocl (service kind), tid (item class),
+    C4 (patron id) and C1 (records touched). *)
 
 val populate : Dla.Cluster.t -> config -> Dla.Glsn.t list * ground_truth

@@ -401,6 +401,63 @@ let test_delta_reblind_one_clause_closed_form () =
   check "reblind delta" 0 "net.msg.intersection:relay";
   check "reblind delta" 0 "crypto.commutative.enc"
 
+(* A clause span reads the clock of the cluster it runs on, even when
+   another cluster's audit ran last: two paper clusters, the busier one
+   500 ms ahead, and the other's clause warmed outside any audit — first
+   by a continuous engine's registration, then directly. *)
+let test_clause_span_reads_its_cluster_clock () =
+  let b, _ = Workload.Paper_example.build ~seed:2 () in
+  let a, _ = Workload.Paper_example.build ~seed:1 () in
+  Net.Network.charge_wait_ms (Dla.Cluster.net a) 500.0;
+  let audit_a () =
+    match
+      Dla.Auditor_engine.run a ~auditor:Net.Node_id.Auditor
+        (Dla.Auditor_engine.Text {|C1 > 30|})
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "audit: %s" (Dla.Audit_error.to_string e)
+  in
+  let clock_b () = Net.Network.virtual_time_ms (Dla.Cluster.net b) in
+  let check_clause_span label warm =
+    audit_a ();
+    Obs.Trace.reset ();
+    let start = clock_b () in
+    warm ();
+    match
+      List.filter
+        (fun (s : Obs.Trace.span) -> s.Obs.Trace.name = "executor.clause")
+        (Obs.Trace.spans ())
+    with
+    | [ s ] ->
+      Alcotest.(check (float 1e-9)) (label ^ " start") start s.Obs.Trace.start_ms;
+      Alcotest.(check (float 1e-9)) (label ^ " duration") (clock_b () -. start)
+        s.Obs.Trace.duration_ms;
+      Alcotest.(check bool) (label ^ " clock moved") true (clock_b () > start)
+    | spans ->
+      Alcotest.failf "%s: expected 1 clause span, got %d" label
+        (List.length spans)
+  in
+  let criteria = {|C2 = C3|} in
+  check_clause_span "registration" (fun () ->
+      let registry = Dla.Continuous.Registry.create b in
+      let engine = Dla.Continuous.Incremental.create registry in
+      match
+        Dla.Continuous.Incremental.register engine
+          (Dla.Auditor_engine.Text criteria)
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "register: %s" (Dla.Audit_error.to_string e));
+  let clause =
+    match
+      Dla.Planner.plan (Dla.Cluster.fragmentation b)
+        (Dla.Query.normalize (Result.get_ok (Dla.Query.parse criteria)))
+    with
+    | Ok { Dla.Planner.clauses = [ clause ]; _ } -> clause
+    | _ -> Alcotest.fail "C2 = C3 plans to one clause"
+  in
+  check_clause_span "warm_clause" (fun () ->
+      Dla.Executor.warm_clause b ~cache:(Dla.Executor.cache_create ()) clause)
+
 (* ------------------------------------------------------------------ *)
 (* Scatter-gather — sharded audits                                     *)
 (*   fabric messages 2·S for S > 1 (one scatter + one gather per       *)
@@ -719,8 +776,10 @@ let () =
             test_interleaved_moduli_ctx_creations
         ] );
       ( "spans",
-        [ Alcotest.test_case "phase spans recorded" `Quick test_protocol_spans ]
-      );
+        [ Alcotest.test_case "phase spans recorded" `Quick test_protocol_spans;
+          Alcotest.test_case "clause spans read their cluster's clock" `Quick
+            test_clause_span_reads_its_cluster_clock
+        ] );
       ( "continuous-delta",
         [ Alcotest.test_case "insert-only delta costs zero SMC messages"
             `Quick test_delta_insert_zero_smc_messages;

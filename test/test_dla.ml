@@ -249,7 +249,7 @@ let test_access_control () =
 
 let test_storage () =
   let supported = Attribute.Set.of_list [ d "time"; u 1 ] in
-  let store = Storage.create ~node:(Net.Node_id.Dla 0) ~supported in
+  let store = Storage.create ~supported in
   let g = Glsn.of_string "139aef78" in
   Storage.store store ~glsn:g
     ~fragment:[ (d "time", Value.Time 5); (u 1, Value.Int 9) ];
@@ -433,7 +433,7 @@ let prop_storage_matches_row_map =
        storage_ops_gen)
     (fun ops ->
       let supported = Attribute.Set.of_list model_supported in
-      let store = Storage.create ~node:(Net.Node_id.Dla 0) ~supported in
+      let store = Storage.create ~supported in
       let model = Row_map_model.create ~supported in
       (* A row with the record-level deposits a commit makes; the
          [Invalid_argument] message if the store refuses it. *)
@@ -817,6 +817,27 @@ let test_integrity_witness_challenge () =
   | Error Integrity.Digest_mismatch -> ()
   | Error v -> Alcotest.failf "wrong violation: %s" (Integrity.violation_to_string v)
   | Ok () -> Alcotest.fail "tamper passed the challenge"
+
+let test_integrity_non_member () =
+  (* A node outside the cluster is a named argument error at every §4.1
+     entry point, never a bare lookup failure. *)
+  let cluster, glsns = populated_cluster () in
+  let glsn = List.hd glsns in
+  let outsider = Net.Node_id.Dla 9 and member = Net.Node_id.Dla 0 in
+  let raises label f =
+    Alcotest.check_raises label
+      (Invalid_argument "Cluster.store_of: P9 is not a member of the cluster")
+      (fun () -> ignore (f ()))
+  in
+  raises "check_record" (fun () ->
+      Integrity.check_record cluster ~initiator:outsider glsn);
+  raises "check_all" (fun () -> Integrity.check_all cluster ~initiator:outsider);
+  raises "challenger" (fun () ->
+      Integrity.challenge_node cluster ~challenger:outsider ~node:member glsn);
+  raises "challenged node" (fun () ->
+      Integrity.challenge_node cluster ~challenger:member ~node:outsider glsn);
+  raises "async check_record" (fun () ->
+      Async_integrity.check_record cluster ~initiator:outsider glsn)
 
 let test_accumulator_witness_algebra () =
   let rng = Numtheory.Prng.create ~seed:40 in
@@ -1391,6 +1412,7 @@ let () =
           Alcotest.test_case "detects deletion" `Quick test_integrity_detects_deletion;
           Alcotest.test_case "acl consistency" `Quick test_acl_consistency;
           Alcotest.test_case "witness challenge" `Quick test_integrity_witness_challenge;
+          Alcotest.test_case "non-member node" `Quick test_integrity_non_member;
           Alcotest.test_case "witness algebra" `Quick test_accumulator_witness_algebra
         ] );
       ( "exposure",

@@ -58,12 +58,12 @@ let test_single_sample_percentiles () =
 let test_span_nesting () =
   let m = Obs.Metrics.create () in
   let t = Obs.Trace.create ~metrics:m () in
-  let clock = ref 0.0 in
-  Obs.Trace.set_clock ~t (fun () -> !clock);
-  Obs.Trace.with_span ~t "outer" (fun () ->
-      clock := 1.0;
-      Obs.Trace.with_span ~t "inner" (fun () -> clock := 3.0);
-      clock := 10.0);
+  let now = ref 0.0 in
+  let clock () = !now in
+  Obs.Trace.with_span ~t ~clock "outer" (fun () ->
+      now := 1.0;
+      Obs.Trace.with_span ~t ~clock "inner" (fun () -> now := 3.0);
+      now := 10.0);
   match Obs.Trace.spans ~t () with
   | [ inner; outer ] ->
     (* Completion order: children close first. *)
@@ -84,7 +84,8 @@ let test_span_nesting () =
 let test_span_closes_on_raise () =
   let t = Obs.Trace.create () in
   (try
-     Obs.Trace.with_span ~t "fails" (fun () -> failwith "boom")
+     Obs.Trace.with_span ~t ~clock:(fun () -> 0.0) "fails" (fun () ->
+         failwith "boom")
    with Failure _ -> ());
   match Obs.Trace.spans ~t () with
   | [ s ] -> Alcotest.(check string) "span closed" "fails" s.Obs.Trace.name

@@ -362,11 +362,9 @@ let test_phase1_order () =
     in
     let cache = Executor.cache_create () in
     Obs.Trace.reset ();
-    Obs.Trace.set_clock (fun () ->
-        Net.Network.virtual_time_ms (Cluster.net cluster));
     let (), transcript =
       Spec.Transcript.record (fun () ->
-          Obs.Trace.with_span "session.audit" (fun () ->
+          Smc.Proto_util.span (Cluster.net cluster) "session.audit" (fun () ->
               List.iter
                 (fun s ->
                   Executor.warm_clause cluster ~cache (clause_of s))
