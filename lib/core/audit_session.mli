@@ -20,7 +20,8 @@
     - {b memoizes glsn sets}: results land in an {!Executor.cache}; the
       per-query executions then serve every clause from the cache
       ([audit.cache_hit]) and pay only their own conjunction (∩ₛ) and
-      delivery.
+      delivery.  Under [Degrade], a clause that skipped an atom is not
+      cached, so each query that needs it evaluates it again.
 
     Answers are byte-identical to running the queries sequentially —
     glsn sets depend only on stored data, never on evaluation order or

@@ -48,7 +48,6 @@ type t = {
 }
 
 let trusted t = Executor.trusted t.cluster
-let available t = Executor.available t.cluster ~on_failure:Executor.Fail
 
 let clause_has_cross_atom (clause : Planner.planned_clause) =
   List.exists
@@ -58,8 +57,8 @@ let clause_has_cross_atom (clause : Planner.planned_clause) =
 
 (* Does the newly committed record satisfy this local atom?  Judged
    per-record with exactly [Executor.eval_local_atom]'s semantics, so an
-   inserted glsn lands in the cached set iff a from-scratch column scan
-   would have put it there. *)
+   inserted glsn lands in the cached clause set iff a from-scratch column
+   scan would have put it there. *)
 let local_atom_satisfied t ~node ~glsn (atom : Query.atom) =
   match Storage.fragment_of (Cluster.store_of t.cluster node) glsn with
   | None -> false (* fragment parked or rolled back: the store has no row *)
@@ -86,31 +85,23 @@ let with_loss_retry f =
   in
   go 0
 
-(* Re-evaluate one clause from its stores: drop the clause entry and its
-   atoms' entries, then warm exactly as a session would.  Costs one
-   clause's worth of §3 messages — the fallback for deltas that cannot
-   be expressed incrementally, and the initializer at registration. *)
+(* Re-evaluate one clause from its stores: drop its entry, then warm
+   exactly as a session would.  Costs one clause's worth of §3 messages
+   — the fallback for deltas that cannot be expressed incrementally, and
+   the initializer at registration. *)
 let rebuild_clause t clause =
   with_loss_retry (fun () ->
       Executor.cache_drop_clause t.cache
         ~key:(Planner.planned_clause_key clause);
-      List.iter
-        (fun pa ->
-          Executor.cache_drop_atom t.cache
-            ~key:(Planner.atom_key pa.Planner.atom))
-        clause.Planner.atoms;
       Executor.warm_clause t.cluster ~cache:t.cache clause)
 
 (* Fold one committed glsn into one clause's cached entry. *)
 let apply_clause_delta t ~glsn clause =
   let key = Planner.planned_clause_key clause in
-  match
-    Executor.cache_lookup_clause t.cache ~available:(available t)
-      ~trusted:(trusted t) key
-  with
+  match Executor.cache_lookup_clause t.cache ~trusted:(trusted t) key with
   | None ->
-    (* nothing cached (first sight, taint purge, or node recovery):
-       evaluate from clean sources *)
+    (* nothing cached (first sight, or a taint purge): evaluate from
+       clean sources *)
     Obs.Metrics.incr "audit.delta.rebuild";
     rebuild_clause t clause
   | Some _ when clause_has_cross_atom clause ->
@@ -120,25 +111,19 @@ let apply_clause_delta t ~glsn clause =
     Obs.Metrics.incr "audit.delta.reblind";
     rebuild_clause t clause
   | Some _ ->
-    (* insert-only delta: no SMC machinery, no messages — evaluate the
-       one new record against each local atom at its home *)
+    (* insert-only delta: no SMC machinery, no messages — the clause is
+       a disjunction of local atoms, and the one new record joins its
+       set when any of them holds at its home *)
     Obs.Metrics.incr "audit.delta.insert";
-    let satisfied = ref false in
-    List.iter
-      (fun pa ->
-        match pa.Planner.home with
-        | Planner.Cross _ -> ()
-        | Planner.Local node ->
-          if local_atom_satisfied t ~node ~glsn pa.Planner.atom then begin
-            satisfied := true;
-            ignore
-              (Executor.cache_insert_glsn_atom t.cache
-                 ~key:(Planner.atom_key pa.Planner.atom)
-                 glsn)
-          end)
-      clause.Planner.atoms;
-    if !satisfied then
-      ignore (Executor.cache_insert_glsn_clause t.cache ~key glsn)
+    if
+      List.exists
+        (fun pa ->
+          match pa.Planner.home with
+          | Planner.Cross _ -> false
+          | Planner.Local node ->
+            local_atom_satisfied t ~node ~glsn pa.Planner.atom)
+        clause.Planner.atoms
+    then ignore (Executor.cache_insert_glsn_clause t.cache ~key glsn)
 
 let emit t delta =
   t.deltas_rev <- delta :: t.deltas_rev;
@@ -157,37 +142,28 @@ let emit t delta =
    node's data too — re-dropping the rebuilt entry would diverge from
    that oracle. *)
 let refresh_verdict t crit =
-  let plan = crit.standing.Continuous_registry.plan in
-  let sets = ref [] in
-  let down = ref Net.Node_id.Set.empty in
-  let all_present = ref true in
-  List.iter
-    (fun clause ->
-      match
-        Executor.cache_lookup_clause t.cache ~available:(available t)
-          ~trusted:(fun _ -> true)
-          (Planner.planned_clause_key clause)
-      with
-      | Some entry ->
-        sets := entry.Executor.glsns :: !sets;
-        if not entry.Executor.is_complete then begin
-          all_present := false;
-          List.iter
-            (fun n -> down := Net.Node_id.Set.add n !down)
-            entry.Executor.missing_nodes
-        end
-      | None ->
-        (* the clause could not be (re)built: its home is the gap *)
-        all_present := false;
-        down := Net.Node_id.Set.add clause.Planner.clause_home !down)
-    plan.Planner.clauses;
+  let sets, gaps =
+    List.partition_map
+      (fun clause ->
+        match
+          Executor.cache_lookup_clause t.cache
+            ~trusted:(fun _ -> true)
+            (Planner.planned_clause_key clause)
+        with
+        | Some set -> Either.Left set
+        | None ->
+          (* the clause has no set (a quarantine purged it and nothing
+             has rebuilt it since): its home is the gap *)
+          Either.Right clause.Planner.clause_home)
+      crit.standing.Continuous_registry.plan.Planner.clauses
+  in
   let current =
-    match !sets with
+    match sets with
     | [] -> Glsn.Set.empty
     | s :: rest -> List.fold_left Glsn.Set.inter s rest
   in
-  let complete = !all_present in
-  let unreachable = Net.Node_id.Set.elements !down in
+  let unreachable = List.sort_uniq Net.Node_id.compare gaps in
+  let complete = unreachable = [] in
   if not (Glsn.Set.equal current crit.current) then begin
     let added = Glsn.Set.elements (Glsn.Set.diff current crit.current) in
     let removed = Glsn.Set.elements (Glsn.Set.diff crit.current current) in
@@ -213,41 +189,22 @@ let refresh_verdict t crit =
   crit.cov_complete <- complete;
   crit.cov_unreachable <- unreachable
 
-(* Reconcile with the registry: initialize newly registered criteria
-   (always from a clean rebuild — a cached atom left by an earlier
-   session could predate recent commits), forget unregistered ones. *)
-let sync t =
-  let reg = Continuous_registry.registered t.registry in
-  let still_registered crit =
-    List.exists
-      (fun s ->
-        s.Continuous_registry.sid = crit.standing.Continuous_registry.sid)
-      reg
+(* Take a standing criterion on: every clause from a clean rebuild (a
+   set another audit left in the shared cache is not maintained across
+   commits, so it could predate recent ones), then its first verdict. *)
+let adopt t standing =
+  let crit =
+    {
+      standing;
+      current = Glsn.Set.empty;
+      cov_complete = true;
+      cov_unreachable = [];
+    }
   in
-  t.crits <- List.filter still_registered t.crits;
-  List.iter
-    (fun s ->
-      let known =
-        List.exists
-          (fun crit ->
-            crit.standing.Continuous_registry.sid = s.Continuous_registry.sid)
-          t.crits
-      in
-      if not known then begin
-        let crit =
-          {
-            standing = s;
-            current = Glsn.Set.empty;
-            cov_complete = true;
-            cov_unreachable = [];
-          }
-        in
-        List.iter (rebuild_clause t)
-          s.Continuous_registry.plan.Planner.clauses;
-        t.crits <- t.crits @ [ crit ];
-        refresh_verdict t crit
-      end)
-    reg
+  List.iter (rebuild_clause t)
+    standing.Continuous_registry.plan.Planner.clauses;
+  t.crits <- t.crits @ [ crit ];
+  refresh_verdict t crit
 
 let checkpoint_now t =
   let params = Cluster.accumulator_params t.cluster in
@@ -277,7 +234,6 @@ let checkpoint_now t =
 
 let process t glsn =
   Obs.Metrics.incr "audit.delta.commits";
-  sync t;
   (match Cluster.quarantined t.cluster with
   | [] -> ()
   | nodes ->
@@ -323,15 +279,15 @@ let create ?(checkpoint_interval = 0) registry =
   in
   Cluster.on_commit t.cluster (fun glsn -> process t glsn);
   Cluster.on_rollback t.cluster (fun glsn -> retract t glsn);
-  sync t;
+  List.iter (adopt t) (Continuous_registry.registered registry);
   t
 
 let register t ?delivery request =
-  match Continuous_registry.register t.registry ?delivery request with
-  | Error e -> Error e
-  | Ok sid ->
-    sync t;
-    Ok sid
+  Result.map
+    (fun standing ->
+      adopt t standing;
+      standing.Continuous_registry.sid)
+    (Continuous_registry.register t.registry ?delivery request)
 
 let exposed_verdict crit =
   let matching =

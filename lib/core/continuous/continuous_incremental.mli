@@ -7,17 +7,16 @@
     to its long-lived {!Executor.cache}:
 
     - a clause whose atoms are all {e local} takes an insert-only delta
-      — the one new record is judged against each atom at its home
-      (exactly {!Executor.eval_local_atom}'s per-record semantics) and
-      the glsn is added to the cached atom/clause sets.  No SMC
-      machinery runs, no messages move ([audit.delta.insert]);
+      — the one new record is judged against the clause's atoms at their
+      homes (a from-scratch column scan's per-record semantics), and the
+      glsn is added to the cached clause set when any of them holds.  No
+      SMC machinery runs, no messages move ([audit.delta.insert]);
     - a clause with a {e cross} atom cannot absorb one row into an
       already-blinded column comparison, so exactly that clause is
       dropped and re-blinded from its stores, at one clause's worth of
       §3 messages ([audit.delta.reblind]);
-    - a clause with no usable entry (registration, taint purge after a
-      quarantine, node recovery) is rebuilt the same way
-      ([audit.delta.rebuild]).
+    - a clause with no cached set (registration, taint purge after a
+      quarantine) is rebuilt the same way ([audit.delta.rebuild]).
 
     Verdicts are the conjunction of the cached clause sets — metadata
     set algebra, byte-identical to what a from-scratch run returns (the
@@ -32,9 +31,10 @@
     The engine evaluates under {!Executor.Fail}: a rebuild that hits a
     partition raises {!Net.Network.Partitioned} out of the commit,
     exactly like a from-scratch audit would at that moment.  Its cache
-    can still hold incomplete entries, left by a
-    {!Byzantine.audit}[ ~recovery:Exclude] that shares it, and a
-    clause whose entry is unusable reports its home as the gap. *)
+    holds complete clause sets only, so a verdict is incomplete only
+    while a clause has no set at all — a quarantine purged it and a
+    rollback re-derives the verdicts before the next commit rebuilds
+    it — and reports that clause's home as the gap. *)
 
 type delta =
   | Verdict_changed of {
@@ -47,8 +47,8 @@ type delta =
       id : Continuous_registry.id;
       complete : bool;
       unreachable : Net.Node_id.t list;
-    }  (** the evaluable fraction changed: a clause could not be
-           rebuilt, or its cached entry is incomplete *)
+    }  (** the evaluable fraction changed: a clause has no cached set
+           as the verdicts are re-derived *)
 
 val delta_to_string : delta -> string
 (** Canonical serialization — the unit the delta-stream hash absorbs. *)
@@ -69,7 +69,9 @@ val create : ?checkpoint_interval:int -> Continuous_registry.t -> t
     {!Cluster.on_commit}/{!Cluster.on_rollback} hooks, so every
     subsequent commit is processed inline (a drained hint's repeated
     commit is an idempotent insert) and every rollback strips its glsn
-    from the cached sets, the only path that emits [removed].
+    from the cached sets, the only path that emits [removed].  Criteria
+    the registry already holds are taken on at once, as {!register}
+    does; later ones reach the engine only through {!register}.
     [checkpoint_interval] defaults to [0] — no automatic checkpoints
     (use {!checkpoint_now}). *)
 
@@ -78,9 +80,11 @@ val register :
   ?delivery:Executor.delivery ->
   Auditor_engine.request ->
   (Continuous_registry.id, Audit_error.t) result
-(** Register a standing criterion and initialize its verdict from a
-    clean per-clause rebuild; an initial non-empty match emits a
-    [Verdict_changed]. *)
+(** Register a standing criterion with the engine's registry
+    ({!Continuous_registry.register}) and take it on: every clause is
+    rebuilt from its stores, then the verdict is derived; an initial
+    non-empty match emits a [Verdict_changed].  An error registers
+    nothing. *)
 
 val verdict : t -> Continuous_registry.id -> verdict option
 

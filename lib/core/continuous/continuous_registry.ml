@@ -9,11 +9,12 @@ type standing = {
 
 type t = {
   cluster : Cluster.t;
-  mutable next_id : id;
-  mutable entries : standing list;  (* newest first *)
+  mutable entries : standing list;
+      (* newest first; nothing removes one, so the next sid is the
+         length *)
 }
 
-let create cluster = { cluster; next_id = 0; entries = [] }
+let create cluster = { cluster; entries = [] }
 let cluster t = t.cluster
 
 let register t ?(delivery = Executor.Glsns) request =
@@ -25,18 +26,11 @@ let register t ?(delivery = Executor.Glsns) request =
     with
     | Error e -> Error e
     | Ok plan ->
-      let sid = t.next_id in
-      t.next_id <- sid + 1;
-      t.entries <- { sid; criteria; plan; delivery } :: t.entries;
+      let standing =
+        { sid = List.length t.entries; criteria; plan; delivery }
+      in
+      t.entries <- standing :: t.entries;
       Obs.Metrics.incr "audit.continuous.registered";
-      Ok sid)
+      Ok standing)
 
-let unregister t sid =
-  let kept = List.filter (fun s -> s.sid <> sid) t.entries in
-  let removed = List.length kept <> List.length t.entries in
-  t.entries <- kept;
-  if removed then Obs.Metrics.incr "audit.continuous.unregistered";
-  removed
-
-let registered t =
-  List.sort (fun a b -> compare a.sid b.sid) t.entries
+let registered t = List.rev t.entries

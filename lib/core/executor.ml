@@ -195,56 +195,36 @@ let skip_atom ctx nodes =
 (* Session glsn-set cache                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One memoized glsn set.  [complete = false] marks an entry evaluated
-   under Degrade with nodes down: [entry_unreachable] lists every node
-   its evaluation skipped and [entry_skipped] counts the skipped atoms —
-   the coverage debt that any reuse must surface in its own report. *)
+(* One memoized clause glsn set, stored only when its evaluation skipped
+   no atom, so a hit carries no coverage debt. *)
 type cache_entry = {
-  cached_set : Glsn.Set.t;
-  complete : bool;
-  entry_unreachable : Net.Node_id.t list;
-  entry_skipped : int;
+  set : Glsn.Set.t;
   sources : Net.Node_id.t list;
       (* provenance: every node whose honesty the set depends on — if
          one of them is later quarantined, the entry is tainted and
          must be recomputed, never served *)
 }
 
-type cache = {
-  atom_tbl : (string, cache_entry) Hashtbl.t;
-  clause_tbl : (string, cache_entry) Hashtbl.t;
-  mutable hits : int;
-}
+type cache = { clauses : (string, cache_entry) Hashtbl.t; mutable hits : int }
 
-let cache_create () =
-  { atom_tbl = Hashtbl.create 32; clause_tbl = Hashtbl.create 16; hits = 0 }
-
+let cache_create () = { clauses = Hashtbl.create 16; hits = 0 }
 let cache_hits cache = cache.hits
-
-(* A complete entry is always reusable.  An incomplete one is reusable
-   only while every node it skipped is *still* unavailable — once a node
-   recovers, the predicate must be re-evaluated (under Fail, [available]
-   is constantly true, so incomplete entries are never reused). *)
-let cache_usable ~available entry =
-  entry.complete
-  || List.for_all (fun node -> not (available node)) entry.entry_unreachable
 
 (* Hits are counted by the caller: query traffic counts them, delta
    maintenance and cache warming do not. *)
-let cache_lookup tbl ~available ~trusted key =
-  match Hashtbl.find_opt tbl key with
+let cache_lookup_clause cache ~trusted key =
+  match Hashtbl.find_opt cache.clauses key with
   | None -> None
   | Some entry ->
-    if not (List.for_all trusted entry.sources) then begin
+    if List.for_all trusted entry.sources then Some entry.set
+    else begin
       (* tainted: a contributing node has been quarantined since this
          set was computed — drop the entry rather than serving a value
          a liar helped assemble *)
-      Hashtbl.remove tbl key;
+      Hashtbl.remove cache.clauses key;
       Obs.Metrics.incr "audit.cache_invalidated";
       None
     end
-    else if cache_usable ~available entry then Some entry
-    else None
 
 let count_hit cache =
   cache.hits <- cache.hits + 1;
@@ -256,70 +236,39 @@ let cache_purge cache ~nodes =
       (fun s -> List.exists (Net.Node_id.equal s) nodes)
       entry.sources
   in
-  let purge tbl =
-    let doomed =
-      Hashtbl.fold
-        (fun key entry acc -> if tainted entry then key :: acc else acc)
-        tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed;
-    List.length doomed
+  let doomed =
+    Hashtbl.fold
+      (fun key entry acc -> if tainted entry then key :: acc else acc)
+      cache.clauses []
   in
-  let removed = purge cache.atom_tbl + purge cache.clause_tbl in
+  List.iter (Hashtbl.remove cache.clauses) doomed;
+  let removed = List.length doomed in
   Obs.Metrics.incr ~by:removed "audit.cache_invalidated";
   removed
 
 (* ---- delta surface for the continuous-audit engine ---------------- *)
 
-type cached_set = {
-  glsns : Glsn.Set.t;
-  is_complete : bool;
-  missing_nodes : Net.Node_id.t list;
-  depends_on : Net.Node_id.t list;
-}
-
-let cache_view entry =
-  {
-    glsns = entry.cached_set;
-    is_complete = entry.complete;
-    missing_nodes = entry.entry_unreachable;
-    depends_on = entry.sources;
-  }
-
-let cache_lookup_clause cache ~available ~trusted key =
-  Option.map cache_view (cache_lookup cache.clause_tbl ~available ~trusted key)
-
-let cache_insert_glsn tbl ~key glsn =
-  match Hashtbl.find_opt tbl key with
+let cache_insert_glsn_clause cache ~key glsn =
+  match Hashtbl.find_opt cache.clauses key with
   | None -> false
   | Some entry ->
-    Hashtbl.replace tbl key
-      { entry with cached_set = Glsn.Set.add glsn entry.cached_set };
+    Hashtbl.replace cache.clauses key
+      { entry with set = Glsn.Set.add glsn entry.set };
     true
 
-let cache_insert_glsn_atom cache ~key glsn =
-  cache_insert_glsn cache.atom_tbl ~key glsn
-
-let cache_insert_glsn_clause cache ~key glsn =
-  cache_insert_glsn cache.clause_tbl ~key glsn
-
-let cache_drop_atom cache ~key = Hashtbl.remove cache.atom_tbl key
-let cache_drop_clause cache ~key = Hashtbl.remove cache.clause_tbl key
+let cache_drop_clause cache ~key = Hashtbl.remove cache.clauses key
 
 let cache_remove_glsn cache glsn =
-  let strip tbl =
-    let touched = ref 0 in
-    Hashtbl.iter
-      (fun key entry ->
-        if Glsn.Set.mem glsn entry.cached_set then begin
-          incr touched;
-          Hashtbl.replace tbl key
-            { entry with cached_set = Glsn.Set.remove glsn entry.cached_set }
-        end)
-      tbl;
-    !touched
-  in
-  strip cache.atom_tbl + strip cache.clause_tbl
+  let touched = ref 0 in
+  Hashtbl.iter
+    (fun key entry ->
+      if Glsn.Set.mem glsn entry.set then begin
+        incr touched;
+        Hashtbl.replace cache.clauses key
+          { entry with set = Glsn.Set.remove glsn entry.set }
+      end)
+    cache.clauses;
+  !touched
 
 let atom_sources = function
   | Planner.Local node -> [ node ]
@@ -337,8 +286,8 @@ let clause_sources ~home (clause : Planner.planned_clause) =
 
 (* Evaluate one clause at [home].  [available] decides which nodes can
    serve; atoms whose nodes cannot are skipped and recorded in [ctx]. *)
-let eval_clause cluster ~catch_partition ~available ~trusted ~ctx ~cache
-    ~home (clause : Planner.planned_clause) =
+let eval_clause cluster ~catch_partition ~available ~ctx ~home
+    (clause : Planner.planned_clause) =
   let net = Cluster.net cluster in
   Smc.Proto_util.span net "executor.clause" @@ fun () ->
   List.fold_left
@@ -376,56 +325,22 @@ let eval_clause cluster ~catch_partition ~available ~trusted ~ctx ~cache
             end
           | Query.Const _ -> assert false (* planner never crosses a const *))
       in
-      let eval_and_memo () =
-        (* Under degraded execution a mid-protocol drop (loss) converts
-           into a skipped atom instead of an aborted audit. *)
-        let computed =
-          if catch_partition then
-            try eval () with
-            | Net.Network.Partitioned { dst; _ } ->
-              skip_atom ctx [ dst ];
-              None
-          else eval ()
-        in
-        (match (computed, cache) with
-        | Some set, Some c ->
-          Hashtbl.replace c.atom_tbl (Planner.atom_key atom)
-            {
-              cached_set = set;
-              complete = true;
-              entry_unreachable = [];
-              entry_skipped = 0;
-              sources = atom_sources atom_home;
-            }
-        | _ -> ());
-        computed
-      in
+      (* Under degraded execution a mid-protocol drop (loss) converts
+         into a skipped atom instead of an aborted audit. *)
       let set =
-        (* A session-cache hit reuses the memoized glsn set: the atom's
-           SMC work (blinding, TTP round, local-result transfer) is
-           skipped entirely.  Atom entries are only ever stored after a
-           successful evaluation, so they are always complete. *)
-        match cache with
-        | None -> eval_and_memo ()
-        | Some c -> (
-          match
-            cache_lookup c.atom_tbl ~available ~trusted (Planner.atom_key atom)
-          with
-          | Some entry ->
-            count_hit c;
-            Some entry.cached_set
-          | None -> eval_and_memo ())
+        if catch_partition then
+          try eval () with
+          | Net.Network.Partitioned { dst; _ } ->
+            skip_atom ctx [ dst ];
+            None
+        else eval ()
       in
       match set with None -> acc | Some set -> Glsn.Set.union acc set)
     Glsn.Set.empty clause.Planner.atoms
 
-(* An entirely unevaluated disjunction is unknowable: it has no set to
-   store or to intersect. *)
-let all_atoms_skipped (clause : Planner.planned_clause) entry =
-  entry.entry_skipped >= List.length clause.Planner.atoms
-
 let trusted cluster node = not (Cluster.is_quarantined cluster node)
 
+(* Whether [run] under [on_failure] uses a node. *)
 let available cluster ~on_failure node =
   match on_failure with
   | Fail -> true (* unavailability surfaces as Partitioned *)
@@ -437,46 +352,49 @@ let available cluster ~on_failure node =
 (* Serve one clause's glsn set; shared by [run] and [warm_clause].  The
    union is assembled at the clause's planned home, or at a stand-in when
    degraded — glsn sets are Definition-1 metadata, so re-homing the
-   union never widens plaintext observation.  A usable cached entry is
-   served as is; otherwise the clause is evaluated and its entry stored.
-   [None] means no live node can assemble the union; otherwise the
-   result is the home, the entry, and whether it came from the cache. *)
-let clause_step cluster ~on_failure ~cache (clause : Planner.planned_clause) =
-  let trusted = trusted cluster and available = available cluster ~on_failure in
+   union never widens plaintext observation.  A cached set is served as
+   is; otherwise the clause is evaluated, its skipped atoms recorded in
+   [ctx], and its set stored only if it skipped none, so a cached set
+   never carries coverage debt.  [None] means the clause is uncovered:
+   no live node can assemble the union (its home is recorded in [ctx]),
+   or every atom was skipped and the disjunction has no set to
+   intersect.  Otherwise the result is the home, the set, and whether
+   it came from the cache. *)
+let clause_step cluster ~on_failure ~cache ~ctx
+    (clause : Planner.planned_clause) =
+  let available = available cluster ~on_failure in
   let home =
     let planned = clause.Planner.clause_home in
     if available planned then Some planned
     else List.find_opt available (Cluster.nodes cluster)
   in
   match home with
-  | None -> None
+  | None ->
+    mark_unreachable ctx [ clause.Planner.clause_home ];
+    None
   | Some home -> (
     let key = Planner.planned_clause_key clause in
     match
       Option.bind cache (fun c ->
-          cache_lookup c.clause_tbl ~available ~trusted key)
+          cache_lookup_clause c ~trusted:(trusted cluster) key)
     with
-    | Some entry -> Some (home, entry, true)
+    | Some set -> Some (home, set, true)
     | None ->
-      (* A context of its own, so the entry names every node this clause
-         skipped, even one an earlier clause already found down. *)
-      let ctx = empty_ctx () in
+      let skipped_before = ctx.n_skipped_atoms in
       let set =
         eval_clause cluster ~catch_partition:(on_failure = Degrade)
-          ~available ~trusted ~ctx ~cache ~home clause
+          ~available ~ctx ~home clause
       in
-      let entry =
-        {
-          cached_set = set;
-          complete = ctx.n_skipped_atoms = 0;
-          entry_unreachable = Net.Node_id.Set.elements ctx.down;
-          entry_skipped = ctx.n_skipped_atoms;
-          sources = clause_sources ~home clause;
-        }
-      in
-      if not (all_atoms_skipped clause entry) then
-        Option.iter (fun c -> Hashtbl.replace c.clause_tbl key entry) cache;
-      Some (home, entry, false))
+      let skipped = ctx.n_skipped_atoms - skipped_before in
+      if skipped = 0 then
+        Option.iter
+          (fun c ->
+            Hashtbl.replace c.clauses key
+              { set; sources = clause_sources ~home clause })
+          cache;
+      if skipped < List.length clause.Planner.atoms then
+        Some (home, set, false)
+      else None)
 
 (* Default commutative scheme for the multi-home conjunction: the XOR
    pad, as always.  [?conjunction] lets a session swap in a real cipher
@@ -517,32 +435,20 @@ let run cluster ?(delivery = Glsns) ?(on_failure = Fail) ?replication ?cache
     in
     Obs.Metrics.incr ~by:(List.length repaired) "executor.repaired";
     (* Evaluate every clause, collecting its glsn set at its home and
-       folding its coverage debt into the run's.  A cached entry carries
-       the debt it was stored with, so degraded reuse stays truthful. *)
+       its coverage debt in the run's context.  An uncovered clause is
+       dropped from the conjunction rather than intersected as a
+       spurious empty set; the coverage report names it. *)
     let ctx = empty_ctx () in
-    let skip_clause () =
-      Obs.Metrics.incr "executor.clauses.skipped";
-      None
-    in
     let clause_sets =
       List.filter_map
         (fun clause ->
-          match clause_step cluster ~on_failure ~cache clause with
+          match clause_step cluster ~on_failure ~cache ~ctx clause with
           | None ->
-            (* No live node can even assemble the union: the clause is
-               uncovered. *)
-            mark_unreachable ctx [ clause.Planner.clause_home ];
-            skip_clause ()
-          | Some (home, entry, from_cache) ->
+            Obs.Metrics.incr "executor.clauses.skipped";
+            None
+          | Some (home, set, from_cache) ->
             if from_cache then Option.iter count_hit cache;
-            ctx.n_skipped_atoms <- ctx.n_skipped_atoms + entry.entry_skipped;
-            mark_unreachable ctx entry.entry_unreachable;
-            if all_atoms_skipped clause entry then
-              (* Drop the clause from the conjunction rather than
-                 intersecting with a spurious empty set; the coverage
-                 report names it. *)
-              skip_clause ()
-            else Some (home, entry.cached_set))
+            Some (home, set))
         plan.Planner.clauses
     in
     (* Conjunction: first fold clauses that share a home locally, then
@@ -637,4 +543,6 @@ let run cluster ?(delivery = Glsns) ?(on_failure = Fail) ?replication ?cache
    evaluation and store as the first [run] over the clause, minus the
    per-query conjunction and delivery. *)
 let warm_clause cluster ?(on_failure = Fail) ~cache clause =
-  ignore (clause_step cluster ~on_failure ~cache:(Some cache) clause)
+  ignore
+    (clause_step cluster ~on_failure ~cache:(Some cache) ~ctx:(empty_ctx ())
+       clause)

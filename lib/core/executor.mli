@@ -74,27 +74,24 @@ val merge_coverage : coverage list -> coverage
 
 (** {1 Session glsn-set cache}
 
-    A per-session memo of evaluated predicates, keyed by
-    {!Planner.atom_key}/{!Planner.clause_key}.  A hit returns the glsn
-    set without re-running the SMC machinery — no blinded columns, no
-    TTP round, no local-result transfer — and bumps the
-    [audit.cache_hit] counter.  A clause evaluated under [Degrade] with
-    nodes down is stored {e incomplete}, listing every node the clause
-    skipped — including one an earlier clause of the same query had
-    already found down.  An incomplete entry is reused only while all
-    of those nodes are still unavailable (and its skipped-atom count
-    flows into the new report's coverage); once any of them recovers,
-    the clause is evaluated again.  Glsn sets are Definition-1
-    metadata, so caching them widens no node's observations. *)
+    A per-session memo of evaluated clauses SQ_i, keyed by
+    {!Planner.clause_key}.  A hit returns the clause's glsn set without
+    re-running the SMC machinery — no blinded columns, no TTP round, no
+    local-result transfer — and bumps the [audit.cache_hit] counter.
+    Only a set whose evaluation skipped no atom is stored: a clause
+    evaluated under [Degrade] with nodes down is evaluated again on its
+    next use, so a cached set never carries coverage debt.  Glsn sets
+    are Definition-1 metadata, so caching them widens no node's
+    observations. *)
 
 type cache
 
 val cache_create : unit -> cache
-val cache_hits : cache -> int  (** hits served so far, atoms + clauses *)
+val cache_hits : cache -> int  (** clause hits served so far *)
 
 val cache_purge : cache -> nodes:Net.Node_id.t list -> int
 (** Drop every entry whose glsn set depended on one of [nodes] (it
-    homed the atom, served a cross column, or assembled the clause
+    homed an atom, served a cross column, or assembled the clause
     union) and return how many entries were removed.  The Byzantine
     layer calls this when a node is quarantined; lookups also
     self-invalidate lazily against {!Cluster.is_quarantined}, so a
@@ -105,54 +102,26 @@ val cache_purge : cache -> nodes:Net.Node_id.t list -> int
 
     The continuous-audit engine ({!Continuous_incremental}) maintains a
     long-lived cache across commits.  These operations expose just
-    enough of an entry to apply an insert-only delta — never the
-    internal bookkeeping — and reuse the exact taint/usability
-    discipline of the session lookup path. *)
-
-type cached_set = {
-  glsns : Glsn.Set.t;
-  is_complete : bool;  (** [false] iff stored under [Degrade] with gaps *)
-  missing_nodes : Net.Node_id.t list;
-      (** every node the entry's evaluation skipped *)
-  depends_on : Net.Node_id.t list;
-      (** provenance: quarantining any of these taints the entry *)
-}
+    enough of an entry to apply an insert-only delta, and reuse the
+    exact taint discipline of the session lookup path. *)
 
 val trusted : Cluster.t -> Net.Node_id.t -> bool
 (** The trust predicate {!run} evaluates and serves cached entries
     under: a node is trusted unless {!Cluster.is_quarantined}. *)
 
-val available : Cluster.t -> on_failure:failure_mode -> Net.Node_id.t -> bool
-(** Whether {!run} under [on_failure] uses a node: always under [Fail]
-    (unavailability surfaces as {!Net.Network.Partitioned}); under
-    [Degrade], only while it is up and {!trusted} — a quarantined node
-    is fenced exactly like a crashed one. *)
-
 val cache_lookup_clause :
-  cache ->
-  available:(Net.Node_id.t -> bool) ->
-  trusted:(Net.Node_id.t -> bool) ->
-  string ->
-  cached_set option
-(** Look up a clause entry by {!Planner.clause_key} under the same
-    discipline as {!run}'s internal lookup — tainted entries (any
-    source not [trusted]) are dropped on sight (bumping
-    [audit.cache_invalidated]), incomplete entries are returned only
-    while their missing nodes are still un-[available] — but without
-    counting a session cache hit: delta maintenance is not query
-    traffic. *)
-
-val cache_insert_glsn_atom : cache -> key:string -> Glsn.t -> bool
-(** Add one glsn to an existing atom entry (idempotent); [false] if no
-    entry exists under [key] — there is nothing to maintain, and the
-    caller must not create one from thin air (entries carry provenance
-    only evaluation can establish). *)
+  cache -> trusted:(Net.Node_id.t -> bool) -> string -> Glsn.Set.t option
+(** Look up a clause's set by {!Planner.clause_key} under the same
+    discipline as {!run}'s internal lookup — a tainted entry (any
+    source not [trusted]) is dropped on sight, bumping
+    [audit.cache_invalidated] — but without counting a session cache
+    hit: delta maintenance is not query traffic. *)
 
 val cache_insert_glsn_clause : cache -> key:string -> Glsn.t -> bool
-(** Same, for a clause entry. *)
-
-val cache_drop_atom : cache -> key:string -> unit
-(** Forget one atom entry, forcing re-evaluation on next use. *)
+(** Add one glsn to an existing clause entry (idempotent); [false] if
+    no entry exists under [key] — there is nothing to maintain, and the
+    caller must not create one from thin air (entries carry provenance
+    only evaluation can establish). *)
 
 val cache_drop_clause : cache -> key:string -> unit
 (** Forget one clause entry — the re-blind fallback for deltas that
@@ -183,13 +152,16 @@ val run :
     nodes recover (after [drain_hints]/repair), which the chaos suite
     asserts.
 
-    With [cache], atom and clause glsn sets are looked up before any
-    evaluation and stored after it; answers are byte-identical with and
-    without a cache (the sets depend only on stored data, never on
-    message timing or blinding randomness).
+    With [cache], each clause's glsn set is looked up before any
+    evaluation and, when the evaluation skipped no atom, stored after
+    it; answers are byte-identical with and without a cache (the sets
+    depend only on stored data, never on message timing or blinding
+    randomness).
 
     [conjunction] builds the commutative scheme the multi-home ∩ₛ runs
-    under (default: the XOR pad, the exact historical behaviour).  Any
+    under (default: the XOR pad, the exact historical behaviour, under
+    which the ∩ₛ receiver can read the other homes' clause sets —
+    SECURITY.md limitation 2).  Any
     {!Crypto.Commutative.scheme} yields the same intersection — the
     protocol is scheme-generic — but a modexp-backed cipher such as
     {!Crypto.Commutative.pohlig_hellman} turns the ring passes into
@@ -202,10 +174,11 @@ val warm_clause :
   cache:cache ->
   Planner.planned_clause ->
   unit
-(** Evaluate one planned clause at its home and store its glsn set (and
-    its atoms' sets) in [cache]: the same evaluation and store the first
-    {!run} over that clause performs.  A usable cached entry is left as
-    is, without counting a hit; a tainted one is dropped (bumping
-    [audit.cache_invalidated]) and the clause evaluated again.
+(** Evaluate one planned clause at its home and store its glsn set in
+    [cache]: the same evaluation and store the first {!run} over that
+    clause performs, so a clause that skipped an atom is not stored.  A
+    cached set is left as is, without counting a hit; a tainted one is
+    dropped (bumping [audit.cache_invalidated]) and the clause evaluated
+    again.
     {!Audit_session} uses this to pipeline the unique clauses of a batch
     before the per-query conjunctions run. *)

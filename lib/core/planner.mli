@@ -8,7 +8,7 @@
 
     For batched sessions, {!plan_many} plans several queries jointly and
     reports how much of the work is shared: atoms and clauses are keyed
-    by a canonical byte form ({!atom_key}/{!clause_key}), so identical
+    by a canonical byte form (see {!clause_key}), so identical
     predicates appearing in different queries are recognized as one unit
     of SMC work. *)
 
@@ -40,16 +40,13 @@ val homes : t -> Net.Node_id.t list
     independent of clause order, so logically equal plans report equal
     home sets. *)
 
-(** {1 Canonical predicate keys}
+(** {1 Canonical clause keys} *)
 
-    Injective byte encodings used to recognize shared work: equal keys
-    iff the predicates are structurally identical (same attribute,
-    operator and right-hand side; clause keys are additionally
-    order-insensitive over their atoms, since a clause is a
-    disjunction). *)
-
-val atom_key : Query.atom -> string
 val clause_key : Query.clause -> string
+(** An injective byte encoding used to recognize shared work: equal
+    keys iff the clauses have structurally identical atoms (same
+    attribute, operator and right-hand side), in any order, since a
+    clause is a disjunction. *)
 
 val planned_clause_key : planned_clause -> string
 (** {!clause_key} of a planned clause's atoms. *)

@@ -1,9 +1,4 @@
-type engine = {
-  shard : Sharding.shard;
-  registry : Continuous_registry.t;
-  incremental : Continuous_incremental.t;
-}
-
+type engine = { shard : Sharding.shard; incremental : Continuous_incremental.t }
 type t = { engines : engine list }
 
 let create fleet =
@@ -11,8 +6,7 @@ let create fleet =
     List.map
       (fun (shard : Sharding.shard) ->
         let registry = Continuous_registry.create shard.Sharding.cluster in
-        let incremental = Continuous_incremental.create registry in
-        { shard; registry; incremental })
+        { shard; incremental = Continuous_incremental.create registry })
       (Sharding.shards fleet)
   in
   { engines }
@@ -21,26 +15,23 @@ let register t ?delivery request =
   (* Lockstep: the registries were created together and every criterion
      registers everywhere, so the per-shard ids always agree.  Errors
      are fragmentation-level (parse/plan) and the shards share one
-     fragmentation map, so the first shard's error is the fleet's. *)
-  let rec go acc = function
-    | [] -> (
-      match List.rev acc with
-      | [] -> invalid_arg "Sharding_continuous.register: no shards"
-      | id :: rest ->
-        assert (List.for_all (Int.equal id) rest);
-        Ok id)
-    | e :: rest -> (
-      match Continuous_incremental.register e.incremental ?delivery request with
-      | Ok id -> go (id :: acc) rest
-      | Error _ as err ->
-        (* Keep the fleet consistent: roll back the ones that took it. *)
-        let taken = List.filteri (fun i _ -> i < List.length acc) t.engines in
-        List.iter2
-          (fun e' id -> ignore (Continuous_registry.unregister e'.registry id))
-          taken (List.rev acc);
-        err)
+     fragmentation map, so only the first shard can refuse a criterion,
+     before any shard has registered it. *)
+  let register_on e =
+    Continuous_incremental.register e.incremental ?delivery request
   in
-  go [] t.engines
+  match t.engines with
+  | [] -> invalid_arg "Sharding_continuous.register: no shards"
+  | first :: rest ->
+    Result.map
+      (fun id ->
+        List.iter
+          (fun e ->
+            let taken = register_on e in
+            assert (taken = Ok id))
+          rest;
+        id)
+      (register_on first)
 
 let merge_verdicts (vs : Continuous_incremental.verdict list) =
   {

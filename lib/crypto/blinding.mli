@@ -9,9 +9,12 @@
 
     - {b Order blinding} (§3.3): parties agree on a secret strictly
       increasing map [y ↦ scale*y + offset] over the integers.  A blind
-      TTP can then compute max / min / ranks of the transformed values;
-      order is preserved, magnitudes are hidden up to the (secret) scale
-      — the "secondary information" disclosure Definition 1 permits. *)
+      TTP can then compute max / min / ranks of the transformed values.
+      It learns more than order: the gcd of the image differences is
+      [scale] times the gcd of the value differences, which is almost
+      always 1, so the images of one column expose the scale and every
+      pairwise difference of its values (SECURITY.md limitation 3; the
+      fix is an open ROADMAP item). *)
 
 open Numtheory
 

@@ -36,3 +36,6 @@ type scheme = {
 val pohlig_hellman : Numtheory.Prng.t -> Pohlig_hellman.params -> scheme
 
 val xor_pad : Numtheory.Prng.t -> Xor_pad.params -> scheme
+(** The paper's toy cipher.  Under it the ∩ₛ receiver can strip every
+    layer off the other parties' sets ({!Xor_pad}; SECURITY.md
+    limitation 2). *)

@@ -7,9 +7,12 @@
     under different keys trivially commute.
 
     It is *much* cheaper than Pohlig–Hellman but weaker: a node that sees
-    two ciphertexts under the same key learns their XOR difference.  The
-    benches compare both (DESIGN.md ablation "commutative cipher
-    choice"). *)
+    two ciphertexts under the same key learns their XOR difference.  In
+    one ∩ₛ run that is enough for the receiver to read every other
+    party's set: one own element's encoding XOR its fully-encrypted
+    image is the XOR of every pad (SECURITY.md limitation 2; the fix is
+    an open ROADMAP item).  The benches compare both (DESIGN.md ablation
+    "commutative cipher choice"). *)
 
 open Numtheory
 

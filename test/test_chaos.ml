@@ -440,10 +440,11 @@ let test_degraded_audit_reports_coverage () =
     Alcotest.(check int) "time clause matches everything"
       (List.length glsns) report.Executor.count
 
-(* A partial clause entry must name every node its clause skipped, even
-   one an earlier clause of the same query already marked down —
-   otherwise the shared cache keeps serving the partial set after the
-   node recovers. *)
+(* A degraded evaluation is never served from the cache: while P1 is
+   down each run evaluates the partial clause again and reads the same
+   report, and once P1 recovers the answer is exact again — otherwise
+   the shared cache keeps serving the partial set after the node
+   recovers. *)
 let test_degraded_cache_entry_expires_on_recovery () =
   let query = parse_query {|id != "U3" && (id = "U2" || C1 > 50)|} in
   let p1 = Net.Node_id.Dla 1 in
@@ -452,20 +453,43 @@ let test_degraded_cache_entry_expires_on_recovery () =
       let cluster, _ = Workload.Paper_example.build () in
       let net = Cluster.net cluster in
       let cache = Executor.cache_create () in
+      let no_hits label =
+        Alcotest.(check int)
+          (mode_name ^ ": no cache hit " ^ label)
+          0 (Executor.cache_hits cache)
+      in
       Net.Network.take_down net p1;
-      (match
-         Executor.run cluster ~on_failure:Executor.Degrade ~cache
-           ~auditor:Net.Node_id.Auditor query
-       with
-      | Error e -> Alcotest.fail (Audit_error.to_string e)
-      | Ok report ->
-        Alcotest.(check bool) "partial while P1 is down" false
-          report.Executor.coverage.Executor.complete);
+      List.iter
+        (fun run_name ->
+          let label s = Printf.sprintf "%s, %s run: %s" mode_name run_name s in
+          (match
+             Executor.run cluster ~on_failure:Executor.Degrade ~cache
+               ~auditor:Net.Node_id.Auditor query
+           with
+          | Error e -> Alcotest.fail (Audit_error.to_string e)
+          | Ok report ->
+            let c = report.Executor.coverage in
+            Alcotest.(check (list string))
+              (label "the C1 > 50 row")
+              [ "139aef7c" ]
+              (List.map Glsn.to_string report.Executor.matching);
+            Alcotest.(check bool) (label "partial while P1 is down") false
+              c.Executor.complete;
+            Alcotest.(check (list string))
+              (label "P1 unreachable")
+              [ "P1" ]
+              (List.map Net.Node_id.to_string c.Executor.unreachable);
+            Alcotest.(check int) (label "skipped atoms") 2
+              c.Executor.skipped_atoms;
+            Alcotest.(check int) (label "skipped clauses") 1
+              c.Executor.skipped_clauses);
+          no_hits ("after the " ^ run_name ^ " run"))
+        [ "first"; "second" ];
       Net.Network.bring_up net p1;
-      match
-        Executor.run cluster ~on_failure ~cache ~auditor:Net.Node_id.Auditor
-          query
-      with
+      (match
+         Executor.run cluster ~on_failure ~cache ~auditor:Net.Node_id.Auditor
+           query
+       with
       | Error e -> Alcotest.fail (Audit_error.to_string e)
       | Ok report ->
         let c = report.Executor.coverage in
@@ -479,7 +503,8 @@ let test_degraded_cache_entry_expires_on_recovery () =
         Alcotest.(check (list string))
           (mode_name ^ ": nothing unreachable")
           []
-          (List.map Net.Node_id.to_string c.Executor.unreachable))
+          (List.map Net.Node_id.to_string c.Executor.unreachable));
+      no_hits "after recovery")
     [ ("Degrade", Executor.Degrade); ("Fail", Executor.Fail) ]
 
 let test_degraded_audit_repairs_wiped_node () =

@@ -366,22 +366,38 @@ let continuous_setup ~seed criteria =
   submit
 
 let test_delta_insert_zero_smc_messages () =
-  (* C1 > 30 homes at P3, time >= 0 at P0: two clauses, both local. *)
-  let submit = continuous_setup ~seed:11 {|C1 > 30 && time >= 0|} in
-  Obs.Metrics.reset ();
-  Obs.Trace.reset ();
-  ignore (submit (paper_row ~time:1200 ~id:"U1" ~c1:55));
-  check "insert delta" 2 "audit.delta.insert";
-  check "insert delta" 0 "audit.delta.reblind";
-  check "insert delta" 0 "audit.delta.rebuild";
-  check "insert delta" 0 "net.msg.query:negotiate";
-  check "insert delta" 0 "net.msg.query:cross-column";
-  check "insert delta" 0 "net.msg.query:cross-result";
-  check "insert delta" 0 "net.msg.query:local-result";
-  check "insert delta" 0 "net.rounds.query";
-  check "insert delta" 0 "net.msg.intersection:relay";
-  check "insert delta" 0 "net.msg.intersection:collect";
-  check "insert delta" 0 "crypto.commutative.enc"
+  List.iter
+    (fun (criteria, clauses, rows, matches) ->
+      let submit = continuous_setup ~seed:11 criteria in
+      Obs.Metrics.reset ();
+      Obs.Trace.reset ();
+      List.iter (fun row -> ignore (submit row)) rows;
+      let name = "insert delta " ^ criteria in
+      check name (clauses * List.length rows) "audit.delta.insert";
+      check name 0 "audit.delta.reblind";
+      check name 0 "audit.delta.rebuild";
+      check name matches "audit.delta.verdict_changed";
+      check name 0 "net.msg.query:negotiate";
+      check name 0 "net.msg.query:cross-column";
+      check name 0 "net.msg.query:cross-result";
+      check name 0 "net.msg.query:local-result";
+      check name 0 "net.rounds.query";
+      check name 0 "net.msg.intersection:relay";
+      check name 0 "net.msg.intersection:collect";
+      check name 0 "crypto.commutative.enc")
+    [ (* C1 > 30 homes at P3, time >= 0 at P0: two clauses, both local. *)
+      ({|C1 > 30 && time >= 0|}, 2, [ paper_row ~time:1200 ~id:"U1" ~c1:55 ], 1);
+      (* The same two homes in one disjunctive clause: one insert per
+         commit, and the row joins the verdict when either atom holds. *)
+      ( {|C1 > 30 || time >= 1100|},
+        1,
+        [ paper_row ~time:1200 ~id:"U1" ~c1:55;
+          paper_row ~time:1200 ~id:"U2" ~c1:10;
+          paper_row ~time:1050 ~id:"U3" ~c1:55;
+          paper_row ~time:1050 ~id:"U1" ~c1:10
+        ],
+        3 )
+    ]
 
 let test_delta_reblind_one_clause_closed_form () =
   (* C2 = C3 crosses P1 and P2: the single clause cannot absorb one row
