@@ -179,15 +179,19 @@ let submit_unobserved ~durability t ~ticket ~origin ~attributes =
     then Rejected "ticket rejected: no write right"
     else begin
       let universe = Fragmentation.universe t.fragmentation in
-      match
-        List.find_opt
-          (fun (a, _) -> not (Attribute.Set.mem a universe))
-          attributes
-      with
-      | Some (a, _) ->
-        Rejected
-          (Printf.sprintf "no DLA node supports attribute %s"
-             (Attribute.to_string a))
+      (* Cross atoms compare strings NUL-padded to a common width
+         (Executor.embed), so a string may not hold NUL. *)
+      let invalid (a, v) =
+        let reject fmt = Some (Printf.sprintf fmt (Attribute.to_string a)) in
+        match v with
+        | _ when not (Attribute.Set.mem a universe) ->
+          reject "no DLA node supports attribute %s"
+        | Value.Str s when String.contains s '\000' ->
+          reject "a string value of attribute %s holds NUL"
+        | _ -> None
+      in
+      match List.find_map invalid attributes with
+      | Some reason -> Rejected reason
       | None ->
         (* Stage: compute everything the placement needs before a single
            message moves or a single row is written, so a mid-placement

@@ -111,8 +111,9 @@ val submit :
     - some home nodes unreachable, [Strict] — or no live successor can
       hold the hint → [Rejected]: {e nothing} is stored anywhere (the
       allocated glsn is burned but appears in no store);
-    - invalid/expired ticket, wrong principal, missing write right, or
-      an attribute no node supports → [Rejected]. *)
+    - invalid/expired ticket, wrong principal, missing write right, an
+      attribute no node supports, or a string value holding NUL (cross
+      atoms NUL-pad strings) → [Rejected], naming the attribute. *)
 
 val to_result : submit_outcome -> (Glsn.t, string) result
 (** Collapse an outcome for callers that only need the glsn: both

@@ -58,8 +58,9 @@ let merge_coverage = function
 
 (* Order-preserving numeric embedding for blinded comparison.  Numeric
    kinds embed as their integer value; strings embed as big-endian bytes
-   zero-padded to a common batch width, which preserves lexicographic
-   order (values must not contain NUL, which the workloads guarantee). *)
+   NUL-padded to a common batch width, which preserves lexicographic
+   order and equality because Cluster.submit rejects a string that
+   contains NUL. *)
 let embed ~pad value =
   match value with
   | Value.Int v | Value.Money v | Value.Time v -> Bignum.of_int v
@@ -102,72 +103,45 @@ let eval_local_atom store (atom : Query.atom) =
         (fun acc glsn va vb -> if holds va vb then glsn :: acc else acc)
         [])
 
-(* The TTP's join of two blinded columns, both glsn-ascending: one
-   merge pass, keeping each glsn whose two values are of one comparison
-   class and satisfy [op].  The result is glsn-descending. *)
-let rec merge_join op acc left right =
-  match (left, right) with
-  | [], _ | _, [] -> acc
-  | (gl, kind_l, wl) :: left', (gr, kind_r, wr) :: right' ->
-    let c = Glsn.compare gl gr in
-    if c < 0 then merge_join op acc left' right
-    else if c > 0 then merge_join op acc left right'
-    else
-      let acc =
-        if
-          String.equal kind_l kind_r
-          && Query.apply_comparison op (Bignum.compare wl wr)
-        then gl :: acc
-        else acc
-      in
-      merge_join op acc left' right'
-
-(* A cross atom: both homes blind their columns with a shared secret
-   monotone transform and ship them to the blind TTP, which filters by
-   the comparison and returns the satisfying glsn set to the clause
-   home. *)
+(* A cross atom: both homes agree on a secret monotone map and submit
+   their blinded columns, in column order with 8 glsn bytes and a class
+   byte beside each image, to the blind TTP, which joins them by the
+   comparison and returns the satisfying glsn set to the clause home. *)
 let eval_cross_atom cluster ~clause_home (atom : Query.atom) ~left ~right
     rhs_attr =
   let net = Cluster.net cluster in
   let left_store = Cluster.store_of cluster left in
   let right_store = Cluster.store_of cluster right in
-  (* Homes agree on the secret transform (one negotiation message). *)
-  Net.Network.send_exn net ~src:left ~dst:right ~label:"query:negotiate"
-    ~bytes:16;
-  Net.Network.round ~label:"query" net;
-  let blind = Crypto.Blinding.generate_monotone (Cluster.rng cluster) ~bits:64 in
+  let blinding =
+    Smc.Blind_compare.agree net (Cluster.rng cluster) ~protocol:"query"
+      [ left; right ] Smc.Blind_compare.Order
+  in
   let pad =
     max (value_pad left_store atom.Query.attr) (value_pad right_store rhs_attr)
   in
-  (* Each home blinds its column in column order. *)
-  let blind_column src store attr =
-    let blinded =
+  let submit_column src store attr =
+    let rows =
       List.rev
         (Storage.fold_column store attr
            (fun acc glsn v ->
              ( glsn,
                Value.comparison_class v,
-               Crypto.Blinding.apply_monotone blind (embed ~pad v) )
+               Smc.Blind_compare.blind blinding (embed ~pad v) )
              :: acc)
            [])
     in
-    let bytes =
-      List.fold_left
-        (fun acc (_, _, w) -> acc + Smc.Proto_util.bignum_wire_size w + 9)
-        0 blinded
-    in
-    Net.Network.send_exn net ~src ~dst:ttp ~label:"query:cross-column" ~bytes;
-    Smc.Proto_util.observe net ~node:ttp ~sensitivity:Net.Ledger.Blinded
-      ~tag:"query:cross-column"
-      (Net.Ledger.Batch
-         (Bignum.to_string, List.map (fun (_, _, w) -> w) blinded));
-    blinded
+    Smc.Blind_compare.submit net ~label:"query:cross-column" ~key_bytes:9
+      ~ttp src rows;
+    rows
   in
-  let left_blinded = blind_column left left_store atom.Query.attr in
-  let right_blinded = blind_column right right_store rhs_attr in
+  let left_rows = submit_column left left_store atom.Query.attr in
+  let right_rows = submit_column right right_store rhs_attr in
   Net.Network.round ~label:"query" net;
   let satisfied =
-    Glsn.Set.of_list (merge_join atom.Query.op [] left_blinded right_blinded)
+    Glsn.Set.of_list
+      (Smc.Blind_compare.join
+         (Query.apply_comparison atom.Query.op)
+         Glsn.compare left_rows right_rows)
   in
   send_glsn_set net ~src:ttp ~dst:clause_home ~label:"query:cross-result"
     satisfied;

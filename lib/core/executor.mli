@@ -4,10 +4,8 @@
 
     - local atoms are evaluated by their home node over its own
       fragments;
-    - cross atoms are evaluated with a blinded-comparison batch through a
-      blind TTP (§3.2/§3.3 machinery): both homes apply a shared secret
-      order-preserving transform and ship only transformed columns, so
-      the TTP learns order/equality relations, never values;
+    - cross atoms run {!Smc.Blind_compare} over the two homes' columns
+      under its order-preserving map, joined at the blind TTP;
     - each clause SQ_i (a disjunction) is assembled at its clause home as
       a union of atom glsn sets;
     - the conjunction of clauses is computed by secure set intersection

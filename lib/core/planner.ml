@@ -104,15 +104,20 @@ let homes t =
 (* Canonical predicate keys                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [Value.to_wire] is injective across kinds and attribute names never
-   contain NUL, so '\000'/'\001' make unambiguous separators. *)
+(* Fields are written length-first ("<length>:<bytes>"), so no byte a
+   field holds (a string literal may hold any) reads as a separator;
+   with [Value.to_wire] injective across kinds, the keys are too. *)
+let length_prefixed fields =
+  String.concat ""
+    (List.map (fun f -> string_of_int (String.length f) ^ ":" ^ f) fields)
+
 let atom_key (atom : Query.atom) =
   let rhs =
     match atom.Query.rhs with
     | Query.Attr b -> "A" ^ Attribute.to_string b
     | Query.Const v -> "C" ^ Value.to_wire v
   in
-  String.concat "\000"
+  length_prefixed
     [ Attribute.to_string atom.Query.attr;
       Query.comparison_to_string atom.Query.op; rhs
     ]
@@ -120,7 +125,7 @@ let atom_key (atom : Query.atom) =
 (* A clause is a disjunction: atom order is semantically irrelevant, so
    the key sorts atom keys first. *)
 let clause_key (clause : Query.clause) =
-  String.concat "\001" (List.sort compare (List.map atom_key clause))
+  length_prefixed (List.sort compare (List.map atom_key clause))
 
 let planned_clause_key (clause : planned_clause) =
   clause_key (List.map (fun { atom; _ } -> atom) clause.atoms)

@@ -1,20 +1,17 @@
 (** Value blinding for TTP-assisted comparisons (paper §3.2, §3.3).
+    Only [Smc.Blind_compare] draws and applies these maps: =ₛ, Rankₛ
+    and the audit path's cross atoms share its agree, submit and join
+    steps.
 
-    Two flavours, matching the two uses in the paper:
-
-    - {b Equality blinding} (§3.2): parties agree on a secret random
-      affine map [y ↦ (a*y + b) mod p] with [a ≠ 0].  The map is a
-      bijection on Z_p, so a blind TTP can compare transformed values for
-      equality without learning the originals.
-
-    - {b Order blinding} (§3.3): parties agree on a secret strictly
-      increasing map [y ↦ scale*y + offset] over the integers.  A blind
-      TTP can then compute max / min / ranks of the transformed values.
-      It learns more than order: the gcd of the image differences is
-      [scale] times the gcd of the value differences, which is almost
-      always 1, so the images of one column expose the scale and every
-      pairwise difference of its values (SECURITY.md limitation 3; the
-      fix is an open ROADMAP item). *)
+    - {b Equality} (§3.2): a secret affine map [y ↦ (a*y + b) mod p]
+      with [a ≠ 0], a bijection on Z_p for a prime [p], so a blind TTP
+      compares images for equality without learning the originals.
+    - {b Order} (§3.3): a secret strictly increasing map
+      [y ↦ scale*y + offset].  A blind TTP can rank the images, and
+      learns more than order: the gcd of one column's image differences
+      is [scale] times the gcd of its value differences, almost always
+      1, so the images expose every pairwise difference of the values
+      (SECURITY.md limitation 3). *)
 
 open Numtheory
 

@@ -4,7 +4,9 @@
     affine bijection [y ↦ (a·y + b) mod p] and submit only transformed
     values to a blind TTP, which compares them and returns the verdict.
     The TTP learns one bit (plus the agreed modulus) and never sees the
-    originals. *)
+    originals.  {!via_ttp} and {!via_mapping_table} run
+    {!Blind_compare.pair} under its [Equality] map: the steps Rankₛ and
+    the audit path's cross atoms run too. *)
 
 open Numtheory
 
@@ -16,7 +18,8 @@ val via_ttp :
   left:Net.Node_id.t * Bignum.t ->
   right:Net.Node_id.t * Bignum.t ->
   bool
-(** Values must lie in [\[0, p)]. @raise Invalid_argument otherwise. *)
+(** [p] must be prime, or distinct values can compare equal; values
+    must lie in [\[0, p)].  @raise Invalid_argument for a value outside. *)
 
 val via_intersection :
   net:Net.Network.t ->
@@ -44,4 +47,9 @@ val via_mapping_table :
     then affine-blind the mapped numbers and let the TTP compare.  The
     shared [domain] enumerates the values' finite universe (both values
     must belong to it).
+
+    Cost: the ["equality:table"] message and a round, then {!via_ttp}'s
+    5 messages and 3 rounds.  The table and the affine map (which hides
+    the indices from the TTP) are two secrets, so both agreements are
+    paid for.
     @raise Invalid_argument if a value is outside the domain. *)

@@ -3,9 +3,11 @@
     All n parties agree on a secret strictly increasing transform
     [y ↦ scale·y + offset] and submit transformed values to a blind TTP.
     Order is preserved, so the TTP can announce who holds the maximum /
-    minimum and each party's rank without learning any original value —
-    it sees only the blinded images (Definition 1's permitted
-    "secondary form" disclosure). *)
+    minimum and each party's rank from the blinded images alone
+    (Definition 1's permitted "secondary form" disclosure; SECURITY.md
+    limitation 3 says what else they reveal).  Both run {!Blind_compare}
+    under its [Order] map: {!run} its agree, blind and submit steps,
+    {!comparisons} its {!Blind_compare.pair}. *)
 
 open Numtheory
 
@@ -33,9 +35,9 @@ val comparisons :
   left:Net.Node_id.t * Bignum.t ->
   right:Net.Node_id.t * Bignum.t ->
   int
-(** Blind three-way comparison of two private values: -1, 0 or 1.  The
-    audit path does not use it (a cross-node [<] or [>] atom blinds
-    whole columns for the TTP's merge-join); experiment P11 and the
-    tests call it. *)
+(** Blind three-way comparison of two private values: -1, 0 or 1,
+    labelled ["compare"].  The audit path's cross atoms run the same
+    steps over whole columns; experiment P11 and the tests call this
+    one-value form. *)
 
 val naive : net:Net.Network.t -> coordinator:Net.Node_id.t -> party list -> verdict

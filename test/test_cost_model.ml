@@ -135,6 +135,34 @@ let test_equality_costs () =
     [ (41, 7, 7); (42, 7, 8); (43, 0, 1008) ]
 
 (* ------------------------------------------------------------------ *)
+(* =ₛ over an agreed mapping table (§3.2 verbatim)                     *)
+(*   the table message and its round, then =ₛ itself: messages 6,      *)
+(*   rounds 4, affine blindings 2                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_mapping_table_costs () =
+  List.iter
+    (fun (seed, l, r) ->
+      let label = Printf.sprintf "mapping table %s≟%s" l r in
+      let _ =
+        measured (fun net ->
+            ignore
+              (Smc.Equality.via_mapping_table ~net ~rng:(Prng.create ~seed)
+                 ~ttp:(Net.Node_id.Ttp "eq")
+                 ~domain:[ "UDP"; "TCP"; "ICMP" ]
+                 ~left:(node 0, l) ~right:(node 1, r)))
+      in
+      check label 6 "net.msgs";
+      check label 4 "net.rounds";
+      check label 4 "net.rounds.equality";
+      check label 1 "net.msg.equality:table";
+      check label 1 "net.msg.equality:negotiate";
+      check label 2 "net.msg.equality:submit";
+      check label 2 "net.msg.equality:verdict";
+      check label 2 "crypto.blind.affine")
+    [ (44, "TCP", "TCP"); (45, "TCP", "ICMP") ]
+
+(* ------------------------------------------------------------------ *)
 (* Rankₛ — secure ranking via the blind TTP                            *)
 (*   messages 3n−1, rounds 3, monotone blindings n                     *)
 (* ------------------------------------------------------------------ *)
@@ -771,7 +799,9 @@ let () =
         ] );
       ( "equality",
         [ Alcotest.test_case "message/round/blind counts" `Quick
-            test_equality_costs
+            test_equality_costs;
+          Alcotest.test_case "mapping table message/round/blind counts"
+            `Quick test_mapping_table_costs
         ] );
       ( "ranking",
         [ Alcotest.test_case "message/round/blind counts" `Quick

@@ -214,6 +214,71 @@ let test_planner_unknown_attribute () =
       (string_contains (Audit_error.to_string e) "nonexistent")
 
 
+(* Clause keys are injective: two clauses have equal keys iff they hold
+   the same atoms, counted with multiplicity, in any order.  String
+   literals are drawn over an alphabet that holds the bytes an
+   unprefixed key would use as separators.  A clause is paired with a
+   fresh clause, with a reordering of itself (equal keys), or with one
+   of its string atoms whose literal runs on with the rest of its key
+   (equal keys under any format that only joins atom keys). *)
+let spliced clause =
+  let key = Planner.clause_key clause in
+  List.filter_map
+    (fun (atom : Query.atom) ->
+      let own = Planner.clause_key [ atom ] in
+      match atom.Query.rhs with
+      | Query.Const (Value.Str s)
+        when String.length key > String.length own
+             && String.starts_with ~prefix:own key ->
+        let rest =
+          String.sub key (String.length own)
+            (String.length key - String.length own)
+        in
+        Some [ { atom with Query.rhs = Query.Const (Value.Str (s ^ rest)) } ]
+      | _ -> None)
+    clause
+
+let clause_pair_gen =
+  let open QCheck.Gen in
+  let literal =
+    string_size
+      ~gen:(oneofl [ '\000'; '\001'; '|'; ':'; '1'; 'a' ])
+      (int_range 0 4)
+  in
+  let attr = oneofl [ d "id"; d "tid"; u 1; u 2 ] in
+  let rhs =
+    oneof
+      [ map (fun a -> Query.Attr a) attr;
+        map (fun s -> Query.Const (Value.Str s)) literal;
+        map (fun i -> Query.Const (Value.Int i)) (int_range 0 1);
+        map (fun i -> Query.Const (Value.Money i)) (int_range 0 1)
+      ]
+  in
+  let atom =
+    map3
+      (fun attr op rhs -> { Query.attr; op; rhs })
+      attr
+      (oneofl Query.[ Eq; Ne; Lt; Gt ])
+      rhs
+  in
+  let clause = list_size (int_range 1 3) atom in
+  clause >>= fun a ->
+  map
+    (fun b -> (a, b))
+    (oneof (clause :: shuffle_l a :: List.map return (spliced a)))
+
+let prop_clause_key_injective =
+  let show clause =
+    String.concat " || "
+      (List.map (fun a -> String.escaped (Query.to_string (Query.Atom a))) clause)
+  in
+  QCheck.Test.make ~name:"equal clause keys iff equal atoms" ~count:500
+    (QCheck.make clause_pair_gen ~print:(fun (a, b) ->
+         show a ^ "  vs  " ^ show b))
+    (fun (a, b) ->
+      String.equal (Planner.clause_key a) (Planner.clause_key b)
+      = (List.sort compare a = List.sort compare b))
+
 let prop_c_auditing_matches_brute_force =
   (* Eq 11's inputs (s, t, q) recomputed independently of the planner. *)
   QCheck.Test.make ~name:"c_auditing params match brute force" ~count:100
@@ -626,6 +691,43 @@ let prop_mean_c_store_is_reference =
           (Auditor_engine.mean_c_store cluster a)
           (reference_mean_c_store cluster a))
 
+(* A cross atom compares strings NUL-padded to a common width, so a
+   stored "U9\000" would blind exactly like "U9".  Submit rejects a
+   string holding NUL, naming its attribute, and cross atoms over the
+   would-be rows agree with the oracle. *)
+let test_nul_strings_rejected () =
+  let cluster, _ = Workload.Paper_example.build () in
+  let ticket =
+    Cluster.issue_ticket cluster ~id:"T-nul" ~principal:(Net.Node_id.User 1)
+      ~rights:[ Ticket.Write ] ~ttl:86400
+  in
+  let row ~id ~tid =
+    List.map
+      (fun (attr, v) ->
+        if Attribute.equal attr (d "id") then (attr, Value.Str id)
+        else if Attribute.equal attr (d "tid") then (attr, Value.Str tid)
+        else (attr, v))
+      (List.hd Workload.Paper_example.rows)
+  in
+  let outcomes =
+    List.map
+      (fun (id, tid) ->
+        Cluster.submit cluster ~ticket ~origin:(Net.Node_id.User 1)
+          ~attributes:(row ~id ~tid))
+      [ ("U9", "U9\000"); ("a", "a\000\000") ]
+  in
+  List.iter
+    (fun s -> check_executor_matches_oracle cluster (q s))
+    [ "tid = id"; "tid > id"; "tid != id" ];
+  List.iter
+    (function
+      | Cluster.Rejected reason ->
+        Alcotest.(check bool) ("names tid: " ^ reason) true
+          (string_contains reason "tid")
+      | Cluster.Committed _ | Cluster.Committed_degraded _ ->
+        Alcotest.fail "a string holding NUL was committed")
+    outcomes
+
 (* One attribute stored on two nodes: the record no longer reassembles
    ([Cluster.record_of] is [None]).  The audit reassembles no record, so
    it still answers; the on-read score skips the one record it cannot
@@ -852,7 +954,8 @@ let () =
         [ Alcotest.test_case "local vs cross" `Quick test_planner_local_vs_cross;
           Alcotest.test_case "homes" `Quick test_planner_homes;
           Alcotest.test_case "unknown attribute" `Quick test_planner_unknown_attribute;
-          QCheck_alcotest.to_alcotest prop_c_auditing_matches_brute_force
+          QCheck_alcotest.to_alcotest prop_c_auditing_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_clause_key_injective
         ] );
       ( "executor",
         Alcotest.test_case "paper queries" `Quick test_executor_paper_queries
@@ -861,6 +964,8 @@ let () =
         :: Alcotest.test_case "count only" `Quick test_executor_count_only
         :: Alcotest.test_case "ledger golden" `Quick test_ledger_golden
         :: Alcotest.test_case "audit text golden" `Quick test_audit_text_golden
+        :: Alcotest.test_case "strings holding NUL are rejected" `Quick
+             test_nul_strings_rejected
         :: Alcotest.test_case "match that does not reassemble" `Quick
              test_audit_with_unassemblable_match
         :: Alcotest.test_case "readers skip a row that does not reassemble"

@@ -123,6 +123,25 @@ let prop_batch_equals_sequential =
       if List.exists Result.is_error seq_result then QCheck.assume_fail ()
       else seq_result = bat_result)
 
+(* Hostile query text: a string literal may hold any byte, including
+   those an unprefixed clause key would use as separators.  The second
+   criterion's one atom spells the first criterion's two-atom clause
+   key; the session must still answer each criterion as a standalone
+   audit does (4 records, then none), not serve one clause's cached set
+   for the other. *)
+let test_batch_literal_separators () =
+  let criteria =
+    [ {|id = "U1" || id = "U2"|}; "id = \"U1\001id\000=\000Cs:U2\"" ]
+  in
+  let cluster, _ = Workload.Paper_example.build () in
+  let sequential = sequential_matching cluster criteria in
+  Alcotest.(check (list int)) "standalone match counts" [ 4; 0 ]
+    (List.map List.length sequential);
+  let cluster, _ = Workload.Paper_example.build () in
+  Alcotest.(check (list (list string))) "session = standalone audits"
+    sequential
+    (batched_matching cluster criteria)
+
 (* ------------------------------------------------------------------ *)
 (* Cost: sharing must show up as strictly fewer messages and rounds    *)
 (* ------------------------------------------------------------------ *)
@@ -390,7 +409,9 @@ let () =
     [ ( "equivalence",
         [ Alcotest.test_case "batch = sequential across schedules" `Quick
             test_batch_equals_sequential_all_schedules;
-          QCheck_alcotest.to_alcotest prop_batch_equals_sequential
+          QCheck_alcotest.to_alcotest prop_batch_equals_sequential;
+          Alcotest.test_case "literal bytes never merge clauses" `Quick
+            test_batch_literal_separators
         ] );
       ( "cost",
         [ Alcotest.test_case "batch strictly cheaper" `Quick

@@ -717,6 +717,19 @@ let test_equality_via_mapping_table () =
   in
   Alcotest.(check bool) "equal" true (run "TCP" "TCP" 63);
   Alcotest.(check bool) "unequal" false (run "TCP" "UDP" 64);
+  (* The affine map is a bijection only modulo a prime: modulo 9, say,
+     a = 3 sends indices 0 and 3 to one image, and two distinct values
+     of this four-value domain would compare equal. *)
+  for seed = 0 to 199 do
+    List.iter
+      (fun (l, r) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: %s = %s" seed l r)
+          false (run l r seed))
+      [ ("UDP", "TCP"); ("UDP", "ICMP"); ("UDP", "SCTP"); ("TCP", "ICMP");
+        ("TCP", "SCTP"); ("ICMP", "SCTP")
+      ]
+  done;
   (* Outside the agreed domain is a usage error. *)
   let net = Net.Network.of_config (Net.Config.make ()) in
   Alcotest.check_raises "outside domain"
@@ -773,7 +786,7 @@ let test_equality_blinded_no_collision () =
     let verdict =
       Smc.Proto_util.with_transcript_hook
         (fun ev ->
-          if String.equal ev.Smc.Proto_util.tag "equality:blinded" then
+          if String.equal ev.Smc.Proto_util.tag "equality:submit" then
             captured := ev.Smc.Proto_util.value :: !captured)
         (fun () ->
           let net = Net.Network.of_config (Net.Config.make ()) in
